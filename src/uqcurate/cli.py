@@ -14,7 +14,7 @@ in run manifests).  Exit codes: 0 success, 1 internal failure, 2 usage or
 configuration error.
 
 Environment: UQCURATE_JOBS sets the worker-process count for experiment
-repetitions; UQCURATE_NUMBA=0 disables the compiled kernels.
+repetitions.
 """
 
 from __future__ import annotations
@@ -193,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Config files are plain key=value text; `--config profile:NAME` loads a "
             "packaged profile (standard-synthetic, smoke). Flags override config keys. "
-            "Environment: UQCURATE_JOBS (parallel repetitions), UQCURATE_NUMBA=0 "
-            "(disable compiled kernels)."
+            "Environment: UQCURATE_JOBS (parallel repetitions)."
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

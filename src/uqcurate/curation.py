@@ -138,9 +138,18 @@ def top_n_by_aleatoric(records, n_ale: int) -> set[str]:
 class _Fenwick:
     """Prefix-count tree over rank positions (1-indexed)."""
 
-    def __init__(self, n: int):
+    def __init__(self, positions: Array, n: int):
+        """Tree holding a count of one at each of the distinct ``positions``.
+
+        Built in one pass from the cumulative counts C as
+        tree[i] = C[i] - C[i - lowbit(i)].
+        """
+        counts = np.zeros(n + 1, dtype=np.int64)
+        counts[positions] = 1
+        cum = np.cumsum(counts)
+        i = np.arange(n + 1)
         self.n = n
-        self.tree = [0] * (n + 1)
+        self.tree = (cum - cum[i - (i & -i)]).tolist()
 
     def add(self, pos: int, delta: int) -> None:
         i = pos
@@ -187,21 +196,18 @@ def _select_one(ids: Array, epi: Array, ale: Array, alive: Array, n_ale: int,
 
 
 def _walk_select(epi_order: Array, ale_pos: Array, alive: Array, n_ale: int) -> int:
-    tree = _Fenwick(len(ale_pos))
-    for i in np.flatnonzero(alive):
-        tree.add(int(ale_pos[i]), 1)
-    first_alive = -1
-    for c in epi_order:
-        c = int(c)
-        if not alive[c]:
-            continue
-        if first_alive < 0:
-            first_alive = c
-        if tree.prefix(int(ale_pos[c])) <= n_ale:
-            tree.add(int(ale_pos[c]), -1)  # reject: drop from the view
-            continue
-        return c
-    return first_alive  # exhaustion: extreme-epistemic of the original view
+    walk = epi_order[alive[epi_order]]  # alive candidates, extreme epistemic first
+    positions = ale_pos[walk]
+    tree = _Fenwick(positions, len(ale_pos))
+    view = walk.shape[0]
+    for c, pos in zip(walk.tolist(), positions.tolist()):
+        if view <= n_ale:
+            break  # every candidate left sits in the rejection set
+        if tree.prefix(pos) > n_ale:
+            return c
+        tree.add(pos, -1)  # reject: drop from the view
+        view -= 1
+    return int(walk[0])  # exhaustion: extreme-epistemic of the original view
 
 
 def ehal_select_one(records, n_ale: int) -> str:

@@ -1,68 +1,31 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels for the elementwise-heavy inner loops.
 
-Every kernel ships in two interchangeable flavours:
-
-* ``<name>_numpy``  -- vectorized pure-numpy implementation (always present)
-* ``<name>_numba``  -- @njit-compiled loop implementation, or ``None`` when
-  numba is unavailable or disabled
-
-The public names (``adam_update``, ``softmax_xent``, ``gaussian_logit_nll``)
-are bound at import time to the numba flavour when it is active and to the
-numpy flavour otherwise.  Set ``UQCURATE_NUMBA=0`` in the environment to force
-the numpy path; ``UQCURATE_NUMBA=1`` raises if numba cannot be imported.
-
-Matrix products deliberately stay on numpy/BLAS -- the kernels here cover the
-elementwise-heavy inner loops (optimizer update, fused loss forward/backward)
-where avoiding temporaries pays off.  ``benchmarks/bench_kernels.py`` compares
-the two flavours.
+Matrix products stay on numpy/BLAS; the kernels here cover the optimizer
+update and the fused loss forward/backward passes.  Models have exactly two
+classes, so the sampled Gaussian-logit NLL is written in margin form on
+``z1 - z0`` instead of a softmax over the class axis.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_ACTIVE",
     "backend",
     "adam_update",
-    "adam_update_numpy",
-    "adam_update_numba",
     "softmax_xent",
-    "softmax_xent_numpy",
-    "softmax_xent_numba",
     "gaussian_logit_nll",
-    "gaussian_logit_nll_numpy",
-    "gaussian_logit_nll_numba",
 ]
 
 LOG_FLOOR = 1e-12  # probabilities are clamped here before any log
 
-_ENV_FLAG = "UQCURATE_NUMBA"
+
+def backend() -> str:
+    """Name of the kernel backend."""
+    return "numpy"
 
 
-def _load_numba():
-    flag = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-    if flag in {"0", "off", "false", "no"}:
-        return None
-    try:
-        import numba
-    except ImportError:
-        if flag in {"1", "on", "true", "yes"}:
-            raise RuntimeError(
-                f"{_ENV_FLAG}={flag} requested but numba is not importable"
-            ) from None
-        return None
-    return numba
-
-
-# ---------------------------------------------------------------------------
-# numpy flavour
-# ---------------------------------------------------------------------------
-
-
-def adam_update_numpy(param, grad, m, v, t, lr, beta1, beta2, eps):
+def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     """One Adam step, in place, on flat float64 views.
 
     Bias-corrected moments; eps sits under the square root so the t=1 update
@@ -77,7 +40,7 @@ def adam_update_numpy(param, grad, m, v, t, lr, beta1, beta2, eps):
     param -= lr * ((m / c1) / np.sqrt(v / c2 + eps))
 
 
-def softmax_xent_numpy(logits, labels):
+def softmax_xent(logits, labels):
     """Fused softmax + cross-entropy over a batch.
 
     Returns ``(loss, dlogits, probs)`` where loss is the batch mean of
@@ -97,169 +60,35 @@ def softmax_xent_numpy(logits, labels):
     return loss, dlogits, probs
 
 
-def gaussian_logit_nll_numpy(mu, sigma, eps, labels):
-    """Sampled negative log likelihood for Gaussian logits.
+def gaussian_logit_nll(mu, sigma, eps, labels):
+    """Sampled negative log likelihood for two-class Gaussian logits.
 
-    For each instance the logit vector is drawn as z_s = mu + sigma*eps_s for
-    the given draws eps (shape (B, S, C)); the per-instance loss is
-    -log(mean_s softmax(z_s)[label]), evaluated through log-sum-exp, and the
-    result is the batch mean.  Returns ``(loss, dmu, dsigma)`` with gradients
-    flowing through the fixed draws.
+    For each instance the logit pair is drawn as z_s = mu + sigma*eps_s for
+    the given draws eps (shape (B, S, 2)); the per-instance loss is
+    -log(mean_s softmax(z_s)[label]), and the result is the batch mean.
+    Returns ``(loss, dmu, dsigma)`` with gradients flowing through the fixed
+    draws.
+
+    With label sign s = +-1 and margin d = z1 - z0 each draw has
+    log p_y = -logaddexp(0, -s*d).  The draws are weighted by their share
+    w = p_y / sum_s p_y of the likelihood, and the gradient on z1 is
+    -s*(1 - p_y)*w/B, the negative of the one on z0.
     """
     n, n_draws, _ = eps.shape
-    z = mu[:, None, :] + sigma[:, None, :] * eps
-    zmax = z.max(axis=2, keepdims=True)
-    ez = np.exp(z - zmax)
-    sez = ez.sum(axis=2, keepdims=True)
-    p = ez / sez
-    logp = (z - zmax) - np.log(sez)
-    a = np.take_along_axis(logp, labels[:, None, None], axis=2)[:, :, 0]
-    amax = a.max(axis=1, keepdims=True)
-    lse = amax[:, 0] + np.log(np.exp(a - amax).sum(axis=1))
+    sign = (2 * labels - 1).astype(np.float64)[:, None]
+    eps0 = eps[:, :, 0]
+    eps1 = eps[:, :, 1]
+    margin = (mu[:, 1] - mu[:, 0])[:, None] + sigma[:, 1:2] * eps1 - sigma[:, 0:1] * eps0
+    # log p_y = -logaddexp(0, t) with t = -s*d, spelled out as numpy's ufunc
+    # does it, which runs several times faster than the ufunc itself
+    t = -sign * margin
+    logp = -(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
+    amax = logp.max(axis=1, keepdims=True)
+    lse = amax + np.log(np.exp(logp - amax).sum(axis=1, keepdims=True))
     loss = float(np.mean(np.log(n_draws) - lse))
-    w = np.exp(a - lse[:, None])
-    d = p.copy()
-    np.put_along_axis(
-        d, labels[:, None, None], np.take_along_axis(d, labels[:, None, None], axis=2) - 1.0, axis=2
-    )
-    wd = w[:, :, None] * d
-    dmu = wd.sum(axis=1) / n
-    dsigma = (wd * eps).sum(axis=1) / n
+    # expm1(log p_y) = p_y - 1 keeps its precision when p_y is near 1
+    g1 = (sign / n) * np.exp(logp - lse) * np.expm1(logp)
+    dmu1 = g1.sum(axis=1)
+    dmu = np.stack((-dmu1, dmu1), axis=1)
+    dsigma = np.stack((-(g1 * eps0).sum(axis=1), (g1 * eps1).sum(axis=1)), axis=1)
     return loss, dmu, dsigma
-
-
-# ---------------------------------------------------------------------------
-# loop flavour (numba-compilable; also runs as plain python for testing)
-# ---------------------------------------------------------------------------
-
-
-def _adam_update_loop(param, grad, m, v, t, lr, beta1, beta2, eps):
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for i in range(param.shape[0]):
-        g = grad[i]
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-        param[i] -= lr * ((m[i] / c1) / np.sqrt(v[i] / c2 + eps))
-
-
-def _softmax_xent_loop(logits, labels):
-    n, n_classes = logits.shape
-    probs = np.empty((n, n_classes))
-    dlogits = np.empty((n, n_classes))
-    loss = 0.0
-    for i in range(n):
-        zmax = logits[i, 0]
-        for c in range(1, n_classes):
-            if logits[i, c] > zmax:
-                zmax = logits[i, c]
-        s = 0.0
-        for c in range(n_classes):
-            e = np.exp(logits[i, c] - zmax)
-            probs[i, c] = e
-            s += e
-        for c in range(n_classes):
-            probs[i, c] /= s
-        py = probs[i, labels[i]]
-        if py < LOG_FLOOR:
-            py = LOG_FLOOR
-        loss -= np.log(py)
-        for c in range(n_classes):
-            d = probs[i, c]
-            if c == labels[i]:
-                d -= 1.0
-            dlogits[i, c] = d / n
-    return loss / n, dlogits, probs
-
-
-def _gaussian_logit_nll_loop(mu, sigma, eps, labels):
-    n, n_draws, n_classes = eps.shape
-    dmu = np.zeros((n, n_classes))
-    dsigma = np.zeros((n, n_classes))
-    p = np.empty((n_draws, n_classes))
-    a = np.empty(n_draws)
-    log_draws = np.log(float(n_draws))
-    loss = 0.0
-    for i in range(n):
-        y = labels[i]
-        for s in range(n_draws):
-            zmax = mu[i, 0] + sigma[i, 0] * eps[i, s, 0]
-            p[s, 0] = zmax
-            for c in range(1, n_classes):
-                z = mu[i, c] + sigma[i, c] * eps[i, s, c]
-                p[s, c] = z
-                if z > zmax:
-                    zmax = z
-            tot = 0.0
-            for c in range(n_classes):
-                e = np.exp(p[s, c] - zmax)
-                p[s, c] = e
-                tot += e
-            for c in range(n_classes):
-                p[s, c] /= tot
-            a[s] = np.log(p[s, y])
-        amax = a[0]
-        for s in range(1, n_draws):
-            if a[s] > amax:
-                amax = a[s]
-        acc = 0.0
-        for s in range(n_draws):
-            acc += np.exp(a[s] - amax)
-        lse = amax + np.log(acc)
-        loss += log_draws - lse
-        for s in range(n_draws):
-            w = np.exp(a[s] - lse)
-            for c in range(n_classes):
-                d = p[s, c]
-                if c == y:
-                    d -= 1.0
-                wd = w * d
-                dmu[i, c] += wd
-                dsigma[i, c] += wd * eps[i, s, c]
-    for i in range(n):
-        for c in range(n_classes):
-            dmu[i, c] /= n
-            dsigma[i, c] /= n
-    return loss / n, dmu, dsigma
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_nb = _load_numba()
-
-if _nb is not None:
-    _njit = _nb.njit(cache=True)
-    adam_update_numba = _njit(_adam_update_loop)
-    softmax_xent_numba = _njit(_softmax_xent_loop)
-    gaussian_logit_nll_numba = _njit(_gaussian_logit_nll_loop)
-    NUMBA_ACTIVE = True
-    adam_update = adam_update_numba
-    softmax_xent = softmax_xent_numba
-    gaussian_logit_nll = gaussian_logit_nll_numba
-else:
-    adam_update_numba = None
-    softmax_xent_numba = None
-    gaussian_logit_nll_numba = None
-    NUMBA_ACTIVE = False
-    adam_update = adam_update_numpy
-    softmax_xent = softmax_xent_numpy
-    gaussian_logit_nll = gaussian_logit_nll_numpy
-
-
-def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ACTIVE else "numpy"
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    if not NUMBA_ACTIVE:
-        return
-    p = np.zeros(2)
-    adam_update(p, np.ones(2), np.zeros(2), np.zeros(2), 1, 1e-3, 0.9, 0.999, 1e-8)
-    softmax_xent(np.zeros((2, 2)), np.zeros(2, dtype=np.int64))
-    gaussian_logit_nll(
-        np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 3, 2)), np.zeros(2, dtype=np.int64)
-    )

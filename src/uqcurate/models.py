@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataFormatError,
     DimensionError,
     DivergenceError,
     ModelStateError,
@@ -134,6 +135,16 @@ class MlpModel:
             self.head = None
             self.head_mu = LinearLayer(in_dim, config.n_classes, rng)
             self.head_sigma = LinearLayer(in_dim, config.n_classes, rng)
+        # every layer's w, b, dw and db are views of these two vectors, so the
+        # optimizer and the best-epoch snapshot each touch one array
+        layers = self.hidden + self._head_layers()
+        self.flat_params = np.empty(sum(layer.size for layer in layers))
+        self.flat_grads = np.zeros_like(self.flat_params)
+        start = 0
+        for layer in layers:
+            stop = start + layer.size
+            layer.bind(self.flat_params[start:stop], self.flat_grads[start:stop])
+            start = stop
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -154,12 +165,11 @@ class MlpModel:
             grads.extend(layer.gradients())
         return grads
 
-    def _snapshot(self) -> list[Array]:
-        return [p.copy() for p in self.parameters()]
+    def _snapshot(self) -> Array:
+        return self.flat_params.copy()
 
-    def _restore(self, snapshot: list[Array]) -> None:
-        for p, s in zip(self.parameters(), snapshot):
-            p[...] = s
+    def _restore(self, snapshot: Array) -> None:
+        self.flat_params[...] = snapshot
 
     # -- forward / backward -------------------------------------------------
 
@@ -278,7 +288,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
             loss = model._train_batch(X_train[idx], y_train[idx], rng, rng)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            opt.step(model.parameters(), model.gradients())
+            opt.step([model.flat_params], [model.flat_grads])
             total += loss * idx.shape[0]
         train_loss = total / n
         val_loss = model.evaluate_loss(X_val, y_val, eval_seed)
@@ -482,8 +492,17 @@ def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str = "") -> Ml
     model = MlpModel(ModelConfig(**meta["config"]), seed=meta["seed"])
     layers = model.hidden + model._head_layers()
     for i, layer in enumerate(layers):
-        layer.w = np.array(arrays[f"{prefix}layer{i}_w"], dtype=np.float64)
-        layer.b = np.array(arrays[f"{prefix}layer{i}_b"], dtype=np.float64)
+        for name, target in (("w", layer.w), ("b", layer.b)):
+            key = f"{prefix}layer{i}_{name}"
+            if key not in arrays:
+                raise DataFormatError(f"checkpoint has no array {key!r}")
+            value = arrays[key]
+            if value.shape != target.shape:
+                raise DataFormatError(
+                    f"checkpoint array {key!r} has shape {value.shape}, the config "
+                    f"needs {target.shape}"
+                )
+            target[...] = value  # write into the view; the flat buffer stays shared
     model.trained = meta["trained"]
     model.history = [EpochRecord(int(e), tl, vl) for e, tl, vl in meta["history"]]
     if meta.get("best_val_loss") is not None:
@@ -505,6 +524,8 @@ def load_model(path) -> MlpModel:
         if int(npz["format_version"]) != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint version in {path}")
         meta = json.loads(str(npz["meta"]))
+        if "config" not in meta:
+            raise DataFormatError(f"{path} is not a single-model checkpoint")
         return _restore_model(meta, npz)
 
 
@@ -527,6 +548,8 @@ def load_ensemble(path) -> Ensemble:
         if int(npz["format_version"]) != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint version in {path}")
         meta = json.loads(str(npz["meta"]))
+        if "members" not in meta:
+            raise DataFormatError(f"{path} is not an ensemble checkpoint")
         members = [
             _restore_model(m, npz, prefix=f"m{t}_") for t, m in enumerate(meta["members"])
         ]

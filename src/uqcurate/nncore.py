@@ -87,7 +87,9 @@ class LinearLayer:
     """Affine map y = x W^T + b with gradient accumulation.
 
     ``forward(..., train=True)`` caches the input; ``backward`` consumes the
-    cache, fills ``dw``/``db`` and returns the gradient w.r.t. the input.
+    cache, fills ``dw``/``db`` in place and returns the gradient w.r.t. the
+    input.  ``bind`` moves the four arrays into views of caller-owned flat
+    buffers, so a model can keep all its layers in one parameter vector.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -104,6 +106,21 @@ class LinearLayer:
     @property
     def out_dim(self) -> int:
         return self.w.shape[0]
+
+    @property
+    def size(self) -> int:
+        """Number of parameters, weights and biases together."""
+        return self.w.size + self.b.size
+
+    def bind(self, params: Array, grads: Array) -> None:
+        """Copy the weights into the flat slice ``params`` (w row-major, then
+        b) and make w, b, dw and db views of ``params`` and ``grads``."""
+        k = self.w.size
+        params[:k] = self.w.reshape(-1)
+        params[k:] = self.b
+        shape = self.w.shape
+        self.w, self.b = params[:k].reshape(shape), params[k:]
+        self.dw, self.db = grads[:k].reshape(shape), grads[k:]
 
     def forward(self, x: Array, train: bool = False) -> Array:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -122,8 +139,8 @@ class LinearLayer:
                 f"gradient shape {dout.shape} does not match output "
                 f"({self._x.shape[0]}, {self.out_dim})"
             )
-        self.dw = dout.T @ self._x
-        self.db = dout.sum(axis=0)
+        np.matmul(dout.T, self._x, out=self.dw)
+        np.sum(dout, axis=0, out=self.db)
         dx = dout @ self.w
         self._x = None
         return dx
@@ -194,7 +211,7 @@ def softmax_cross_entropy(logits: Array, labels: Array):
 def stochastic_nll_from_draws(mu: Array, sigma: Array, labels: Array, eps: Array):
     """Sampled Gaussian-logit NLL for fixed noise draws.
 
-    ``eps`` has shape (batch, n_draws, n_classes); keeping it fixed makes the
+    ``eps`` has shape (batch, n_draws, 2); keeping it fixed makes the
     returned gradients exact for finite-difference checks.
     Returns ``(loss, dmu, dsigma)``.
     """
@@ -203,6 +220,8 @@ def stochastic_nll_from_draws(mu: Array, sigma: Array, labels: Array, eps: Array
     eps = np.ascontiguousarray(eps, dtype=np.float64)
     if mu.shape != sigma.shape:
         raise DimensionError(f"mu {mu.shape} and sigma {sigma.shape} differ")
+    if mu.ndim != 2 or mu.shape[1] != 2:
+        raise DimensionError(f"expected (batch, 2) logits, got {mu.shape}")
     if eps.ndim != 3 or eps.shape[0] != mu.shape[0] or eps.shape[2] != mu.shape[1]:
         raise DimensionError(
             f"eps shape {eps.shape} incompatible with mu shape {mu.shape}"

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from uqcurate import kernels
 from uqcurate.data import SplitSpec, SyntheticSpec, generate_synthetic, split, undersample_balance
 from uqcurate.nncore import make_rng
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture

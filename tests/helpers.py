@@ -8,6 +8,8 @@ python data structures.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
@@ -31,6 +33,48 @@ def naive_matmul_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
                 acc += x[i, k] * w[o, k]
             out[i, o] = acc + b[o]
     return out
+
+
+def gaussian_logit_nll_loop(mu, sigma, eps, labels):
+    """Sampled Gaussian-logit NLL for any class count, written as plain loops.
+
+    Per instance and draw it forms z = mu + sigma*eps, takes the softmax over
+    the classes and log p[label]; the loss is mean_i(log S - logsumexp_s),
+    and the gradients weight each draw's (p - onehot) by its likelihood
+    share.  Returns ``(loss, dmu, dsigma)`` like ``kernels.gaussian_logit_nll``.
+    """
+    n, n_draws, n_classes = eps.shape
+    dmu = np.zeros((n, n_classes))
+    dsigma = np.zeros((n, n_classes))
+    p = np.empty((n_draws, n_classes))
+    a = np.empty(n_draws)
+    loss = 0.0
+    for i in range(n):
+        y = labels[i]
+        for s in range(n_draws):
+            for c in range(n_classes):
+                p[s, c] = mu[i, c] + sigma[i, c] * eps[i, s, c]
+            zmax = p[s].max()
+            tot = 0.0
+            for c in range(n_classes):
+                p[s, c] = np.exp(p[s, c] - zmax)
+                tot += p[s, c]
+            for c in range(n_classes):
+                p[s, c] /= tot
+            a[s] = np.log(p[s, y])
+        amax = a.max()
+        acc = 0.0
+        for s in range(n_draws):
+            acc += np.exp(a[s] - amax)
+        lse = amax + np.log(acc)
+        loss += np.log(float(n_draws)) - lse
+        for s in range(n_draws):
+            w = np.exp(a[s] - lse)
+            for c in range(n_classes):
+                d = p[s, c] - (1.0 if c == y else 0.0)
+                dmu[i, c] += w * d
+                dsigma[i, c] += w * d * eps[i, s, c]
+    return loss / n, dmu / n, dsigma / n
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +210,16 @@ def trace_select_one(pool: dict[str, tuple[float, float]], n_ale: int,
     return top_epi(dict(pool))
 
 
-def trace_curate(pool: dict[str, tuple[float, float]], n: int, n_ale: int,
-                 high_epistemic: bool = True) -> list[str]:
+def trace_curate(pool: dict[str, tuple[float, float]], n: int, n_ale: int | None,
+                 high_epistemic: bool = True, n_ale_fraction: float | None = None) -> list[str]:
+    """Pick n times with ``trace_select_one``, removing each pick.  With
+    ``n_ale`` None the rejection-set size is ceil(n_ale_fraction * remaining),
+    at least 1, recomputed before every pick."""
     remaining = dict(pool)
     picked = []
     while remaining and len(picked) < n:
-        d = trace_select_one(remaining, n_ale, high_epistemic)
+        k = n_ale if n_ale is not None else max(1, math.ceil(n_ale_fraction * len(remaining)))
+        d = trace_select_one(remaining, k, high_epistemic)
         del remaining[d]
         picked.append(d)
     return picked

@@ -191,6 +191,20 @@ class TestCurate:
             expected.append(pick)
         assert out == expected
 
+    @pytest.mark.parametrize("selector", ["ehal", "elah"])
+    @pytest.mark.parametrize("correlation", [1.0, -1.0])
+    def test_fractional_n_ale_matches_trace_on_larger_pool(self, selector, correlation):
+        # correlated scores make every pick exhaust the view; anti-correlated
+        # ones let the walk stop at its first few candidates
+        rng = np.random.default_rng(17)
+        epi = rng.permutation(300) / 300.0
+        ale = 0.5 + correlation * (epi - 0.5)
+        records = [rec(f"q{i:03d}", float(e), float(a)) for i, (e, a) in enumerate(zip(epi, ale))]
+        cfg = CurationConfig(n_to_select=25, n_ale_fraction=0.3, selector=selector)
+        assert curate(records, cfg) == trace_curate(
+            as_pool(records), 25, None, high_epistemic=selector == "ehal", n_ale_fraction=0.3
+        )
+
     def test_invalid_selector(self):
         with pytest.raises(ConfigError):
             CurationConfig(n_to_select=1, selector="best")

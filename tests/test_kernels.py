@@ -1,13 +1,10 @@
-"""Numpy/numba kernel twins must agree, and both must match hand math."""
+"""Kernels must match hand math and the general-class loop oracles."""
 
 import numpy as np
 import pytest
 
+from helpers import gaussian_logit_nll_loop
 from uqcurate import kernels
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ACTIVE, reason="numba backend disabled or unavailable"
-)
 
 
 def _random_case(seed, n=32, n_draws=12, n_classes=2):
@@ -18,47 +15,7 @@ def _random_case(seed, n=32, n_draws=12, n_classes=2):
         "sigma": rng.uniform(0.05, 2.0, (n, n_classes)),
         "eps": rng.standard_normal((n, n_draws, n_classes)),
         "labels": rng.integers(0, n_classes, n).astype(np.int64),
-        "grad": rng.standard_normal(97),
-        "param": rng.standard_normal(97),
     }
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", range(5))
-def test_adam_twins_agree(seed):
-    case = _random_case(seed)
-    p1, p2 = case["param"].copy(), case["param"].copy()
-    m1, v1 = np.zeros(97), np.zeros(97)
-    m2, v2 = np.zeros(97), np.zeros(97)
-    for t in range(1, 6):
-        kernels.adam_update_numpy(p1, case["grad"], m1, v1, t, 1e-3, 0.9, 0.999, 1e-8)
-        kernels.adam_update_numba(p2, case["grad"], m2, v2, t, 1e-3, 0.9, 0.999, 1e-8)
-    np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(m1, m2, rtol=0, atol=0)
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", range(5))
-def test_softmax_xent_twins_agree(seed):
-    case = _random_case(seed)
-    l1, d1, p1 = kernels.softmax_xent_numpy(case["logits"], case["labels"])
-    l2, d2, p2 = kernels.softmax_xent_numba(case["logits"], case["labels"])
-    assert l1 == pytest.approx(l2, rel=1e-13)
-    np.testing.assert_allclose(d1, d2, rtol=1e-13, atol=1e-16)
-    np.testing.assert_allclose(p1, p2, rtol=1e-13, atol=1e-16)
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", range(5))
-def test_gaussian_nll_twins_agree(seed):
-    case = _random_case(seed)
-    l1, dm1, ds1 = kernels.gaussian_logit_nll_numpy(
-        case["mu"], case["sigma"], case["eps"], case["labels"])
-    l2, dm2, ds2 = kernels.gaussian_logit_nll_numba(
-        case["mu"], case["sigma"], case["eps"], case["labels"])
-    assert l1 == pytest.approx(l2, rel=1e-13)
-    np.testing.assert_allclose(dm1, dm2, rtol=1e-12, atol=1e-16)
-    np.testing.assert_allclose(ds1, ds2, rtol=1e-12, atol=1e-16)
 
 
 def test_softmax_xent_matches_naive():
@@ -84,5 +41,38 @@ def test_softmax_xent_gradient_is_probs_minus_onehot():
 
 
 def test_backend_name_matches_flag():
-    assert kernels.backend() in ("numpy", "numba")
-    assert (kernels.backend() == "numba") == kernels.NUMBA_ACTIVE
+    assert kernels.backend() == "numpy"
+
+
+def _assert_nll_matches_loop(mu, sigma, eps, labels):
+    got = kernels.gaussian_logit_nll(mu, sigma, eps, labels)
+    want = gaussian_logit_nll_loop(mu, sigma, eps, labels)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sigma_scale", [1e-6, 1.0, 25.0])
+def test_gaussian_nll_matches_loop_oracle(seed, sigma_scale):
+    case = _random_case(seed)
+    _assert_nll_matches_loop(case["mu"], case["sigma"] * sigma_scale, case["eps"],
+                             case["labels"])
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_gaussian_nll_single_instance(label):
+    rng = np.random.default_rng(40 + label)
+    mu = np.abs(rng.standard_normal((1, 2)))
+    sigma = rng.uniform(0.1, 1.0, (1, 2))
+    _assert_nll_matches_loop(mu, sigma, rng.standard_normal((1, 9, 2)),
+                             np.array([label]))
+
+
+def test_gaussian_nll_large_margins():
+    # |z1 - z0| > 40 on every draw, both right and wrong for each label
+    rng = np.random.default_rng(7)
+    mu = np.array([[0.0, 45.0], [45.0, 0.0], [0.0, 60.0], [70.0, 0.0]])
+    sigma = np.full((4, 2), 1e-3)
+    eps = rng.standard_normal((4, 20, 2))
+    for labels in ([1, 0, 0, 1], [0, 1, 1, 0]):
+        _assert_nll_matches_loop(mu, sigma, eps, np.array(labels))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uqcurate.data import SplitSpec, split, undersample_balance
-from uqcurate.errors import ConfigError, ModelStateError
+from uqcurate.errors import ConfigError, DataFormatError, ModelStateError
 from uqcurate.models import (
     Ensemble,
     MlpModel,
@@ -252,6 +252,44 @@ class TestSerialization:
         assert loaded.config == model.config
         assert loaded.history == model.history
         assert loaded.trained
+
+    def test_weights_and_gradients_share_one_buffer_each(self, small_splits, tmp_path):
+        model = fit_small("hetero", splits=small_splits, max_epochs=3)
+        for arrays, buffer in ((model.parameters(), model.flat_params),
+                               (model.gradients(), model.flat_grads)):
+            assert sum(a.size for a in arrays) == buffer.size
+            for a in arrays:
+                assert a.base is buffer
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        save_model(model, first)
+        loaded = load_model(first)
+        for a in loaded.parameters():
+            assert a.base is loaded.flat_params
+        save_model(loaded, second)
+        with np.load(first) as a, np.load(second) as b:
+            assert a.files == b.files
+            for key in a.files:
+                np.testing.assert_array_equal(a[key], b[key])
+
+    def test_wrong_array_shape_rejected(self, small_splits, tmp_path):
+        model = fit_small("homo", splits=small_splits, max_epochs=2)
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_model(model, good)
+        with np.load(good) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        arrays["layer0_w"] = np.zeros((7, 7))
+        np.savez(bad, **arrays)
+        with pytest.raises(DataFormatError, match="layer0_w"):
+            load_model(bad)
+
+    def test_load_model_rejects_ensemble_checkpoint(self, small_splits, tmp_path):
+        balanced, val, _ = small_splits
+        ens = train_ensemble(small_config("homo", max_epochs=2), 2,
+                             balanced.X, balanced.y, val.X, val.y, seed=5)
+        path = tmp_path / "ens.npz"
+        save_ensemble(ens, path)
+        with pytest.raises(DataFormatError):
+            load_model(path)
 
     def test_ensemble_round_trip_bit_exact(self, small_splits, tmp_path):
         balanced, val, _ = small_splits

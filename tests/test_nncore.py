@@ -208,3 +208,16 @@ class TestAdam:
         opt = AdamState()
         with pytest.raises(DimensionError):
             opt.step([np.zeros(3)], [np.zeros(4)])
+
+    def test_flat_step_matches_per_array_steps(self, rng):
+        shapes = [(4, 3), (4,), (2, 4), (2,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        flat = np.concatenate([p.reshape(-1) for p in params])
+        per_array, flat_opt = AdamState(), AdamState()
+        for _ in range(5):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            per_array.step(params, grads)
+            flat_opt.step([flat], [np.concatenate([g.reshape(-1) for g in grads])])
+        for got, want in ((flat, params), (flat_opt.m[0], per_array.m),
+                          (flat_opt.v[0], per_array.v)):
+            np.testing.assert_array_equal(got, np.concatenate([a.reshape(-1) for a in want]))
