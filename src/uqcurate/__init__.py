@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    Instance,
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
@@ -40,6 +39,7 @@ from .models import (
     load_model,
     predict_ensemble,
     predict_mc_dropout,
+    predict_samples,
     predict_vanilla,
     save_ensemble,
     save_model,

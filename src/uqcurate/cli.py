@@ -14,7 +14,7 @@ in run manifests).  Exit codes: 0 success, 1 internal failure, 2 usage or
 configuration error.
 
 Environment: UQCURATE_JOBS sets the worker-process count for experiment
-repetitions.
+repetitions, capped at the repetition count and the CPU count.
 """
 
 from __future__ import annotations
@@ -63,6 +63,14 @@ def _check_out_dir(out: str) -> str:
     return out
 
 
+def _check_results_dir(out: str) -> str:
+    """Reject an --out that names something other than a directory, before
+    any compute starts."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output location {out} exists and is not a directory")
+    return out
+
+
 def _apply_overrides(mapping: dict[str, str], args) -> dict[str, str]:
     if getattr(args, "data", None) is not None:
         mapping["data"] = args.data
@@ -97,7 +105,7 @@ def _cmd_train(args) -> int:
         return 0
     if args.out is None:
         raise ConfigError("train needs --out (or --print-config)")
-    _, report, outputs = run_training(spec, out_dir=args.out)
+    _, report, outputs = run_training(spec, out_dir=_check_results_dir(args.out))
     print(f"f1={report.f1:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} brier={report.brier:.4f}")
     for name, path in outputs.items():
@@ -110,7 +118,7 @@ def _run_experiment(args, kind: str, runner) -> int:
     spec = spec_from_mapping(kind, mapping)
     if args.out is None:
         raise ConfigError(f"{kind} needs --out")
-    result = runner(spec, out_dir=args.out)
+    result = runner(spec, out_dir=_check_results_dir(args.out))
     for name, path in result.outputs.items():
         print(f"{name}: {path}")
     return 0
@@ -193,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Config files are plain key=value text; `--config profile:NAME` loads a "
             "packaged profile (standard-synthetic, smoke). Flags override config keys. "
-            "Environment: UQCURATE_JOBS (parallel repetitions)."
+            "Environment: UQCURATE_JOBS (parallel repetitions, at most one worker per "
+            "repetition and per CPU)."
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -251,10 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, DataFormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UqCurateError as exc:

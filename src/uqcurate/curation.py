@@ -24,7 +24,6 @@ after every round.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -33,17 +32,7 @@ import numpy as np
 from .data import Dataset, undersample_balance
 from .errors import ConfigError, DomainError
 from .metrics import classification_report
-from .models import (
-    HETEROSCEDASTIC,
-    Ensemble,
-    MlpModel,
-    ModelConfig,
-    hetero_raw_outputs,
-    predict_ensemble,
-    predict_mc_dropout,
-    train_ensemble,
-    train_model,
-)
+from .models import HETEROSCEDASTIC, Ensemble, ModelConfig, fit_method, predict_samples
 from .nncore import make_rng, spawn_seeds
 from .uq import expected_entropy, hetero_decompose, mean_predictive, mutual_information
 
@@ -178,8 +167,7 @@ def _selection_orders(ids: Array, epi: Array, ale: Array, high_epistemic: bool):
     return epi_order, ale_pos
 
 
-def _select_one(ids: Array, epi: Array, ale: Array, alive: Array, n_ale: int,
-                high_epistemic: bool) -> int:
+def _walk_select(epi_order: Array, ale_pos: Array, alive: Array, n_ale: int) -> int:
     """One select-and-reject pass over the alive view; returns a global index.
 
     Walks candidates in extreme-epistemic order; a candidate inside the
@@ -191,11 +179,6 @@ def _select_one(ids: Array, epi: Array, ale: Array, alive: Array, n_ale: int,
     iff at most n_ale view elements (itself included) precede it in the
     aleatoric ordering, counted with a prefix tree.
     """
-    epi_order, ale_pos = _selection_orders(ids, epi, ale, high_epistemic)
-    return _walk_select(epi_order, ale_pos, alive, n_ale)
-
-
-def _walk_select(epi_order: Array, ale_pos: Array, alive: Array, n_ale: int) -> int:
     walk = epi_order[alive[epi_order]]  # alive candidates, extreme epistemic first
     positions = ale_pos[walk]
     tree = _Fenwick(positions, len(ale_pos))
@@ -210,22 +193,24 @@ def _walk_select(epi_order: Array, ale_pos: Array, alive: Array, n_ale: int) -> 
     return int(walk[0])  # exhaustion: extreme-epistemic of the original view
 
 
-def ehal_select_one(records, n_ale: int) -> str:
-    """Highest-epistemic instance outside the top-n_ale aleatoric set."""
+def _select_one(records, n_ale: int, high_epistemic: bool) -> str:
+    """One select-and-reject pass over the whole pool; returns the picked id."""
     if n_ale < 1:
         raise DomainError(f"n_ale must be >= 1, got {n_ale}")
     ids, epi, ale = _record_arrays(records)
+    epi_order, ale_pos = _selection_orders(ids, epi, ale, high_epistemic)
     alive = np.ones(len(ids), dtype=bool)
-    return str(ids[_select_one(ids, epi, ale, alive, n_ale, high_epistemic=True)])
+    return str(ids[_walk_select(epi_order, ale_pos, alive, n_ale)])
+
+
+def ehal_select_one(records, n_ale: int) -> str:
+    """Highest-epistemic instance outside the top-n_ale aleatoric set."""
+    return _select_one(records, n_ale, high_epistemic=True)
 
 
 def elah_select_one(records, n_ale: int) -> str:
     """Mirror baseline: lowest epistemic outside the bottom-n_ale aleatoric set."""
-    if n_ale < 1:
-        raise DomainError(f"n_ale must be >= 1, got {n_ale}")
-    ids, epi, ale = _record_arrays(records)
-    alive = np.ones(len(ids), dtype=bool)
-    return str(ids[_select_one(ids, epi, ale, alive, n_ale, high_epistemic=False)])
+    return _select_one(records, n_ale, high_epistemic=False)
 
 
 def curate(records, config: CurationConfig,
@@ -332,17 +317,6 @@ class CurationResult:
     selected_noise_tags: list[bool] = field(default_factory=list)
 
 
-def result_to_csv(result: CurationResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "fraction_added", "f1", "mean_epi", "mean_ale", "seed"])
-        for r in result.rows:
-            writer.writerow(
-                [r.round, repr(r.fraction_added), repr(r.f1),
-                 repr(r.mean_epi), repr(r.mean_ale), result.seed]
-            )
-
-
 def _fit_uq_model(cfg: LoopConfig, train_ds: Dataset, seed: int,
                   balance_rng: np.random.Generator):
     """Standard protocol: carve validation, balance the train share, fit."""
@@ -354,26 +328,27 @@ def _fit_uq_model(cfg: LoopConfig, train_ds: Dataset, seed: int,
         raise ConfigError("training partition too small for a validation carve")
     val_ds = train_ds.subset(perm[:n_val])
     fit_ds = undersample_balance(train_ds.subset(perm[n_val:]), balance_rng)
-    if cfg.uq_method == "ensemble":
-        return train_ensemble(
-            cfg.model, cfg.ensemble_size, fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, seed=seed
-        )
-    model = MlpModel(cfg.model, seed=seed)
-    return train_model(model, fit_ds.X, fit_ds.y, val_ds.X, val_ds.y)
+    return fit_method(cfg.uq_method, cfg.model, cfg.ensemble_size,
+                      fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, seed)
+
+
+def _weight_samples(fitted, X: Array, cfg: LoopConfig, rng: np.random.Generator):
+    """``predict_samples`` with the loop's scheme: every member of an
+    ensemble, or ``mc_passes`` dropout passes of one model."""
+    n_passes = None if isinstance(fitted, Ensemble) else cfg.mc_passes
+    return predict_samples(fitted, X, n_passes, rng)
 
 
 def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
                              rng: np.random.Generator) -> list[UncertaintyRecord]:
-    """Score every pool instance with the configured uncertainty split."""
-    if isinstance(model_or_ensemble, Ensemble):
-        samples = predict_ensemble(model_or_ensemble, pool.X, rng=rng)
-    else:
-        samples = predict_mc_dropout(model_or_ensemble, pool.X, cfg.mc_passes, rng=rng)
+    """Score every pool instance with the configured uncertainty split.
 
-    hetero = cfg.model.head == HETEROSCEDASTIC
-    if hetero and cfg.uncertainty_source != "sample":
-        n_passes = None if cfg.uq_method == "ensemble" else cfg.mc_passes
-        mu, sigma = hetero_raw_outputs(model_or_ensemble, pool.X, n_passes=n_passes, rng=rng)
+    ``p_bar`` and the (epistemic, aleatoric) pair come from one set of weight
+    samples, so each member's forward pass runs once.
+    """
+    raw, samples = _weight_samples(model_or_ensemble, pool.X, cfg, rng)
+    if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source != "sample":
+        mu, sigma = raw
         if cfg.uncertainty_source == "logit":
             epi = mu.std(axis=1).mean(axis=1)
             ale = np.sqrt(np.mean(sigma**2, axis=1)).mean(axis=1)
@@ -394,13 +369,6 @@ def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
         )
         for i in range(len(pool))
     ]
-
-
-def _predict_mean(model_or_ensemble, X: Array, cfg: LoopConfig,
-                  rng: np.random.Generator) -> Array:
-    if isinstance(model_or_ensemble, Ensemble):
-        return mean_predictive(predict_ensemble(model_or_ensemble, X, rng=rng))
-    return mean_predictive(predict_mc_dropout(model_or_ensemble, X, cfg.mc_passes, rng=rng))
 
 
 def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -> CurationResult:
@@ -441,7 +409,7 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
     while True:
         fit_seed = int(round_seed_rng.integers(0, 2**63))
         fitted = _fit_uq_model(cfg, dataset.subset(train_idx), fit_seed, make_rng(fit_seed))
-        probs = _predict_mean(fitted, test_ds.X, cfg, eval_rng)
+        probs = mean_predictive(_weight_samples(fitted, test_ds.X, cfg, eval_rng)[1])
         f1 = classification_report(probs, test_ds.y).f1
 
         if pool_idx:

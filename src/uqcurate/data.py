@@ -23,14 +23,6 @@ Array = np.ndarray
 
 
 @dataclass
-class Instance:
-    id: str
-    features: Array
-    label: int
-    noise_tag: bool | None = None
-
-
-@dataclass
 class Dataset:
     """A labeled pool: parallel arrays of ids, features, labels and optional
     ground-truth corruption tags (synthetic data only)."""
@@ -67,10 +59,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.X.shape[1]
-
-    def instance(self, i: int) -> Instance:
-        tag = bool(self.noise_tags[i]) if self.noise_tags is not None else None
-        return Instance(str(self.ids[i]), self.X[i].copy(), int(self.y[i]), tag)
 
     def subset(self, indices, provenance: str | None = None) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -12,8 +12,9 @@ Three studies, each emitting tidy CSV plus a JSON run manifest:
 Result CSVs carry no timestamps, so a rerun with the same spec produces
 byte-identical files; the timestamp lives only in the manifest.  File names
 embed a hash of the resolved spec.  Set ``UQCURATE_JOBS`` to run repetitions
-in parallel worker processes (results are assembled in index order either
-way, so the output does not depend on the degree of parallelism).
+in parallel worker processes, at most one per repetition and per CPU
+(results are assembled in index order either way, so the output does not
+depend on the degree of parallelism).
 """
 
 from __future__ import annotations
@@ -45,22 +46,17 @@ from .errors import ConfigError
 from .metrics import classification_report
 from .models import (
     HETEROSCEDASTIC,
+    UQ_METHODS,
     Ensemble,
     ModelConfig,
-    MlpModel,
-    hetero_raw_outputs,
-    predict_ensemble,
-    predict_mc_dropout,
-    predict_vanilla,
+    fit_method,
+    predict_samples,
     save_ensemble,
     save_model,
     train_ensemble,
-    train_model,
 )
 from .nncore import make_rng, spawn_seeds
 from .uq import mean_predictive, summarize_hetero
-
-UQ_METHODS = ("vanilla", "mc-dropout", "ensemble")
 
 SHIFT = "shift"
 GROWTH = "data-growth"
@@ -148,6 +144,10 @@ class ExperimentSpec:
             uncertainty_source=self.uncertainty_source,
         )
 
+    def n_passes(self, method: str) -> int | None:
+        """Dropout passes ``predict_samples`` runs for ``method``."""
+        return self.mc_passes if method == "mc-dropout" else None
+
     def resolved(self) -> dict:
         out = dataclasses.asdict(self)
         if self.synthetic is not None:
@@ -167,12 +167,19 @@ def _jobs() -> int:
         raise ConfigError(f"UQCURATE_JOBS must be an integer, got {raw!r}") from None
 
 
+def _workers(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` repetitions: ``UQCURATE_JOBS``, capped
+    at the task count and the CPU count.  A fork-based pool starts every
+    worker at once, so the cap bounds the processes any setting can start."""
+    return min(_jobs(), n_tasks, os.cpu_count() or 1)
+
+
 def _map_reps(fn, args_list):
     """Run per-repetition work, optionally in processes; order preserved."""
-    jobs = _jobs()
-    if jobs == 1 or len(args_list) <= 1:
+    workers = _workers(len(args_list))
+    if workers <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -180,24 +187,6 @@ def _base_dataset(spec: ExperimentSpec, data_seed: int) -> Dataset:
     if spec.data_csv is not None:
         return load_csv(spec.data_csv)
     return generate_synthetic(spec.synthetic, make_rng(data_seed))
-
-
-def _fit_method(method: str, spec: ExperimentSpec, cfg: ModelConfig,
-                fit_ds: Dataset, val_ds: Dataset, seed: int):
-    if method == "ensemble":
-        return train_ensemble(
-            cfg, spec.ensemble_size, fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, seed=seed
-        )
-    model = MlpModel(cfg, seed=seed)
-    return train_model(model, fit_ds.X, fit_ds.y, val_ds.X, val_ds.y)
-
-
-def _method_mean_probs(method: str, fitted, X, spec: ExperimentSpec, rng):
-    if method == "ensemble":
-        return mean_predictive(predict_ensemble(fitted, X, rng=rng))
-    if method == "mc-dropout":
-        return mean_predictive(predict_mc_dropout(fitted, X, spec.mc_passes, rng=rng))
-    return predict_vanilla(fitted, X, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +213,10 @@ def _shift_one_rep(args):
         te = inject_shift(test_ds, intensity, irng) if spec.shift_test else test_ds
         fit = undersample_balance(tr, make_rng(balance_seed))
         for method in spec.uq_methods:
-            fitted = _fit_method(method, spec, cfg, fit, va, fit_seed)
-            probs = _method_mean_probs(method, fitted, te.X, spec, make_rng(eval_seed))
+            fitted = fit_method(method, cfg, spec.ensemble_size,
+                                fit.X, fit.y, va.X, va.y, fit_seed)
+            samples = predict_samples(fitted, te.X, spec.n_passes(method), make_rng(eval_seed))
+            probs = mean_predictive(samples[1])
             report = classification_report(probs, te.y)
             cells.append({
                 "method": method,
@@ -303,8 +294,7 @@ def _growth_one_rep(args):
             cfg, spec.ensemble_size, fit.X, fit.y, val_ds.X, val_ds.y, seed=fit_seed
         )
         rng = make_rng(eval_seed)
-        mu, sigma = hetero_raw_outputs(ensemble, test_ds.X, rng=rng)
-        member_probs = predict_ensemble(ensemble, test_ds.X, rng=rng)
+        (mu, sigma), member_probs = predict_samples(ensemble, test_ds.X, rng=rng)
         summaries = summarize_hetero(mu, sigma, member_probs,
                                      n_draws=spec.decompose_draws, rng=rng)
         cells.append({
@@ -486,7 +476,7 @@ def _write_outputs(result: ExperimentResult, out_dir, summary_name: str,
             {spec.data_csv: _sha256(spec.data_csv)} if spec.data_csv else {}
         ),
         "outputs": dict(result.outputs),
-        "jobs": _jobs(),
+        "jobs": _workers(spec.repetitions),
     }
     manifest_path = os.path.join(out_dir, f"{summary_name}_manifest_{tag}.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -624,8 +614,10 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
         spec.train_fraction, spec.val_fraction, seed=split_seed))
     fit = undersample_balance(train_ds, make_rng(balance_seed))
     cfg = spec.model_config(base.feature_dim)
-    fitted = _fit_method(method, spec, cfg, fit, val_ds, fit_seed)
-    probs = _method_mean_probs(method, fitted, test_ds.X, spec, make_rng(eval_seed))
+    fitted = fit_method(method, cfg, spec.ensemble_size,
+                        fit.X, fit.y, val_ds.X, val_ds.y, fit_seed)
+    samples = predict_samples(fitted, test_ds.X, spec.n_passes(method), make_rng(eval_seed))
+    probs = mean_predictive(samples[1])
     report = classification_report(probs, test_ds.y)
     outputs: dict = {}
     if out_dir is not None:

@@ -11,6 +11,10 @@ times.  Training uses Adam with early stopping on validation loss; the
 checkpoint with the lowest validation loss is restored before returning.
 Dual-head validation losses reuse the same noise draws every epoch so early
 stopping is not driven by sampling noise.
+
+``fit_method`` fits what a weight-sampling method (vanilla, mc-dropout,
+ensemble) predicts with, and ``predict_samples`` is the one prediction path
+for all three schemes.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .nncore import (
     LinearLayer,
     cross_entropy,
     make_rng,
+    mc_softmax,
     relu,
     sigmoid,
     softmax,
@@ -311,58 +316,8 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
 
 
 # ---------------------------------------------------------------------------
-# prediction under the three weight-sampling schemes
+# ensembles and the fit dispatch
 # ---------------------------------------------------------------------------
-
-
-def _require_trained(model: MlpModel) -> None:
-    if not model.trained:
-        raise ModelStateError("model has not been trained")
-
-
-def _dual_head_probs(mu: Array, sigma: Array, n_draws: int,
-                     rng: np.random.Generator) -> Array:
-    eps = rng.standard_normal((n_draws,) + mu.shape)
-    return softmax(mu[None, ...] + sigma[None, ...] * eps).mean(axis=0)
-
-
-def predict_vanilla(model: MlpModel, X: Array,
-                    rng: np.random.Generator | None = None) -> Array:
-    """One predictive distribution per instance from the point model.
-
-    Dual-head models average softmax over ``logit_samples`` Gaussian draws;
-    pass an rng to control them (a fixed default seed is used otherwise).
-    """
-    _require_trained(model)
-    rng = make_rng(_PREDICT_SEED) if rng is None else rng
-    out = model.raw_outputs(X)
-    if model.config.head == HOMOSCEDASTIC:
-        return softmax(out)
-    mu, sigma = out
-    return _dual_head_probs(mu, sigma, model.config.logit_samples, rng)
-
-
-def predict_mc_dropout(model: MlpModel, X: Array, n_passes: int = 30,
-                       rng: np.random.Generator | None = None) -> Array:
-    """(N, T, C) predictive samples from T stochastic dropout passes."""
-    _require_trained(model)
-    if n_passes < 1:
-        raise ConfigError(f"n_passes must be >= 1, got {n_passes}")
-    if model.config.dropout == 0.0:
-        warnings.warn(
-            "dropout probability is 0; all stochastic passes are identical",
-            stacklevel=2,
-        )
-    rng = make_rng(_PREDICT_SEED) if rng is None else rng
-    samples = []
-    for _ in range(n_passes):
-        out = model.raw_outputs(X, stochastic=True, rng=rng)
-        if model.config.head == HOMOSCEDASTIC:
-            samples.append(softmax(out))
-        else:
-            mu, sigma = out
-            samples.append(_dual_head_probs(mu, sigma, model.config.logit_samples, rng))
-    return np.stack(samples, axis=1)
 
 
 @dataclass
@@ -405,63 +360,122 @@ def train_ensemble(config: ModelConfig, n_members: int,
     return Ensemble(members=members)
 
 
+UQ_METHODS = ("vanilla", "mc-dropout", "ensemble")
+
+
+def fit_method(method: str, config: ModelConfig, ensemble_size: int,
+               X_train: Array, y_train: Array, X_val: Array, y_val: Array,
+               seed: int):
+    """Fit what a weight-sampling method predicts with: an ``Ensemble`` of
+    ``ensemble_size`` members for 'ensemble', one ``MlpModel`` for 'vanilla'
+    and 'mc-dropout' (they differ only at prediction time)."""
+    if method not in UQ_METHODS:
+        raise ConfigError(f"uq method must be one of {UQ_METHODS}, got {method!r}")
+    if method == "ensemble":
+        return train_ensemble(config, ensemble_size, X_train, y_train, X_val, y_val,
+                              seed=seed)
+    return train_model(MlpModel(config, seed=seed), X_train, y_train, X_val, y_val)
+
+
+# ---------------------------------------------------------------------------
+# prediction under the three weight-sampling schemes
+# ---------------------------------------------------------------------------
+# Draw order, which result files depend on: with one rng, ``predict_samples``
+# draws every dropout mask before any logit noise, and the noise in sample
+# order.  An ensemble's forward passes draw nothing.
+
+
+def _require_trained(model: MlpModel) -> None:
+    if not model.trained:
+        raise ModelStateError("model has not been trained")
+
+
+def _forward_samples(fitted, X: Array, n_passes: int | None,
+                     rng: np.random.Generator) -> list:
+    """Head outputs of each weight sample, in sample order: logits, or a
+    (mu, sigma) pair for a dual head, each (N, C)."""
+    if isinstance(fitted, Ensemble):
+        if n_passes is not None and n_passes != len(fitted):
+            raise ConfigError(
+                f"n_passes={n_passes} conflicts with ensemble of {len(fitted)} members"
+            )
+        for m in fitted.members:
+            _require_trained(m)
+        return [m.raw_outputs(X) for m in fitted.members]
+    _require_trained(fitted)
+    if n_passes is None:
+        return [fitted.raw_outputs(X)]
+    if n_passes < 1:
+        raise ConfigError(f"n_passes must be >= 1, got {n_passes}")
+    if fitted.config.dropout == 0.0:
+        warnings.warn(
+            "dropout probability is 0; all stochastic passes are identical",
+            stacklevel=3,
+        )
+    return [fitted.raw_outputs(X, stochastic=True, rng=rng) for _ in range(n_passes)]
+
+
+def _stack(outputs: list):
+    """Per-sample outputs stacked along axis 1; (mu, sigma) pairs part by part."""
+    if isinstance(outputs[0], tuple):
+        return tuple(np.stack(part, axis=1) for part in zip(*outputs))
+    return np.stack(outputs, axis=1)
+
+
+def predict_samples(fitted, X: Array, n_passes: int | None = None,
+                    rng: np.random.Generator | None = None):
+    """Raw head outputs and predictive distributions of every weight sample.
+
+    ``fitted`` is an ``Ensemble`` (one eval-mode pass per member; ``n_passes``
+    must be None or the member count) or an ``MlpModel`` (``n_passes``
+    dropout passes, or one eval-mode pass when ``n_passes`` is None).
+    Returns ``(raw, probs)``: ``raw`` holds the (N, T, C) logits, or a
+    ``(mu, sigma)`` pair of (N, T, C) arrays for a dual head; ``probs`` is
+    the (N, T, C) stack of predictive distributions.  A dual-head sample's
+    distribution is the mean softmax over ``logit_samples`` Gaussian logit
+    draws.  ``rng`` drives the dropout masks and the logit noise; a fixed
+    default seed is used when it is None.
+    """
+    rng = make_rng(_PREDICT_SEED) if rng is None else rng
+    outputs = _forward_samples(fitted, X, n_passes, rng)
+    if fitted.config.head == HOMOSCEDASTIC:
+        probs = [softmax(z) for z in outputs]
+    else:
+        n_draws = fitted.config.logit_samples
+        probs = [mc_softmax(mu, sigma, n_draws, rng) for mu, sigma in outputs]
+    return _stack(outputs), np.stack(probs, axis=1)
+
+
+def predict_vanilla(model: MlpModel, X: Array,
+                    rng: np.random.Generator | None = None) -> Array:
+    """(N, C) predictive distribution of the point model (one eval-mode pass;
+    see ``predict_samples`` for the dual head's logit draws)."""
+    return predict_samples(model, X, rng=rng)[1][:, 0]
+
+
+def predict_mc_dropout(model: MlpModel, X: Array, n_passes: int = 30,
+                       rng: np.random.Generator | None = None) -> Array:
+    """(N, T, C) predictive samples from T = ``n_passes`` dropout passes."""
+    return predict_samples(model, X, n_passes, rng)[1]
+
+
 def predict_ensemble(ensemble: Ensemble, X: Array,
                      rng: np.random.Generator | None = None) -> Array:
     """(N, T, C) predictive samples, one eval-mode pass per member, in fixed
     member order."""
-    for m in ensemble.members:
-        _require_trained(m)
-    rng = make_rng(_PREDICT_SEED) if rng is None else rng
-    samples = [predict_vanilla(m, X, rng=rng) for m in ensemble.members]
-    return np.stack(samples, axis=1)
+    return predict_samples(ensemble, X, rng=rng)[1]
 
 
 def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
                        rng: np.random.Generator | None = None):
-    """Per-instance stacks of dual-head outputs across weight samples.
-
-    Returns ``(mu, sigma)`` each of shape (N, T, C).  For an ensemble, T is
-    the member count (eval-mode pass per member).  For a single model,
-    ``n_passes`` > 1 samples weights via dropout; ``n_passes`` of 1 or None
-    is a single eval-mode pass.
-    """
-    rng = make_rng(_PREDICT_SEED) if rng is None else rng
-    if isinstance(model_or_ensemble, Ensemble):
-        ensemble = model_or_ensemble
-        if ensemble.config.head != HETEROSCEDASTIC:
-            raise ConfigError("dual-head outputs need a heteroscedastic model")
-        if n_passes is not None and n_passes != len(ensemble):
-            raise ConfigError(
-                f"n_passes={n_passes} conflicts with ensemble of {len(ensemble)} members"
-            )
-        outs = []
-        for m in ensemble.members:
-            _require_trained(m)
-            outs.append(m.raw_outputs(X))
-        mu = np.stack([o[0] for o in outs], axis=1)
-        sigma = np.stack([o[1] for o in outs], axis=1)
-        return mu, sigma
-
-    model: MlpModel = model_or_ensemble
-    if model.config.head != HETEROSCEDASTIC:
+    """``(mu, sigma)`` stacks, each (N, T, C), of a dual-head model's weight
+    samples, as in ``predict_samples`` but without predictive distributions,
+    so no logit noise is drawn.  ``n_passes`` of 1 is one eval-mode pass."""
+    if model_or_ensemble.config.head != HETEROSCEDASTIC:
         raise ConfigError("dual-head outputs need a heteroscedastic model")
-    _require_trained(model)
-    if n_passes is None or n_passes == 1:
-        mu, sigma = model.raw_outputs(X)
-        return mu[:, None, :], sigma[:, None, :]
-    if n_passes < 1:
-        raise ConfigError(f"n_passes must be >= 1, got {n_passes}")
-    if model.config.dropout == 0.0:
-        warnings.warn(
-            "dropout probability is 0; all stochastic passes are identical",
-            stacklevel=2,
-        )
-    mus, sigmas = [], []
-    for _ in range(n_passes):
-        mu, sigma = model.raw_outputs(X, stochastic=True, rng=rng)
-        mus.append(mu)
-        sigmas.append(sigma)
-    return np.stack(mus, axis=1), np.stack(sigmas, axis=1)
+    rng = make_rng(_PREDICT_SEED) if rng is None else rng
+    n_passes = None if n_passes == 1 else n_passes
+    return _stack(_forward_samples(model_or_ensemble, X, n_passes, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,6 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(n)]
 
 
-def child_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Fork a generator: the child is independent of later parent draws."""
-    return np.random.default_rng(int(rng.integers(0, 2**63)))
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -71,6 +66,13 @@ def softmax(z: Array) -> Array:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def mc_softmax(mu: Array, scale: Array, n_draws: int, rng: np.random.Generator) -> Array:
+    """Monte Carlo mean of softmax(mu + scale*eps) over n_draws standard-normal
+    draws of eps, drawn as one (n_draws, *mu.shape) block."""
+    eps = rng.standard_normal((n_draws,) + mu.shape)
+    return softmax(mu[None, ...] + scale[None, ...] * eps).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +284,3 @@ class AdamState:
                 self.t, self.lr, self.beta1, self.beta2, self.eps,
             )
 
-
-def check_finite(x: Array, context: str) -> None:
-    """NaN/Inf anywhere is an error state, not a value."""
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"non-finite values in {context}")

@@ -4,7 +4,9 @@ A "predictive sample" is one softmax distribution produced by one weight
 sample (one stochastic pass or one ensemble member).  Functions accept a
 stack of samples shaped ``(T, C)`` for a single instance or ``(N, T, C)``
 for a batch and reduce over the T axis; every estimator is symmetric in the
-samples.
+samples.  ``models.predict_samples`` returns such a stack together with the
+raw head outputs it came from, so the sample-based measures and the dual-head
+(mu, sigma) decomposition below can be taken from one set of weight samples.
 
 Two decomposition routes are provided:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .nncore import make_rng, softmax
+from .nncore import make_rng, mc_softmax
 
 Array = np.ndarray
 
@@ -112,12 +114,6 @@ class HeteroDecomposition:
     p_epi: Array
 
 
-def _mc_softmax(mu: Array, scale: Array, n_draws: int, rng: np.random.Generator) -> Array:
-    """Monte Carlo mean of softmax(mu + scale*eps) over n_draws draws."""
-    eps = rng.standard_normal((n_draws,) + mu.shape)
-    return softmax(mu[None, ...] + scale[None, ...] * eps).mean(axis=0)
-
-
 def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
                      rng: np.random.Generator | None = None) -> HeteroDecomposition:
     """Aleatoric/epistemic entropies from sampled (mu, sigma) head outputs.
@@ -145,8 +141,8 @@ def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
     sigma_bar = np.sqrt(np.mean(sigma**2, axis=-2))
     s_epi = mu.std(axis=-2)
 
-    p_ale = _mc_softmax(mu_bar, sigma_bar, n_draws, rng)
-    p_epi = _mc_softmax(mu_bar, s_epi, n_draws, rng)
+    p_ale = mc_softmax(mu_bar, sigma_bar, n_draws, rng)
+    p_epi = mc_softmax(mu_bar, s_epi, n_draws, rng)
     return HeteroDecomposition(
         entropy_aleatoric=predictive_entropy(p_ale),
         entropy_epistemic=predictive_entropy(p_epi),

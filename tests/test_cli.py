@@ -188,6 +188,46 @@ class TestReport:
         assert main(["report", path, "--col-a", "nope", "--col-b", "beta"]) == 2
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("command, runner", [
+        ("shift", "run_shift_experiment"),
+        ("growth", "run_data_growth_experiment"),
+        ("compare", "run_selector_comparison"),
+        ("train", "run_training"),
+    ])
+    def test_out_naming_a_file_exits_2_before_compute(self, tmp_path, monkeypatch,
+                                                       capsys, command, runner):
+        from uqcurate import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{runner} ran although --out is a file")
+
+        monkeypatch.setattr(cli, runner, never)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main([command, "--config", "profile:smoke", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a directory" in err and "Traceback" not in err
+
+    def test_out_naming_a_file_exits_2_from_the_shell(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqcurate", "growth", "--config", "profile:smoke",
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+    def test_os_error_exits_2(self, tmp_path, capsys):
+        # writing the CSV onto an existing directory raises IsADirectoryError
+        assert main(["gen-data", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -316,6 +316,24 @@ class TestUncertaintySources:
         assert all(math.isfinite(r.epistemic) and math.isfinite(r.aleatoric)
                    for r in records)
 
+    def test_p_bar_and_uncertainty_share_one_set_of_samples(self, tiny_pool, tiny_cfg):
+        from dataclasses import replace
+
+        from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
+        from uqcurate.models import predict_samples
+        from uqcurate.uq import mean_predictive
+
+        cfg = replace(tiny_cfg, uq_method="mc-dropout", mc_passes=6,
+                      uncertainty_source="logit")
+        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3,
+                               balance_rng=make_rng(4))
+        pool = tiny_pool.subset(range(60, 120))
+        records = pool_uncertainty_records(fitted, pool, cfg, make_rng(5))
+        (mu, _), probs = predict_samples(fitted, pool.X, cfg.mc_passes, make_rng(5))
+        np.testing.assert_array_equal([r.p_bar for r in records], mean_predictive(probs))
+        np.testing.assert_array_equal([r.epistemic for r in records],
+                                      mu.std(axis=1).mean(axis=1))
+
     def test_logit_source_matches_head_statistics(self, tiny_pool, tiny_cfg):
         from dataclasses import replace
 

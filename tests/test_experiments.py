@@ -152,6 +152,57 @@ class TestParallelism:
                open(par.outputs["runs_csv"], "rb").read()
 
 
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    work in this process, so no worker is ever started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        import uqcurate.experiments as experiments
+
+        _RecordingExecutor.created = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("UQCURATE_JOBS", "100000")
+        return _RecordingExecutor
+
+    @pytest.mark.parametrize("n_tasks, expected", [(3, 3), (10, 4)])
+    def test_workers_capped_by_tasks_and_cpus(self, executor, n_tasks, expected):
+        from uqcurate.experiments import _map_reps
+
+        assert _map_reps(abs, list(range(-n_tasks, 0))) == list(range(n_tasks, 0, -1))
+        assert executor.created == [expected]
+
+    def test_single_task_starts_no_pool(self, executor):
+        from uqcurate.experiments import _map_reps
+
+        assert _map_reps(abs, [-1]) == [1]
+        assert executor.created == []
+
+    def test_manifest_records_workers_used(self, executor, tmp_path):
+        spec = smoke_spec(SHIFT, intensities=(0.0,), uq_methods=("vanilla",),
+                          repetitions=2)
+        result = run_shift_experiment(spec, out_dir=tmp_path)
+        assert executor.created == [2]
+        assert json.load(open(result.outputs["manifest_json"]))["jobs"] == 2
+
+
 class TestTraining:
     def test_report_and_checkpoint(self, tmp_path):
         spec = smoke_spec(TRAIN, uq_methods=("ensemble",))

@@ -12,6 +12,7 @@ from uqcurate.models import (
     load_model,
     predict_ensemble,
     predict_mc_dropout,
+    predict_samples,
     predict_vanilla,
     save_ensemble,
     save_model,
@@ -178,6 +179,15 @@ class TestEnsemble:
             predict_ensemble(ens, test.X)[:, 0, :],
             predict_vanilla(ens.members[0], test.X),
         )
+        # dual head: the members' logit noise comes from one shared stream,
+        # drawn in member order
+        ens = train_ensemble(small_config("hetero", max_epochs=5), 3,
+                             balanced.X, balanced.y, val.X, val.y, seed=5)
+        shared = make_rng(11)
+        expected = np.stack([predict_vanilla(m, test.X, rng=shared) for m in ens.members],
+                            axis=1)
+        np.testing.assert_array_equal(predict_ensemble(ens, test.X, rng=make_rng(11)),
+                                      expected)
 
     def test_identical_seeds_give_identical_samples(self, small_splits):
         balanced, val, test = small_splits
@@ -239,6 +249,26 @@ class TestHeteroRawOutputs:
         model = fit_small("homo", splits=small_splits, max_epochs=5)
         with pytest.raises(ConfigError):
             hetero_raw_outputs(model, small_splits[2].X)
+
+    def test_ensemble_outputs_draw_nothing(self, small_splits):
+        balanced, val, test = small_splits
+        ens = train_ensemble(small_config("hetero", max_epochs=3), 2,
+                             balanced.X, balanced.y, val.X, val.y, seed=1)
+        r = make_rng(2)
+        before = r.bit_generator.state
+        hetero_raw_outputs(ens, test.X, rng=r)
+        assert r.bit_generator.state == before
+
+    def test_dropout_masks_precede_logit_noise(self, small_splits):
+        # predict_samples draws every mask before any logit noise, so its raw
+        # outputs are the masks-only outputs of hetero_raw_outputs
+        model = fit_small("hetero", splits=small_splits, max_epochs=5)
+        X = small_splits[2].X[:20]
+        (mu, sigma), probs = predict_samples(model, X, 4, make_rng(6))
+        mu_raw, sigma_raw = hetero_raw_outputs(model, X, n_passes=4, rng=make_rng(6))
+        np.testing.assert_array_equal(mu, mu_raw)
+        np.testing.assert_array_equal(sigma, sigma_raw)
+        assert probs.shape == (20, 4, 2)
 
 
 class TestSerialization:
