@@ -14,7 +14,9 @@ in run manifests).  Exit codes: 0 success, 1 internal failure, 2 usage or
 configuration error.
 
 Environment: UQCURATE_JOBS sets the worker-process count for experiment
-repetitions, capped at the repetition count and the CPU count.
+repetitions, capped at the repetition count and the CPU count.  A value that
+is not an integer >= 1 is a configuration error (exit 2), raised before any
+compute starts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .experiments import (
     GROWTH,
     SHIFT,
     TRAIN,
+    _jobs,
     load_profile,
     run_data_growth_experiment,
     run_selector_comparison,
@@ -105,6 +108,7 @@ def _cmd_train(args) -> int:
         return 0
     if args.out is None:
         raise ConfigError("train needs --out (or --print-config)")
+    _jobs()  # a single fit uses no workers, but a bad value fails as in the studies
     _, report, outputs = run_training(spec, out_dir=_check_results_dir(args.out))
     print(f"f1={report.f1:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} brier={report.brier:.4f}")
@@ -201,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Config files are plain key=value text; `--config profile:NAME` loads a "
             "packaged profile (standard-synthetic, smoke). Flags override config keys. "
-            "Environment: UQCURATE_JOBS (parallel repetitions, at most one worker per "
-            "repetition and per CPU)."
+            "Environment: UQCURATE_JOBS (parallel repetitions, an integer >= 1; at most "
+            "one worker per repetition and per CPU)."
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -124,73 +124,36 @@ def top_n_by_aleatoric(records, n_ale: int) -> set[str]:
     return {str(i) for i in ids[idx]}
 
 
-class _Fenwick:
-    """Prefix-count tree over rank positions (1-indexed)."""
-
-    def __init__(self, positions: Array, n: int):
-        """Tree holding a count of one at each of the distinct ``positions``.
-
-        Built in one pass from the cumulative counts C as
-        tree[i] = C[i] - C[i - lowbit(i)].
-        """
-        counts = np.zeros(n + 1, dtype=np.int64)
-        counts[positions] = 1
-        cum = np.cumsum(counts)
-        i = np.arange(n + 1)
-        self.n = n
-        self.tree = (cum - cum[i - (i & -i)]).tolist()
-
-    def add(self, pos: int, delta: int) -> None:
-        i = pos
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, pos: int) -> int:
-        i = pos
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
-
-
 def _selection_orders(ids: Array, epi: Array, ale: Array, high_epistemic: bool):
-    """Global walk order (extreme epistemic first) and per-index position in
-    the rejection-set ranking (extreme aleatoric first); ties by id."""
+    """Walk order (extreme epistemic first) and rejection-set order (extreme
+    aleatoric first) over the whole pool; ties by id."""
     str_ids = ids.astype(str)
     epi_key = -epi if high_epistemic else epi
     ale_key = -ale if high_epistemic else ale
-    epi_order = np.lexsort((str_ids, epi_key))
-    ale_pos = np.empty(len(ids), dtype=np.int64)
-    ale_pos[np.lexsort((str_ids, ale_key))] = np.arange(1, len(ids) + 1)
-    return epi_order, ale_pos
+    return np.lexsort((str_ids, epi_key)), np.lexsort((str_ids, ale_key))
 
 
-def _walk_select(epi_order: Array, ale_pos: Array, alive: Array, n_ale: int) -> int:
+def _walk_select(epi_order: Array, ale_order: Array, alive: Array, n_ale: int) -> int:
     """One select-and-reject pass over the alive view; returns a global index.
 
     Walks candidates in extreme-epistemic order; a candidate inside the
     current top-n_ale aleatoric set of the (shrinking) view is dropped from
-    the view and the walk continues.  The view loses one element per
-    rejection, so the pass is bounded by the view size; if every candidate is
-    rejected the extreme-epistemic instance of the original view is returned.
-    Membership in the rejection set is tested by rank: a candidate is inside
-    iff at most n_ale view elements (itself included) precede it in the
-    aleatoric ordering, counted with a prefix tree.
+    the view and the walk continues.  If every candidate is rejected, the
+    extreme-epistemic instance of the original view is returned.
+
+    The walk is one rank test.  Let rank be each candidate's aleatoric rank
+    in the view at the start of the pass (0 = extreme).  Every rejected
+    candidate sat inside the rejection set when it was dropped, so after k
+    rejections the dropped candidates all hold ranks below n_ale + k, and
+    the view's rejection set is exactly ranks [0, n_ale + k) minus those k.
+    The k-th candidate (0-based) is therefore rejected iff its rank is below
+    n_ale + k, and the pick is the first candidate whose rank is not.
     """
+    rank = np.empty(alive.shape[0], dtype=np.int64)
+    rank[ale_order] = np.cumsum(alive[ale_order]) - 1  # valid for alive entries
     walk = epi_order[alive[epi_order]]  # alive candidates, extreme epistemic first
-    positions = ale_pos[walk]
-    tree = _Fenwick(positions, len(ale_pos))
-    view = walk.shape[0]
-    for c, pos in zip(walk.tolist(), positions.tolist()):
-        if view <= n_ale:
-            break  # every candidate left sits in the rejection set
-        if tree.prefix(pos) > n_ale:
-            return c
-        tree.add(pos, -1)  # reject: drop from the view
-        view -= 1
-    return int(walk[0])  # exhaustion: extreme-epistemic of the original view
+    kept = np.flatnonzero(rank[walk] >= n_ale + np.arange(walk.shape[0]))
+    return int(walk[kept[0]] if kept.shape[0] else walk[0])
 
 
 def _select_one(records, n_ale: int, high_epistemic: bool) -> str:
@@ -198,9 +161,9 @@ def _select_one(records, n_ale: int, high_epistemic: bool) -> str:
     if n_ale < 1:
         raise DomainError(f"n_ale must be >= 1, got {n_ale}")
     ids, epi, ale = _record_arrays(records)
-    epi_order, ale_pos = _selection_orders(ids, epi, ale, high_epistemic)
+    epi_order, ale_order = _selection_orders(ids, epi, ale, high_epistemic)
     alive = np.ones(len(ids), dtype=bool)
-    return str(ids[_walk_select(epi_order, ale_pos, alive, n_ale)])
+    return str(ids[_walk_select(epi_order, ale_order, alive, n_ale)])
 
 
 def ehal_select_one(records, n_ale: int) -> str:
@@ -226,10 +189,10 @@ def curate(records, config: CurationConfig,
     alive = np.ones(n, dtype=bool)
     picked: list[str] = []
     high = config.selector == "ehal"
-    epi_order, ale_pos = _selection_orders(ids, epi, ale, high_epistemic=high)
+    epi_order, ale_order = _selection_orders(ids, epi, ale, high_epistemic=high)
     while alive.any() and len(picked) < config.n_to_select:
         n_ale = config.resolve_n_ale(int(alive.sum()))
-        idx = _walk_select(epi_order, ale_pos, alive, n_ale)
+        idx = _walk_select(epi_order, ale_order, alive, n_ale)
         alive[idx] = False
         picked.append(str(ids[idx]))
     return picked
@@ -270,7 +233,6 @@ class LoopConfig:
     pool_fraction: float = 0.6
     val_fraction: float = 0.1
     tranche_fraction: float = 0.1       # of the original pool, per round
-    n_ale: int | None = None
     n_ale_fraction: float = 0.1
     decompose_draws: int = 200
     uncertainty_source: str = "entropy"
@@ -430,7 +392,6 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
 
         pick_cfg = CurationConfig(
             n_to_select=min(tranche, len(pool_idx)),
-            n_ale=cfg.n_ale,
             n_ale_fraction=cfg.n_ale_fraction,
             selector=selector,
         )

@@ -114,6 +114,13 @@ class ExperimentSpec:
             raise ConfigError("growth_fractions must be ascending")
         if any(not 0.0 < f <= 1.0 for f in self.growth_fractions):
             raise ConfigError("growth_fractions must lie in (0, 1]")
+        if self.mc_passes < 1:
+            raise ConfigError("mc_passes must be >= 1")
+        # the model and loop configs check their own fields; build them once
+        # here so a bad value fails before any data is generated
+        self.model_config(1)
+        if self.kind == COMPARE:
+            self.loop_config(1)
 
     def model_config(self, input_dim: int) -> ModelConfig:
         return ModelConfig(
@@ -162,9 +169,12 @@ class ExperimentSpec:
 def _jobs() -> int:
     raw = os.environ.get("UQCURATE_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
         raise ConfigError(f"UQCURATE_JOBS must be an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise ConfigError(f"UQCURATE_JOBS must be >= 1, got {raw!r}")
+    return jobs
 
 
 def _workers(n_tasks: int) -> int:
@@ -490,57 +500,45 @@ def _write_outputs(result: ExperimentResult, out_dir, summary_name: str,
 
 _SYNTHETIC_KEYS = set(SyntheticSpec.VALID_KEYS)
 
-_SPEC_COERCERS = {
-    "head": str,
-    "uq": "strlist",
-    "ensemble_size": int,
-    "mc_passes": int,
-    "hidden_layers": int,
-    "hidden_width": int,
-    "dropout": float,
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience": int,
-    "batch_size": int,
-    "logit_samples": int,
-    "train_fraction": float,
-    "val_fraction": float,
-    "intensities": "floatlist",
-    "shift_train": "bool",
-    "shift_test": "bool",
-    "growth_fractions": "floatlist",
-    "selectors": "strlist",
-    "tranche_fraction": float,
-    "n_ale_fraction": float,
-    "seed_fraction": float,
-    "pool_fraction": float,
-    "decompose_draws": int,
-    "uncertainty_source": str,
-    "repetitions": int,
-    "seed": int,
-}
-
-VALID_CONFIG_KEYS = sorted({"data", *_SYNTHETIC_KEYS, *_SPEC_COERCERS})
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(raw)
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(",") if v.strip() != "")
+
+
+def _strs(raw: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in raw.split(",") if v.strip() != "")
+
+
+# one coercer per ExperimentSpec annotation; every spec field except the
+# kind and the data source is a config key, and ``uq`` sets ``uq_methods``
+_COERCER_BY_TYPE = {
+    "str": str, "int": int, "float": float, "bool": _bool,
+    "tuple[str, ...]": _strs, "tuple[float, ...]": _floats,
+}
+_SPEC_COERCERS = {
+    ("uq" if f.name == "uq_methods" else f.name): _COERCER_BY_TYPE[f.type]
+    for f in dataclasses.fields(ExperimentSpec)
+    if f.name not in ("kind", "data_csv", "synthetic")
+}
+
+VALID_CONFIG_KEYS = sorted({"data", *_SYNTHETIC_KEYS, *_SPEC_COERCERS})
+
+
 def _coerce(key: str, raw: str):
-    kind = _SPEC_COERCERS[key]
     try:
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
-        if kind == "floatlist":
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-        if kind == "strlist":
-            return tuple(v.strip() for v in raw.split(",") if v.strip() != "")
-        return kind(raw)
+        return _SPEC_COERCERS[key](raw)
     except ValueError:
         raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
 

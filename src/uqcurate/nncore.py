@@ -47,10 +47,6 @@ def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)
 
 
-def relu_grad(pre: Array) -> Array:
-    return (pre > 0.0).astype(np.float64)
-
-
 def softplus(x: Array) -> Array:
     """log(1 + e^x), overflow-safe for large |x|."""
     return np.logaddexp(0.0, x)

@@ -228,6 +228,42 @@ class TestOutputPath:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestFailBeforeCompute:
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        from uqcurate import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("compute started although the input is bad")
+
+        monkeypatch.setattr(experiments, "_base_dataset", never)
+        monkeypatch.setattr(experiments, "fit_method", never)
+
+    @pytest.mark.parametrize("command, line", [
+        ("shift", "mc_passes = 0"),           # ExperimentSpec
+        ("train", "hidden_width = 0"),        # ModelConfig
+        ("compare", "tranche_fraction = 0"),  # LoopConfig
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, no_compute, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(SMOKE_CFG + [line]) + "\n", encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--uq", "mc-dropout",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["shift", "train"])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exits_2(self, tmp_path, monkeypatch, capsys, no_compute,
+                                    command, jobs):
+        monkeypatch.setenv("UQCURATE_JOBS", jobs)
+        code = main([command, "--config", "profile:smoke", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "UQCURATE_JOBS" in err and "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -39,8 +39,8 @@ def as_pool(records):
 
 
 @st.composite
-def record_pools(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
+def record_pools(draw, max_size=8):
+    n = draw(st.integers(min_value=1, max_value=max_size))
     values = draw(st.lists(
         st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]),
                   st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9])),
@@ -172,10 +172,19 @@ class TestCurate:
         assert len(out) == len(set(out)) == 10
         assert set(out) <= {r.id for r in records}
 
-    def test_matches_trace_oracle_sequence(self, rng):
-        records = random_records(rng, 15)
-        cfg = CurationConfig(n_to_select=7, n_ale=4, selector="ehal")
-        assert curate(records, cfg) == trace_curate(as_pool(records), 7, 4)
+    @given(record_pools(max_size=20), st.sampled_from(["ehal", "elah"]),
+           st.one_of(st.integers(min_value=1, max_value=20),
+                     st.sampled_from([0.1, 0.35, 0.5, 1.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trace_oracle_sequence(self, records, selector, n_ale):
+        # tied values across picks: each pick ranks only the records still
+        # alive, so a tie broken one way in one pick can flip in the next
+        fixed = isinstance(n_ale, int)
+        cfg = CurationConfig(n_to_select=len(records), selector=selector,
+                             **({"n_ale": n_ale} if fixed else {"n_ale_fraction": n_ale}))
+        assert curate(records, cfg) == trace_curate(
+            as_pool(records), len(records), n_ale if fixed else None,
+            high_epistemic=selector == "ehal", n_ale_fraction=None if fixed else n_ale)
 
     def test_fractional_n_ale_recomputed(self):
         # 10 records at fraction 0.35: first pick rejects ceil(3.5)=4, after

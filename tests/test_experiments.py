@@ -236,6 +236,21 @@ class TestSpecMapping:
         assert spec.intensities == (0.0, 0.2)
         assert spec.shift_train is False and spec.repetitions == 2
 
+    def test_valid_config_keys(self):
+        from uqcurate.experiments import VALID_CONFIG_KEYS
+
+        assert VALID_CONFIG_KEYS == [
+            "batch_size", "cluster_std", "data", "decompose_draws", "dropout",
+            "ensemble_size", "feature_dim", "growth_fractions", "head",
+            "hidden_layers", "hidden_width", "imbalance", "intensities",
+            "label_flip_probability", "learning_rate", "logit_samples", "max_epochs",
+            "mc_passes", "n_ale_fraction", "n_instances", "noise_scale",
+            "noisy_fraction", "patience", "pool_fraction", "repetitions", "seed",
+            "seed_fraction", "selectors", "separation", "shift_test", "shift_train",
+            "train_fraction", "tranche_fraction", "uncertainty_source", "uq",
+            "val_fraction",
+        ]
+
     def test_unknown_key_lists_valid_keys(self):
         with pytest.raises(ConfigError, match="valid keys"):
             spec_from_mapping(SHIFT, {"bogus_key": "1"})
