@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import __version__
-from .data import SyntheticSpec, generate_synthetic, parse_kv_file, save_csv
+from .data import generate_synthetic, parse_kv_file, save_csv
 from .errors import ConfigError, DataFormatError, DomainError, UqCurateError
 from .experiments import (
     COMPARE,
@@ -89,12 +89,11 @@ def _apply_overrides(mapping: dict[str, str], args) -> dict[str, str]:
 
 
 def _cmd_gen_data(args) -> int:
-    mapping = _load_config(args.config)
-    synth_keys = {k: v for k, v in mapping.items() if k in SyntheticSpec.VALID_KEYS}
-    spec = SyntheticSpec.from_mapping(synth_keys)
-    seed = args.seed if args.seed is not None else int(mapping.get("seed", "0"))
+    spec = spec_from_mapping(TRAIN, _apply_overrides(_load_config(args.config), args))
+    if spec.synthetic is None:
+        raise ConfigError(f"gen-data needs data = synthetic, got {spec.data_csv!r}")
     out = _check_out_dir(args.out)
-    ds = generate_synthetic(spec, make_rng(seed))
+    ds = generate_synthetic(spec.synthetic, make_rng(spec.seed))
     save_csv(ds, out)
     print(f"wrote {len(ds)} instances ({ds.feature_dim} features) to {out}")
     return 0
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="restrict comparison to one selector")
 
     p = sub.add_parser("gen-data", help="write a synthetic pool as CSV")
-    p.add_argument("--config", help="key=value synthetic spec or profile:NAME")
+    p.add_argument("--config", help="key=value config file or profile:NAME")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, help="generator seed (default: config seed or 0)")
     p.set_defaults(func=_cmd_gen_data)

@@ -32,7 +32,7 @@ import numpy as np
 from .data import Dataset, undersample_balance
 from .errors import ConfigError, DomainError
 from .metrics import classification_report
-from .models import HETEROSCEDASTIC, Ensemble, ModelConfig, fit_method, predict_samples
+from .models import HETEROSCEDASTIC, ModelConfig, fit_method, method_passes, predict_samples
 from .nncore import make_rng, spawn_seeds
 from .uq import expected_entropy, hetero_decompose, mean_predictive, mutual_information
 
@@ -294,13 +294,6 @@ def _fit_uq_model(cfg: LoopConfig, train_ds: Dataset, seed: int,
                       fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, seed)
 
 
-def _weight_samples(fitted, X: Array, cfg: LoopConfig, rng: np.random.Generator):
-    """``predict_samples`` with the loop's scheme: every member of an
-    ensemble, or ``mc_passes`` dropout passes of one model."""
-    n_passes = None if isinstance(fitted, Ensemble) else cfg.mc_passes
-    return predict_samples(fitted, X, n_passes, rng)
-
-
 def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
                              rng: np.random.Generator) -> list[UncertaintyRecord]:
     """Score every pool instance with the configured uncertainty split.
@@ -308,7 +301,8 @@ def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
     ``p_bar`` and the (epistemic, aleatoric) pair come from one set of weight
     samples, so each member's forward pass runs once.
     """
-    raw, samples = _weight_samples(model_or_ensemble, pool.X, cfg, rng)
+    n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
+    raw, samples = predict_samples(model_or_ensemble, pool.X, n_passes, rng)
     if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source != "sample":
         mu, sigma = raw
         if cfg.uncertainty_source == "logit":
@@ -364,6 +358,7 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
     pool0 = len(pool_idx)
     tranche = max(1, int(round(cfg.tranche_fraction * pool0)))
     id_to_index = {str(dataset.ids[i]): i for i in pool_idx}
+    n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
 
     selected: list[str] = []
     rows: list[CurveRow] = []
@@ -371,7 +366,7 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
     while True:
         fit_seed = int(round_seed_rng.integers(0, 2**63))
         fitted = _fit_uq_model(cfg, dataset.subset(train_idx), fit_seed, make_rng(fit_seed))
-        probs = mean_predictive(_weight_samples(fitted, test_ds.X, cfg, eval_rng)[1])
+        probs = mean_predictive(predict_samples(fitted, test_ds.X, n_passes, eval_rng)[1])
         f1 = classification_report(probs, test_ds.y).f1
 
         if pool_idx:

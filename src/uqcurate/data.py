@@ -31,7 +31,6 @@ class Dataset:
     X: Array              # (N, d) float64
     y: Array              # (N,) int64
     noise_tags: Array | None = None   # (N,) bool
-    provenance: str = ""
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=object)
@@ -60,14 +59,13 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.X.shape[1]
 
-    def subset(self, indices, provenance: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             ids=self.ids[idx].copy(),
             X=self.X[idx].copy(),
             y=self.y[idx].copy(),
             noise_tags=None if self.noise_tags is None else self.noise_tags[idx].copy(),
-            provenance=provenance if provenance is not None else self.provenance,
         )
 
     def class_counts(self) -> tuple[int, int]:
@@ -133,7 +131,6 @@ def load_csv(path) -> Dataset:
         X=np.array(feats, dtype=np.float64),
         y=np.array(labels, dtype=np.int64),
         noise_tags=np.array(tags, dtype=bool) if with_tag else None,
-        provenance=str(path),
     )
 
 
@@ -185,11 +182,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     train_idx = perm[:n_train]
     val_idx = perm[n_train:n_train_total]
     test_idx = perm[n_train_total:]
-    return (
-        ds.subset(train_idx, provenance=f"{ds.provenance}[train]"),
-        ds.subset(val_idx, provenance=f"{ds.provenance}[val]"),
-        ds.subset(test_idx, provenance=f"{ds.provenance}[test]"),
-    )
+    return ds.subset(train_idx), ds.subset(val_idx), ds.subset(test_idx)
 
 
 def undersample_balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
@@ -208,7 +201,7 @@ def undersample_balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
     majority_idx = np.flatnonzero(ds.y != minority)
     keep_majority = rng.choice(majority_idx, size=m, replace=False)
     keep = np.sort(np.concatenate([np.flatnonzero(ds.y == minority), keep_majority]))
-    return ds.subset(keep, provenance=f"{ds.provenance}[balanced]")
+    return ds.subset(keep)
 
 
 def inject_shift(ds: Dataset, intensity: float, rng: np.random.Generator) -> Dataset:
@@ -216,7 +209,7 @@ def inject_shift(ds: Dataset, intensity: float, rng: np.random.Generator) -> Dat
     feature coordinate; labels, ids and order are untouched."""
     if intensity < 0.0:
         raise DomainError(f"shift intensity must be >= 0, got {intensity}")
-    out = ds.subset(np.arange(len(ds)), provenance=f"{ds.provenance}[shift={intensity:g}]")
+    out = ds.subset(np.arange(len(ds)))
     if intensity == 0.0:
         return out
     out.X += rng.normal(0.0, intensity, size=out.X.shape)
@@ -253,11 +246,6 @@ class SyntheticSpec:
     label_flip_probability: float = 0.5
     noise_scale: float = 3.0          # corrupted-scatter std as a multiple of cluster_std
 
-    VALID_KEYS = (
-        "n_instances", "feature_dim", "separation", "cluster_std", "imbalance",
-        "noisy_fraction", "label_flip_probability", "noise_scale",
-    )
-
     def __post_init__(self):
         if self.n_instances < 2:
             raise ConfigError("n_instances must be >= 2")
@@ -271,22 +259,6 @@ class SyntheticSpec:
             raise ConfigError(f"noisy_fraction must be in [0,1], got {self.noisy_fraction}")
         if not 0.0 <= self.label_flip_probability <= 1.0:
             raise ConfigError("label_flip_probability must be in [0,1]")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "SyntheticSpec":
-        unknown = set(mapping) - set(cls.VALID_KEYS)
-        if unknown:
-            raise ConfigError(
-                f"unknown synthetic keys {sorted(unknown)}; valid keys: {list(cls.VALID_KEYS)}"
-            )
-        kwargs = {}
-        for key, raw in mapping.items():
-            target = int if key in ("n_instances", "feature_dim") else float
-            try:
-                kwargs[key] = target(raw)
-            except ValueError:
-                raise ConfigError(f"synthetic key {key}={raw!r} is not a number") from None
-        return cls(**kwargs)
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
@@ -317,7 +289,7 @@ def generate_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset
         y[noisy_idx[flips]] = 1 - y[noisy_idx[flips]]
 
     ids = np.array([f"syn-{i:06d}" for i in range(n)], dtype=object)
-    return Dataset(ids=ids, X=X, y=y, noise_tags=tags, provenance="synthetic")
+    return Dataset(ids=ids, X=X, y=y, noise_tags=tags)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .curation import CurationResult, LoopConfig, curation_loop
+from .curation import CurationConfig, CurationResult, LoopConfig, curation_loop
 from .data import (
     Dataset,
     SplitSpec,
@@ -50,13 +50,14 @@ from .models import (
     Ensemble,
     ModelConfig,
     fit_method,
+    method_passes,
     predict_samples,
     save_ensemble,
     save_model,
     train_ensemble,
 )
 from .nncore import make_rng, spawn_seeds
-from .uq import mean_predictive, summarize_hetero
+from .uq import hetero_decompose, mean_predictive
 
 SHIFT = "shift"
 GROWTH = "data-growth"
@@ -114,13 +115,25 @@ class ExperimentSpec:
             raise ConfigError("growth_fractions must be ascending")
         if any(not 0.0 < f <= 1.0 for f in self.growth_fractions):
             raise ConfigError("growth_fractions must lie in (0, 1]")
+        if not (self.uq_methods and self.intensities and self.selectors):
+            raise ConfigError("uq, intensities and selectors must each list at least one value")
         if self.mc_passes < 1:
             raise ConfigError("mc_passes must be >= 1")
-        # the model and loop configs check their own fields; build them once
-        # here so a bad value fails before any data is generated
-        self.model_config(1)
+        if self.decompose_draws < 1:
+            raise ConfigError("decompose_draws must be >= 1")
+        # the model, loop and selector configs check their own fields; build
+        # them once here so a bad value fails before any data is generated
+        model = self.model_config(1)
+        if self.kind == GROWTH:
+            if model.head != HETEROSCEDASTIC:
+                raise ConfigError("data-growth study requires the heteroscedastic head")
+            if self.ensemble_size < 2:
+                raise ConfigError("data-growth study needs ensemble_size >= 2")
         if self.kind == COMPARE:
             self.loop_config(1)
+            for selector in self.selectors:
+                CurationConfig(n_to_select=1, n_ale_fraction=self.n_ale_fraction,
+                               selector=selector)
 
     def model_config(self, input_dim: int) -> ModelConfig:
         return ModelConfig(
@@ -139,7 +152,9 @@ class ExperimentSpec:
     def loop_config(self, input_dim: int) -> LoopConfig:
         return LoopConfig(
             model=self.model_config(input_dim),
-            uq_method="ensemble" if "ensemble" in self.uq_methods else "mc-dropout",
+            # ensemble, else mc-dropout; a list with neither fails LoopConfig's check
+            uq_method=next((m for m in ("ensemble", "mc-dropout") if m in self.uq_methods),
+                           self.uq_methods[0]),
             ensemble_size=self.ensemble_size,
             mc_passes=self.mc_passes,
             seed_fraction=self.seed_fraction,
@@ -150,10 +165,6 @@ class ExperimentSpec:
             decompose_draws=self.decompose_draws,
             uncertainty_source=self.uncertainty_source,
         )
-
-    def n_passes(self, method: str) -> int | None:
-        """Dropout passes ``predict_samples`` runs for ``method``."""
-        return self.mc_passes if method == "mc-dropout" else None
 
     def resolved(self) -> dict:
         out = dataclasses.asdict(self)
@@ -225,7 +236,8 @@ def _shift_one_rep(args):
         for method in spec.uq_methods:
             fitted = fit_method(method, cfg, spec.ensemble_size,
                                 fit.X, fit.y, va.X, va.y, fit_seed)
-            samples = predict_samples(fitted, te.X, spec.n_passes(method), make_rng(eval_seed))
+            n_passes = method_passes(method, spec.mc_passes)
+            samples = predict_samples(fitted, te.X, n_passes, make_rng(eval_seed))
             probs = mean_predictive(samples[1])
             report = classification_report(probs, te.y)
             cells.append({
@@ -304,14 +316,15 @@ def _growth_one_rep(args):
             cfg, spec.ensemble_size, fit.X, fit.y, val_ds.X, val_ds.y, seed=fit_seed
         )
         rng = make_rng(eval_seed)
-        (mu, sigma), member_probs = predict_samples(ensemble, test_ds.X, rng=rng)
-        summaries = summarize_hetero(mu, sigma, member_probs,
-                                     n_draws=spec.decompose_draws, rng=rng)
+        # the predictive distributions are unused, but their logit draws
+        # advance the rng that the decomposition draws from
+        (mu, sigma), _ = predict_samples(ensemble, test_ds.X, rng=rng)
+        dec = hetero_decompose(mu, sigma, n_draws=spec.decompose_draws, rng=rng)
         cells.append({
             "fraction": fraction,
             "rep": rep,
-            "mean_epi": float(np.mean([s.entropy_epistemic for s in summaries])),
-            "mean_ale": float(np.mean([s.entropy_aleatoric for s in summaries])),
+            "mean_epi": float(np.mean(dec.entropy_epistemic)),
+            "mean_ale": float(np.mean(dec.entropy_aleatoric)),
         })
     return cells
 
@@ -321,8 +334,6 @@ def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> Experiment
     relative deltas against the previous fraction."""
     if spec.kind != GROWTH:
         raise ConfigError(f"spec kind is {spec.kind!r}, expected {GROWTH!r}")
-    if spec.head not in ("hetero", HETEROSCEDASTIC):
-        raise ConfigError("data-growth study requires the heteroscedastic head")
     per_rep = _map_reps(_growth_one_rep, [(spec, r) for r in range(spec.repetitions)])
     run_rows = [cell for cells in per_rep for cell in cells]
 
@@ -498,8 +509,6 @@ def _write_outputs(result: ExperimentResult, out_dir, summary_name: str,
 # config mapping (key=value files and CLI overrides)
 # ---------------------------------------------------------------------------
 
-_SYNTHETIC_KEYS = set(SyntheticSpec.VALID_KEYS)
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -521,24 +530,26 @@ def _strs(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip() != "")
 
 
-# one coercer per ExperimentSpec annotation; every spec field except the
-# kind and the data source is a config key, and ``uq`` sets ``uq_methods``
+# one coercer per field annotation: every SyntheticSpec field is a config
+# key, as is every ExperimentSpec field except the kind and the data source,
+# and ``uq`` sets ``uq_methods``
 _COERCER_BY_TYPE = {
     "str": str, "int": int, "float": float, "bool": _bool,
     "tuple[str, ...]": _strs, "tuple[float, ...]": _floats,
 }
-_SPEC_COERCERS = {
+_SYNTHETIC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
+_COERCERS = {
     ("uq" if f.name == "uq_methods" else f.name): _COERCER_BY_TYPE[f.type]
-    for f in dataclasses.fields(ExperimentSpec)
+    for f in dataclasses.fields(SyntheticSpec) + dataclasses.fields(ExperimentSpec)
     if f.name not in ("kind", "data_csv", "synthetic")
 }
 
-VALID_CONFIG_KEYS = sorted({"data", *_SYNTHETIC_KEYS, *_SPEC_COERCERS})
+VALID_CONFIG_KEYS = sorted({"data", *_COERCERS})
 
 
 def _coerce(key: str, raw: str):
     try:
-        return _SPEC_COERCERS[key](raw)
+        return _COERCERS[key](raw)
     except ValueError:
         raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
 
@@ -556,24 +567,16 @@ def spec_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentSpec:
             f"unknown config keys {sorted(unknown)}; valid keys: {VALID_CONFIG_KEYS}"
         )
     data = mapping.get("data", "synthetic")
-    kwargs: dict = {"kind": kind}
+    synthetic = _SYNTHETIC_KEYS & set(mapping)
+    if data != "synthetic" and synthetic:
+        raise ConfigError(f"synthetic keys {sorted(synthetic)} set but data is a CSV path")
+    kwargs = {("uq_methods" if key == "uq" else key): _coerce(key, raw)
+              for key, raw in mapping.items() if key != "data"}
     if data == "synthetic":
-        kwargs["synthetic"] = SyntheticSpec.from_mapping(
-            {k: v for k, v in mapping.items() if k in _SYNTHETIC_KEYS}
-        )
+        kwargs["synthetic"] = SyntheticSpec(**{k: kwargs.pop(k) for k in synthetic})
     else:
-        extra = _SYNTHETIC_KEYS & set(mapping)
-        if extra:
-            raise ConfigError(
-                f"synthetic keys {sorted(extra)} set but data is a CSV path"
-            )
         kwargs["data_csv"] = data
-    for key, raw in mapping.items():
-        if key == "data" or key in _SYNTHETIC_KEYS:
-            continue
-        value = _coerce(key, raw)
-        kwargs["uq_methods" if key == "uq" else key] = value
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(kind=kind, **kwargs)
 
 
 def load_profile(name: str) -> dict[str, str]:
@@ -614,7 +617,8 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
     cfg = spec.model_config(base.feature_dim)
     fitted = fit_method(method, cfg, spec.ensemble_size,
                         fit.X, fit.y, val_ds.X, val_ds.y, fit_seed)
-    samples = predict_samples(fitted, test_ds.X, spec.n_passes(method), make_rng(eval_seed))
+    n_passes = method_passes(method, spec.mc_passes)
+    samples = predict_samples(fitted, test_ds.X, n_passes, make_rng(eval_seed))
     probs = mean_predictive(samples[1])
     report = classification_report(probs, test_ds.y)
     outputs: dict = {}

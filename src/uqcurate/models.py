@@ -158,24 +158,6 @@ class MlpModel:
             return [self.head]
         return [self.head_mu, self.head_sigma]
 
-    def parameters(self) -> list[Array]:
-        params: list[Array] = []
-        for layer in self.hidden + self._head_layers():
-            params.extend(layer.parameters())
-        return params
-
-    def gradients(self) -> list[Array]:
-        grads: list[Array] = []
-        for layer in self.hidden + self._head_layers():
-            grads.extend(layer.gradients())
-        return grads
-
-    def _snapshot(self) -> Array:
-        return self.flat_params.copy()
-
-    def _restore(self, snapshot: Array) -> None:
-        self.flat_params[...] = snapshot
-
     # -- forward / backward -------------------------------------------------
 
     def _forward_hidden(self, x: Array, *, stochastic: bool, cache: bool,
@@ -293,7 +275,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
             loss = model._train_batch(X_train[idx], y_train[idx], rng, rng)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            opt.step([model.flat_params], [model.flat_grads])
+            opt.step(model.flat_params, model.flat_grads)
             total += loss * idx.shape[0]
         train_loss = total / n
         val_loss = model.evaluate_loss(X_val, y_val, eval_seed)
@@ -302,14 +284,14 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
         model.history.append(EpochRecord(epoch, train_loss, val_loss))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_weights = model._snapshot()
+            best_weights = model.flat_params.copy()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= cfg.patience:
                 break
 
-    model._restore(best_weights)
+    model.flat_params[...] = best_weights
     model.best_val_loss = float(best_loss)
     model.trained = True
     return model
@@ -361,6 +343,13 @@ def train_ensemble(config: ModelConfig, n_members: int,
 
 
 UQ_METHODS = ("vanilla", "mc-dropout", "ensemble")
+
+
+def method_passes(method: str, mc_passes: int) -> int | None:
+    """The ``n_passes`` that ``predict_samples`` takes for ``method``:
+    ``mc_passes`` dropout passes for 'mc-dropout', else None (every member of
+    an ensemble, or one eval-mode pass of a vanilla model)."""
+    return mc_passes if method == "mc-dropout" else None
 
 
 def fit_method(method: str, config: ModelConfig, ensemble_size: int,

@@ -8,7 +8,7 @@ reproduces a run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,12 +143,6 @@ class LinearLayer:
         self._x = None
         return dx
 
-    def parameters(self) -> list[Array]:
-        return [self.w, self.b]
-
-    def gradients(self) -> list[Array]:
-        return [self.dw, self.db]
-
 
 class DropoutLayer:
     """Inverted dropout: kept activations are scaled by 1/(1-p) at train time
@@ -230,16 +224,6 @@ def stochastic_nll_from_draws(mu: Array, sigma: Array, labels: Array, eps: Array
     return kernels.gaussian_logit_nll(mu, sigma, eps, labels)
 
 
-def stochastic_nll(mu: Array, sigma: Array, labels: Array, n_draws: int,
-                   rng: np.random.Generator):
-    """Sampled Gaussian-logit NLL with fresh standard-normal draws."""
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
-    mu = np.asarray(mu, dtype=np.float64)
-    eps = rng.standard_normal((mu.shape[0], n_draws, mu.shape[1]))
-    return stochastic_nll_from_draws(mu, sigma, labels, eps)
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -247,36 +231,28 @@ def stochastic_nll(mu: Array, sigma: Array, labels: Array, n_draws: int,
 
 @dataclass
 class AdamState:
-    """Adam with bias correction; eps is added under the square root."""
+    """Adam with bias correction over one flat parameter vector; eps is added
+    under the square root."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
+    m: Array | None = None
+    v: Array | None = None
 
-    def step(self, params: list[Array], grads: list[Array]) -> None:
-        """Update params in place from grads (parallel lists of arrays)."""
-        if len(params) != len(grads):
+    def step(self, param: Array, grad: Array) -> None:
+        """Update the 1-D float64 vector ``param`` in place from ``grad``."""
+        if param.ndim != 1 or grad.shape != param.shape:
             raise DimensionError(
-                f"{len(params)} params vs {len(grads)} grads"
+                f"adam steps one flat vector: param {param.shape}, grad {grad.shape}"
             )
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        if len(self.m) != len(params):
-            raise DimensionError("optimizer state does not match parameter list")
+        if self.m is None:
+            self.m = np.zeros_like(param)
+            self.v = np.zeros_like(param)
+        if self.m.shape != param.shape:
+            raise DimensionError("optimizer state does not match the parameter vector")
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape or p.shape != m.shape:
-                raise DimensionError(
-                    f"shape mismatch in adam step: param {p.shape}, grad {g.shape}"
-                )
-            kernels.adam_update(
-                p.reshape(-1), np.ascontiguousarray(g, dtype=np.float64).reshape(-1),
-                m.reshape(-1), v.reshape(-1),
-                self.t, self.lr, self.beta1, self.beta2, self.eps,
-            )
-
+        kernels.adam_update(param, grad, self.m, self.v,
+                            self.t, self.lr, self.beta1, self.beta2, self.eps)

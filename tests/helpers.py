@@ -111,7 +111,7 @@ def model_loss_and_grads(model: MlpModel, X, y, eps=None, mask_seed: int = 123):
         dh = dh + model.head_sigma.backward(dsigma * sigmoid(sigma_pre))
     model._backward_hidden(dh, pre_acts)
     model._cache = None
-    return float(loss), [g.copy() for g in model.gradients()]
+    return float(loss), model.flat_grads.copy()
 
 
 def kink_margin(model: MlpModel, X, eps=None, mask_seed: int = 123) -> float:
@@ -134,21 +134,19 @@ def max_relative_gradient_error(model: MlpModel, X, y, eps=None, step: float = 1
                                 mask_seed: int = 123) -> float:
     """Worst relative disagreement between analytic and central-difference
     gradients over every parameter of the model."""
-    _, grads = model_loss_and_grads(model, X, y, eps=eps, mask_seed=mask_seed)
+    _, flat_g = model_loss_and_grads(model, X, y, eps=eps, mask_seed=mask_seed)
+    flat_p = model.flat_params  # every layer's w and b are views of it
     worst = 0.0
-    for p, g in zip(model.parameters(), grads):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.shape[0]):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            lp = model_loss(model, X, y, eps=eps, mask_seed=mask_seed)
-            flat_p[i] = orig - step
-            lm = model_loss(model, X, y, eps=eps, mask_seed=mask_seed)
-            flat_p[i] = orig
-            fd = (lp - lm) / (2.0 * step)
-            denom = max(abs(fd), abs(flat_g[i]), 1e-6)
-            worst = max(worst, abs(fd - flat_g[i]) / denom)
+    for i in range(flat_p.shape[0]):
+        orig = flat_p[i]
+        flat_p[i] = orig + step
+        lp = model_loss(model, X, y, eps=eps, mask_seed=mask_seed)
+        flat_p[i] = orig - step
+        lm = model_loss(model, X, y, eps=eps, mask_seed=mask_seed)
+        flat_p[i] = orig
+        fd = (lp - lm) / (2.0 * step)
+        denom = max(abs(fd), abs(flat_g[i]), 1e-6)
+        worst = max(worst, abs(fd - flat_g[i]) / denom)
     return worst
 
 

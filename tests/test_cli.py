@@ -59,6 +59,20 @@ class TestGenData:
         cfg.write_text("noisy_fraction = 2.0\n", encoding="utf-8")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "n_instance = 50",      # typo of n_instances
+        "seed = abc",
+        "data = features.csv",  # gen-data writes synthetic pools only
+    ])
+    def test_bad_config_exits_2_without_output(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_print_config_writes_nothing(self, smoke_cfg, tmp_path, capsys):
@@ -228,6 +242,16 @@ class TestOutputPath:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def assert_config_line_exits_2(tmp_path, capsys, command, line, *flags):
+    """``command`` on the small config plus ``line`` exits 2 with one error line."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(SMOKE_CFG + [line]) + "\n", encoding="utf-8")
+    code = main([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestFailBeforeCompute:
     @pytest.fixture
     def no_compute(self, monkeypatch):
@@ -243,15 +267,28 @@ class TestFailBeforeCompute:
         ("shift", "mc_passes = 0"),           # ExperimentSpec
         ("train", "hidden_width = 0"),        # ModelConfig
         ("compare", "tranche_fraction = 0"),  # LoopConfig
+        ("compare", "selectors = ehal,best"),  # CurationConfig
+        ("compare", "n_ale_fraction = 0"),
+        ("compare", "n_ale_fraction = 1.5"),
+        ("compare", "decompose_draws = 0"),
+        ("growth", "decompose_draws = 0"),
+        ("growth", "ensemble_size = 1"),
+        ("growth", "head = homo"),
+        ("shift", "intensities ="),
+        ("compare", "selectors ="),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, no_compute, command, line):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("\n".join(SMOKE_CFG + [line]) + "\n", encoding="utf-8")
-        code = main([command, "--config", str(cfg), "--uq", "mc-dropout",
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert_config_line_exits_2(tmp_path, capsys, command, line, "--uq", "mc-dropout")
+
+    # no --uq flag here: it would replace the uq line under test
+    @pytest.mark.parametrize("command, line", [
+        ("train", "uq ="),
+        ("shift", "uq ="),
+        ("compare", "uq ="),
+        ("compare", "uq = vanilla"),  # curation needs several weight samples
+    ])
+    def test_bad_uq_exits_2(self, tmp_path, capsys, no_compute, command, line):
+        assert_config_line_exits_2(tmp_path, capsys, command, line)
 
     @pytest.mark.parametrize("command", ["shift", "train"])
     @pytest.mark.parametrize("jobs", ["0", "-5"])

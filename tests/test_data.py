@@ -14,6 +14,7 @@ from uqcurate.data import (
     undersample_balance,
 )
 from uqcurate.errors import ConfigError, DataFormatError, DomainError
+from uqcurate.experiments import TRAIN, spec_from_mapping
 from uqcurate.nncore import make_rng
 
 
@@ -204,8 +205,17 @@ class TestGenerateSynthetic:
             SyntheticSpec(noisy_fraction=1.5)
 
     def test_from_mapping_rejects_unknown_keys(self):
+        # synthetic keys are read by the one config parser
         with pytest.raises(ConfigError, match="valid keys"):
-            SyntheticSpec.from_mapping({"n_instances": "10", "bogus": "1"})
+            spec_from_mapping(TRAIN, {"n_instances": "10", "bogus": "1"})
+
+    def test_from_mapping_takes_field_types(self):
+        spec = spec_from_mapping(TRAIN, {"n_instances": "10", "separation": "3"})
+        assert spec.synthetic == SyntheticSpec(n_instances=10, separation=3.0)
+        assert type(spec.synthetic.n_instances) is int
+        assert type(spec.synthetic.separation) is float
+        with pytest.raises(ConfigError, match="wrong type"):
+            spec_from_mapping(TRAIN, {"feature_dim": "2.5"})
 
 
 class TestKvFile:

@@ -38,6 +38,12 @@ def fit_small(head="homo", seed=11, splits=None, **overrides):
     return train_model(model, balanced.X, balanced.y, val.X, val.y)
 
 
+def layer_arrays(model, *names):
+    """The named arrays (w, b, dw or db) of every layer, in layer order."""
+    return [getattr(layer, name) for layer in model.hidden + model._head_layers()
+            for name in names]
+
+
 class TestConfig:
     def test_defaults_match_protocol(self):
         cfg = ModelConfig(input_dim=20)
@@ -89,7 +95,7 @@ class TestTraining:
         m1 = fit_small("hetero", splits=small_splits, max_epochs=12)
         m2 = fit_small("hetero", splits=small_splits, max_epochs=12)
         assert m1.history == m2.history
-        for a, b in zip(m1.parameters(), m2.parameters()):
+        for a, b in zip(layer_arrays(m1, "w", "b"), layer_arrays(m2, "w", "b")):
             np.testing.assert_array_equal(a, b)
 
     def test_checkpoint_has_minimal_val_loss(self, small_splits):
@@ -277,7 +283,7 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
-        for a, b in zip(model.parameters(), loaded.parameters()):
+        for a, b in zip(layer_arrays(model, "w", "b"), layer_arrays(loaded, "w", "b")):
             np.testing.assert_array_equal(a, b)
         assert loaded.config == model.config
         assert loaded.history == model.history
@@ -285,15 +291,16 @@ class TestSerialization:
 
     def test_weights_and_gradients_share_one_buffer_each(self, small_splits, tmp_path):
         model = fit_small("hetero", splits=small_splits, max_epochs=3)
-        for arrays, buffer in ((model.parameters(), model.flat_params),
-                               (model.gradients(), model.flat_grads)):
+        for names, buffer in ((("w", "b"), model.flat_params),
+                              (("dw", "db"), model.flat_grads)):
+            arrays = layer_arrays(model, *names)
             assert sum(a.size for a in arrays) == buffer.size
             for a in arrays:
                 assert a.base is buffer
         first, second = tmp_path / "a.npz", tmp_path / "b.npz"
         save_model(model, first)
         loaded = load_model(first)
-        for a in loaded.parameters():
+        for a in layer_arrays(loaded, "w", "b"):
             assert a.base is loaded.flat_params
         save_model(loaded, second)
         with np.load(first) as a, np.load(second) as b:
@@ -330,5 +337,5 @@ class TestSerialization:
         loaded = load_ensemble(path)
         assert len(loaded) == 3
         for m1, m2 in zip(ens.members, loaded.members):
-            for a, b in zip(m1.parameters(), m2.parameters()):
+            for a, b in zip(layer_arrays(m1, "w", "b"), layer_arrays(m2, "w", "b")):
                 np.testing.assert_array_equal(a, b)

@@ -15,7 +15,6 @@ from uqcurate.nncore import (
     softmax,
     softmax_cross_entropy,
     softplus,
-    stochastic_nll,
     stochastic_nll_from_draws,
 )
 
@@ -138,7 +137,8 @@ class TestStochasticNll:
         mu = np.abs(rng.standard_normal((5, 2)))
         sigma = np.full((5, 2), 1e-9)
         labels = rng.integers(0, 2, 5)
-        loss, _, _ = stochastic_nll(mu, sigma, labels, 20, make_rng(3))
+        eps = make_rng(3).standard_normal((5, 20, 2))
+        loss, _, _ = stochastic_nll_from_draws(mu, sigma, labels, eps)
         expected = cross_entropy(softmax(mu), labels)
         assert loss == pytest.approx(expected, abs=1e-6)
 
@@ -146,7 +146,8 @@ class TestStochasticNll:
         mu = np.zeros((200, 2))
         sigma = np.full((200, 2), 0.7)
         labels = np.zeros(200, dtype=np.int64)
-        loss, _, _ = stochastic_nll(mu, sigma, labels, 400, make_rng(5))
+        eps = make_rng(5).standard_normal((200, 400, 2))
+        loss, _, _ = stochastic_nll_from_draws(mu, sigma, labels, eps)
         # equal-coordinate noise keeps the two classes exchangeable on average
         assert loss == pytest.approx(math.log(2), abs=0.01)
 
@@ -182,14 +183,14 @@ class TestAdam:
         # t=1, grad=1: m_hat=1, v_hat=1, step = lr / sqrt(1 + eps)
         param = np.zeros(1)
         opt = AdamState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-        opt.step([param], [np.ones(1)])
+        opt.step(param, np.ones(1))
         assert param[0] == pytest.approx(-0.000999999995, abs=1e-15)
 
     def test_zero_gradient_keeps_parameters(self):
         param = np.full(4, 1.5)
         opt = AdamState()
         for _ in range(10):
-            opt.step([param], [np.zeros(4)])
+            opt.step(param, np.zeros(4))
         np.testing.assert_array_equal(param, np.full(4, 1.5))
 
     def test_two_runs_are_bit_identical(self, rng):
@@ -199,7 +200,7 @@ class TestAdam:
             p = np.linspace(-1, 1, 8)
             opt = AdamState()
             for g in grads:
-                opt.step([p], [g])
+                opt.step(p, g)
             return p
 
         np.testing.assert_array_equal(run(), run())
@@ -207,17 +208,15 @@ class TestAdam:
     def test_shape_mismatch(self):
         opt = AdamState()
         with pytest.raises(DimensionError):
-            opt.step([np.zeros(3)], [np.zeros(4)])
+            opt.step(np.zeros(3), np.zeros(4))
 
-    def test_flat_step_matches_per_array_steps(self, rng):
-        shapes = [(4, 3), (4,), (2, 4), (2,)]
-        params = [rng.standard_normal(shape) for shape in shapes]
-        flat = np.concatenate([p.reshape(-1) for p in params])
-        per_array, flat_opt = AdamState(), AdamState()
-        for _ in range(5):
-            grads = [rng.standard_normal(shape) for shape in shapes]
-            per_array.step(params, grads)
-            flat_opt.step([flat], [np.concatenate([g.reshape(-1) for g in grads])])
-        for got, want in ((flat, params), (flat_opt.m[0], per_array.m),
-                          (flat_opt.v[0], per_array.v)):
-            np.testing.assert_array_equal(got, np.concatenate([a.reshape(-1) for a in want]))
+    def test_two_dimensional_vector_rejected(self):
+        opt = AdamState()
+        with pytest.raises(DimensionError):
+            opt.step(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_state_bound_to_first_vector(self):
+        opt = AdamState()
+        opt.step(np.zeros(3), np.ones(3))
+        with pytest.raises(DimensionError):
+            opt.step(np.zeros(4), np.ones(4))
