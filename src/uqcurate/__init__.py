@@ -53,10 +53,6 @@ from .curation import (
     UncertaintyRecord,
     curate,
     curation_loop,
-    ehal_select_one,
-    elah_select_one,
-    top_n_by_aleatoric,
-    top_one_by_epistemic,
 )
 from .uq import (
     HeteroDecomposition,

@@ -46,7 +46,6 @@ class UncertaintyRecord:
     id: str
     epistemic: float
     aleatoric: float
-    p_bar: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.epistemic) and math.isfinite(self.aleatoric)):
@@ -88,42 +87,6 @@ def _record_arrays(records) -> tuple[Array, Array, Array]:
     return ids, epi, ale
 
 
-def _extreme_index(ids: Array, values: Array, alive: Array, largest: bool) -> int:
-    """Index of the max (or min) value among alive entries, id-tie-broken."""
-    cand = np.flatnonzero(alive)
-    v = values[cand]
-    target = v.max() if largest else v.min()
-    tied = cand[v == target]
-    if tied.shape[0] == 1:
-        return int(tied[0])
-    return int(tied[np.argsort(ids[tied].astype(str), kind="stable")[0]])
-
-
-def _rejection_set(ids: Array, ale: Array, alive: Array, n_ale: int, largest: bool) -> Array:
-    """Alive indices of the n_ale largest (or smallest) aleatoric values,
-    id-tie-broken like the sequential scan."""
-    cand = np.flatnonzero(alive)
-    k = min(n_ale, cand.shape[0])
-    key = -ale[cand] if largest else ale[cand]
-    order = np.lexsort((ids[cand].astype(str), key))
-    return cand[order[:k]]
-
-
-def top_one_by_epistemic(records) -> str:
-    """Id with the largest epistemic value (lexicographic id on ties)."""
-    ids, epi, _ = _record_arrays(records)
-    return str(ids[_extreme_index(ids, epi, np.ones(len(ids), dtype=bool), largest=True)])
-
-
-def top_n_by_aleatoric(records, n_ale: int) -> set[str]:
-    """Ids of the min(n_ale, pool) largest aleatoric values (same tie rule)."""
-    if n_ale < 1:
-        raise DomainError(f"n_ale must be >= 1, got {n_ale}")
-    ids, _, ale = _record_arrays(records)
-    idx = _rejection_set(ids, ale, np.ones(len(ids), dtype=bool), n_ale, largest=True)
-    return {str(i) for i in ids[idx]}
-
-
 def _selection_orders(ids: Array, epi: Array, ale: Array, high_epistemic: bool):
     """Walk order (extreme epistemic first) and rejection-set order (extreme
     aleatoric first) over the whole pool; ties by id."""
@@ -156,30 +119,15 @@ def _walk_select(epi_order: Array, ale_order: Array, alive: Array, n_ale: int) -
     return int(walk[kept[0]] if kept.shape[0] else walk[0])
 
 
-def _select_one(records, n_ale: int, high_epistemic: bool) -> str:
-    """One select-and-reject pass over the whole pool; returns the picked id."""
-    if n_ale < 1:
-        raise DomainError(f"n_ale must be >= 1, got {n_ale}")
-    ids, epi, ale = _record_arrays(records)
-    epi_order, ale_order = _selection_orders(ids, epi, ale, high_epistemic)
-    alive = np.ones(len(ids), dtype=bool)
-    return str(ids[_walk_select(epi_order, ale_order, alive, n_ale)])
-
-
-def ehal_select_one(records, n_ale: int) -> str:
-    """Highest-epistemic instance outside the top-n_ale aleatoric set."""
-    return _select_one(records, n_ale, high_epistemic=True)
-
-
-def elah_select_one(records, n_ale: int) -> str:
-    """Mirror baseline: lowest epistemic outside the bottom-n_ale aleatoric set."""
-    return _select_one(records, n_ale, high_epistemic=False)
-
-
 def curate(records, config: CurationConfig,
            rng: np.random.Generator | None = None) -> list[str]:
     """Repeatedly apply the selector, removing each pick, until
-    ``n_to_select`` instances are chosen or the pool is exhausted."""
+    ``n_to_select`` instances are chosen or the pool is exhausted.
+
+    This is the one selection path: a single ehal pick with a fixed
+    rejection-set size k is ``curate(records, CurationConfig(n_to_select=1,
+    n_ale=k))``.
+    """
     ids, epi, ale = _record_arrays(records)
     n = len(ids)
     rng = make_rng(config.seed) if rng is None else rng
@@ -249,6 +197,8 @@ class LoopConfig:
             raise ConfigError("mc_passes must be >= 2 for uncertainty splits")
         if not 0.0 < self.tranche_fraction <= 1.0:
             raise ConfigError("tranche_fraction must be in (0, 1]")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0,1), got {self.val_fraction}")
         if self.uncertainty_source not in UNCERTAINTY_SOURCES:
             raise ConfigError(
                 f"uncertainty_source must be one of {UNCERTAINTY_SOURCES}, "
@@ -298,8 +248,8 @@ def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
                              rng: np.random.Generator) -> list[UncertaintyRecord]:
     """Score every pool instance with the configured uncertainty split.
 
-    ``p_bar`` and the (epistemic, aleatoric) pair come from one set of weight
-    samples, so each member's forward pass runs once.
+    Both halves of the (epistemic, aleatoric) pair come from one set of
+    weight samples, so each member's forward pass runs once.
     """
     n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
     raw, samples = predict_samples(model_or_ensemble, pool.X, n_passes, rng)
@@ -315,13 +265,11 @@ def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
     else:
         epi = np.atleast_1d(np.asarray(mutual_information(samples)))
         ale = np.atleast_1d(np.asarray(expected_entropy(samples)))
-    p_bar = mean_predictive(samples)
     return [
         UncertaintyRecord(
             id=str(pool.ids[i]),
             epistemic=float(epi[i]),
             aleatoric=float(ale[i]),
-            p_bar=tuple(p_bar[i]),
         )
         for i in range(len(pool))
     ]
@@ -400,7 +348,7 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
 
     tags = []
     if dataset.noise_tags is not None:
-        full_index = {str(dataset.ids[i]): i for i in range(n)}
-        tags = [bool(dataset.noise_tags[full_index[pid]]) for pid in selected]
+        # the picks were appended to the training indices in selection order
+        tags = [bool(dataset.noise_tags[i]) for i in train_idx[n_seed:]]
     return CurationResult(selected_ids=selected, rows=rows, seed=seed,
                           selected_noise_tags=tags)

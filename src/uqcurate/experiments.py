@@ -56,7 +56,7 @@ from .models import (
     save_model,
     train_ensemble,
 )
-from .nncore import make_rng, spawn_seeds
+from .nncore import child_seed, make_rng, spawn_seeds
 from .uq import hetero_decompose, mean_predictive
 
 SHIFT = "shift"
@@ -124,11 +124,18 @@ class ExperimentSpec:
         # the model, loop and selector configs check their own fields; build
         # them once here so a bad value fails before any data is generated
         model = self.model_config(1)
+        if self.kind in (SHIFT, GROWTH, TRAIN):
+            SplitSpec(self.train_fraction, self.val_fraction)
+        if self.kind in (TRAIN, COMPARE) and len(self.uq_methods) != 1:
+            raise ConfigError(f"{self.kind} fits one uq method, got {list(self.uq_methods)}")
         if self.kind == GROWTH:
             if model.head != HETEROSCEDASTIC:
                 raise ConfigError("data-growth study requires the heteroscedastic head")
             if self.ensemble_size < 2:
                 raise ConfigError("data-growth study needs ensemble_size >= 2")
+            if self.uq_methods != ("ensemble",):
+                raise ConfigError(f"data-growth study fits ensembles only, got uq "
+                                  f"{list(self.uq_methods)}")
         if self.kind == COMPARE:
             self.loop_config(1)
             for selector in self.selectors:
@@ -152,9 +159,7 @@ class ExperimentSpec:
     def loop_config(self, input_dim: int) -> LoopConfig:
         return LoopConfig(
             model=self.model_config(input_dim),
-            # ensemble, else mc-dropout; a list with neither fails LoopConfig's check
-            uq_method=next((m for m in ("ensemble", "mc-dropout") if m in self.uq_methods),
-                           self.uq_methods[0]),
+            uq_method=self.uq_methods[0],
             ensemble_size=self.ensemble_size,
             mc_passes=self.mc_passes,
             seed_fraction=self.seed_fraction,
@@ -204,6 +209,12 @@ def _map_reps(fn, args_list):
         return list(pool.map(fn, args_list))
 
 
+def _rep_seeds(spec: ExperimentSpec, rep: int, k: int) -> list[int]:
+    """The k seeds of repetition ``rep``: children [k*rep, k*rep + k) of the
+    spec seed, built directly so no repetition spawns the others' seeds."""
+    return [child_seed(spec.seed, k * rep + j) for j in range(k)]
+
+
 def _base_dataset(spec: ExperimentSpec, data_seed: int) -> Dataset:
     if spec.data_csv is not None:
         return load_csv(spec.data_csv)
@@ -217,9 +228,7 @@ def _base_dataset(spec: ExperimentSpec, data_seed: int) -> Dataset:
 
 def _shift_one_rep(args):
     spec, rep = args
-    data_seed, split_seed, balance_seed, shift_seed, fit_seed, eval_seed = spawn_seeds(
-        spec.seed, 6 * spec.repetitions
-    )[6 * rep : 6 * rep + 6]
+    data_seed, split_seed, balance_seed, shift_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
     base = _base_dataset(spec, data_seed)
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
@@ -300,9 +309,7 @@ def nested_fractions(n: int, fractions, rng) -> list[np.ndarray]:
 
 def _growth_one_rep(args):
     spec, rep = args
-    data_seed, split_seed, subset_seed, balance_seed, fit_seed, eval_seed = spawn_seeds(
-        spec.seed, 6 * spec.repetitions
-    )[6 * rep : 6 * rep + 6]
+    data_seed, split_seed, subset_seed, balance_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
     base = _base_dataset(spec, data_seed)
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
@@ -368,7 +375,7 @@ def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> Experiment
 
 def _compare_one_rep(args):
     spec, rep = args
-    data_seed, loop_seed = spawn_seeds(spec.seed, 2 * spec.repetitions)[2 * rep : 2 * rep + 2]
+    data_seed, loop_seed = _rep_seeds(spec, rep, 2)
     base = _base_dataset(spec, data_seed)
     cfg = spec.loop_config(base.feature_dim)
     out = {}
@@ -633,6 +640,6 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
         report_path = os.path.join(out_dir, f"{checkpoint_name}_report_{tag}.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump({"spec": spec.resolved(), "method": method,
-                       "report": report.to_dict()}, fh, indent=2, sort_keys=True)
+                       "report": dataclasses.asdict(report)}, fh, indent=2, sort_keys=True)
         outputs = {"checkpoint": ckpt, "report_json": report_path}
     return fitted, report, outputs

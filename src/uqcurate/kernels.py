@@ -1,9 +1,9 @@
 """Hot numeric kernels for the elementwise-heavy inner loops.
 
-Matrix products stay on numpy/BLAS; the kernels here cover the optimizer
-update and the fused loss forward/backward passes.  Models have exactly two
-classes, so the sampled Gaussian-logit NLL is written in margin form on
-``z1 - z0`` instead of a softmax over the class axis.
+Matrix products stay on numpy/BLAS; the kernels here cover the fused loss
+forward/backward passes.  Models have exactly two classes, so the sampled
+Gaussian-logit NLL is written in margin form on ``z1 - z0`` instead of a
+softmax over the class axis.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "backend",
-    "adam_update",
     "softmax_xent",
     "gaussian_logit_nll",
 ]
@@ -23,21 +22,6 @@ LOG_FLOOR = 1e-12  # probabilities are clamped here before any log
 def backend() -> str:
     """Name of the kernel backend."""
     return "numpy"
-
-
-def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
-    """One Adam step, in place, on flat float64 views.
-
-    Bias-corrected moments; eps sits under the square root so the t=1 update
-    with unit gradient is lr/sqrt(1+eps).
-    """
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    param -= lr * ((m / c1) / np.sqrt(v / c2 + eps))
 
 
 def softmax_xent(logits, labels):

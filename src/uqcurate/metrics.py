@@ -23,18 +23,6 @@ class EvalReport:
     n_fn: int
     n_tn: int
 
-    def to_dict(self) -> dict:
-        return {
-            "brier": self.brier,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "n_tp": self.n_tp,
-            "n_fp": self.n_fp,
-            "n_fn": self.n_fn,
-            "n_tn": self.n_tn,
-        }
-
 
 def _check_probs_labels(probs, labels):
     probs = np.asarray(probs, dtype=np.float64)

@@ -32,10 +32,16 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def child_seed(seed: int, i: int) -> int:
+    """The i-th child seed of one parent seed, built directly: equal to
+    ``spawn_seeds(seed, n)[i]`` for every n > i."""
+    child = np.random.SeedSequence(seed, spawn_key=(i,))
+    return int(child.generate_state(1, dtype=np.uint64)[0])
+
+
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """n independent child seeds derived from one parent seed."""
-    ss = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(n)]
+    return [child_seed(seed, i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,5 +260,11 @@ class AdamState:
         if self.m.shape != param.shape:
             raise DimensionError("optimizer state does not match the parameter vector")
         self.t += 1
-        kernels.adam_update(param, grad, self.m, self.v,
-                            self.t, self.lr, self.beta1, self.beta2, self.eps)
+        m, v, beta1, beta2 = self.m, self.v, self.beta1, self.beta2
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        c1 = 1.0 - beta1**self.t
+        c2 = 1.0 - beta2**self.t
+        param -= self.lr * ((m / c1) / np.sqrt(v / c2 + self.eps))

@@ -160,7 +160,6 @@ def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
 class UqSummary:
     """Per-instance uncertainty scalars (entropies in nats)."""
 
-    p_bar: Array
     entropy_total: float
     entropy_expected: float
     mutual_information: float
@@ -184,7 +183,6 @@ def summarize(samples) -> list[UqSummary]:
     vt, ve, va = np.asarray(vt), np.asarray(ve), np.asarray(va)
     return [
         UqSummary(
-            p_bar=p_bar[i],
             entropy_total=float(h_total[i]),
             entropy_expected=float(h_exp[i]),
             mutual_information=float(mi[i]),

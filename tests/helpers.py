@@ -2,8 +2,9 @@
 
 Oracles here must stay independent of the implementation paths they check:
 matrix products use explicit loops, gradients come from central finite
-differences, and selection traces re-implement the published loop with plain
-python data structures.
+differences, the selector's ranking oracles sort each view from scratch, and
+selection traces re-implement the published loop with plain python data
+structures.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 
+from uqcurate.curation import _record_arrays
+from uqcurate.errors import DomainError
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
 from uqcurate.nncore import (
     make_rng,
@@ -182,8 +185,45 @@ def gradcheck_model(head: str, seed: int, *, dropout: float = 0.1, step: float =
 
 
 # ---------------------------------------------------------------------------
-# selection-trace oracle
+# selection oracles: array ranking and the selection-trace loop
 # ---------------------------------------------------------------------------
+
+
+def _extreme_index(ids: np.ndarray, values: np.ndarray, alive: np.ndarray, largest: bool) -> int:
+    """Index of the max (or min) value among alive entries, id-tie-broken."""
+    cand = np.flatnonzero(alive)
+    v = values[cand]
+    target = v.max() if largest else v.min()
+    tied = cand[v == target]
+    if tied.shape[0] == 1:
+        return int(tied[0])
+    return int(tied[np.argsort(ids[tied].astype(str), kind="stable")[0]])
+
+
+def _rejection_set(ids: np.ndarray, ale: np.ndarray, alive: np.ndarray, n_ale: int,
+                   largest: bool) -> np.ndarray:
+    """Alive indices of the n_ale largest (or smallest) aleatoric values,
+    id-tie-broken like the sequential scan."""
+    cand = np.flatnonzero(alive)
+    k = min(n_ale, cand.shape[0])
+    key = -ale[cand] if largest else ale[cand]
+    order = np.lexsort((ids[cand].astype(str), key))
+    return cand[order[:k]]
+
+
+def top_one_by_epistemic(records) -> str:
+    """Id with the largest epistemic value (lexicographic id on ties)."""
+    ids, epi, _ = _record_arrays(records)
+    return str(ids[_extreme_index(ids, epi, np.ones(len(ids), dtype=bool), largest=True)])
+
+
+def top_n_by_aleatoric(records, n_ale: int) -> set[str]:
+    """Ids of the min(n_ale, pool) largest aleatoric values (same tie rule)."""
+    if n_ale < 1:
+        raise DomainError(f"n_ale must be >= 1, got {n_ale}")
+    ids, _, ale = _record_arrays(records)
+    idx = _rejection_set(ids, ale, np.ones(len(ids), dtype=bool), n_ale, largest=True)
+    return {str(i) for i in ids[idx]}
 
 
 def trace_select_one(pool: dict[str, tuple[float, float]], n_ale: int,

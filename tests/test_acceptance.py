@@ -18,7 +18,7 @@ import pytest
 
 from helpers import gradcheck_model, trace_select_one
 from uqcurate.cli import main as cli_main
-from uqcurate.curation import UncertaintyRecord, ehal_select_one
+from uqcurate.curation import CurationConfig, UncertaintyRecord, curate
 from uqcurate.data import load_csv
 from uqcurate.experiments import (
     COMPARE,
@@ -161,7 +161,7 @@ def test_criterion_3_selection_matches_trace_oracle():
         ]
         pool = {r.id: (r.epistemic, r.aleatoric) for r in records}
         for n_ale in range(1, n + 1):
-            got = ehal_select_one(records, n_ale)
+            [got] = curate(records, CurationConfig(n_to_select=1, n_ale=n_ale, selector="ehal"))
             want = trace_select_one(pool, n_ale, high_epistemic=True)
             assert got == want, (
                 f"pool {pool} n_ale={n_ale}: implementation {got} vs trace {want}"

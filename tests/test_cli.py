@@ -276,9 +276,15 @@ class TestFailBeforeCompute:
         ("growth", "head = homo"),
         ("shift", "intensities ="),
         ("compare", "selectors ="),
+        ("compare", "val_fraction = -0.5"),
+        ("shift", "val_fraction = 1.5"),
+        ("growth", "val_fraction = 0"),
+        ("train", "val_fraction = -0.5"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, no_compute, command, line):
-        assert_config_line_exits_2(tmp_path, capsys, command, line, "--uq", "mc-dropout")
+        # growth fits ensembles only, so a --uq flag would be an error of its own
+        flags = () if command == "growth" else ("--uq", "mc-dropout")
+        assert_config_line_exits_2(tmp_path, capsys, command, line, *flags)
 
     # no --uq flag here: it would replace the uq line under test
     @pytest.mark.parametrize("command, line", [
@@ -286,6 +292,10 @@ class TestFailBeforeCompute:
         ("shift", "uq ="),
         ("compare", "uq ="),
         ("compare", "uq = vanilla"),  # curation needs several weight samples
+        ("growth", "uq = mc-dropout"),  # growth fits ensembles only
+        ("growth", "uq = vanilla"),
+        ("train", "uq = vanilla,ensemble"),  # train and compare fit one method
+        ("compare", "uq = ensemble,mc-dropout"),
     ])
     def test_bad_uq_exits_2(self, tmp_path, capsys, no_compute, command, line):
         assert_config_line_exits_2(tmp_path, capsys, command, line)

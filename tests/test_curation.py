@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import trace_curate, trace_select_one
+from helpers import top_n_by_aleatoric, top_one_by_epistemic, trace_curate, trace_select_one
 from uqcurate.curation import (
     CurationConfig,
     LoopConfig,
     UncertaintyRecord,
     curate,
     curation_loop,
-    ehal_select_one,
-    elah_select_one,
-    top_n_by_aleatoric,
-    top_one_by_epistemic,
 )
 from uqcurate.data import SyntheticSpec, generate_synthetic
 from uqcurate.errors import ConfigError, DomainError
@@ -36,6 +32,12 @@ def random_records(rng, n):
 
 def as_pool(records):
     return {r.id: (r.epistemic, r.aleatoric) for r in records}
+
+
+def select_one(records, n_ale, selector="ehal"):
+    """One pick with a fixed rejection-set size, through ``curate``."""
+    [picked] = curate(records, CurationConfig(n_to_select=1, n_ale=n_ale, selector=selector))
+    return picked
 
 
 @st.composite
@@ -91,7 +93,7 @@ class TestSelectOne:
         # the top-epistemic instance is also the single noisiest, so it is
         # rejected; the runner-up escapes the recomputed rejection set
         records = [rec("a", 0.9, 0.9), rec("b", 0.5, 0.1), rec("c", 0.1, 0.5)]
-        assert ehal_select_one(records, n_ale=1) == "b"
+        assert select_one(records, n_ale=1) == "b"
 
     def test_two_element_pool_exhausts_to_global_top(self):
         # with n_ale=1 and recomputed rejection sets, a 2-element pool rejects
@@ -99,26 +101,26 @@ class TestSelectOne:
         # noisiest of its own 1-element view), so the exhaustion fallback
         # returns the globally top-epistemic instance
         records = [rec("a", 0.9, 0.9), rec("b", 0.5, 0.1)]
-        assert ehal_select_one(records, n_ale=1) == "a"
+        assert select_one(records, n_ale=1) == "a"
 
     def test_first_try_when_outside_rejection_set(self):
         records = [rec("a", 0.9, 0.1), rec("b", 0.5, 0.9)]
-        assert ehal_select_one(records, n_ale=1) == "a"
+        assert select_one(records, n_ale=1) == "a"
 
     def test_dominating_instance_picked_first(self):
         records = [rec("a", 0.9, 0.0), rec("b", 0.5, 0.5), rec("c", 0.1, 0.9)]
-        assert ehal_select_one(records, n_ale=1) == "a"
+        assert select_one(records, n_ale=1) == "a"
 
     def test_exhaustion_falls_back_to_global_top(self, rng):
         records = random_records(rng, 6)
         # n_ale covering the pool rejects everyone; fallback is global argmax
-        assert ehal_select_one(records, n_ale=6) == top_one_by_epistemic(records)
+        assert select_one(records, n_ale=6) == top_one_by_epistemic(records)
 
     def test_elah_mirror(self):
         records = [rec("a", 0.1, 0.1), rec("b", 0.5, 0.9), rec("c", 0.9, 0.5)]
         # lowest epistemic 'a' is also lowest aleatoric -> rejected -> 'b'
         # survives because 'c' now holds the bottom-1 aleatoric slot
-        assert elah_select_one(records, n_ale=1) == "b"
+        assert select_one(records, n_ale=1, selector="elah") == "b"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_trace_oracle(self, seed):
@@ -130,15 +132,15 @@ class TestSelectOne:
             for i in range(n)
         ]
         for n_ale in range(1, n + 1):
-            assert ehal_select_one(records, n_ale) == trace_select_one(
+            assert select_one(records, n_ale) == trace_select_one(
                 as_pool(records), n_ale, high_epistemic=True)
-            assert elah_select_one(records, n_ale) == trace_select_one(
+            assert select_one(records, n_ale, "elah") == trace_select_one(
                 as_pool(records), n_ale, high_epistemic=False)
 
     @given(record_pools(), st.integers(min_value=1, max_value=8))
     @settings(max_examples=300, deadline=None)
     def test_never_returns_rejected_candidate(self, records, n_ale):
-        picked = ehal_select_one(records, n_ale)
+        picked = select_one(records, n_ale)
         survivors = [r for r in records]
         # replay: the returned id must not be simultaneously top-epistemic and
         # inside the rejection set of the view it was selected from
@@ -297,6 +299,11 @@ class TestCurationLoop:
                 uq_method="vanilla",
             )
 
+    @pytest.mark.parametrize("val_fraction", [-0.5, 0.0, 1.0])
+    def test_val_fraction_outside_unit_interval_rejected(self, val_fraction):
+        with pytest.raises(ConfigError, match="val_fraction"):
+            LoopConfig(model=ModelConfig(input_dim=4), val_fraction=val_fraction)
+
 
 class TestUncertaintySources:
     def test_unknown_source_rejected(self):
@@ -325,12 +332,13 @@ class TestUncertaintySources:
         assert all(math.isfinite(r.epistemic) and math.isfinite(r.aleatoric)
                    for r in records)
 
-    def test_p_bar_and_uncertainty_share_one_set_of_samples(self, tiny_pool, tiny_cfg):
+    def test_scoring_uses_one_set_of_weight_samples(self, tiny_pool, tiny_cfg):
+        # mc-dropout draws fresh masks on every pass, so the epistemic spread
+        # matches only the samples of one predict_samples call on the same rng
         from dataclasses import replace
 
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
         from uqcurate.models import predict_samples
-        from uqcurate.uq import mean_predictive
 
         cfg = replace(tiny_cfg, uq_method="mc-dropout", mc_passes=6,
                       uncertainty_source="logit")
@@ -338,8 +346,7 @@ class TestUncertaintySources:
                                balance_rng=make_rng(4))
         pool = tiny_pool.subset(range(60, 120))
         records = pool_uncertainty_records(fitted, pool, cfg, make_rng(5))
-        (mu, _), probs = predict_samples(fitted, pool.X, cfg.mc_passes, make_rng(5))
-        np.testing.assert_array_equal([r.p_bar for r in records], mean_predictive(probs))
+        (mu, _), _ = predict_samples(fitted, pool.X, cfg.mc_passes, make_rng(5))
         np.testing.assert_array_equal([r.epistemic for r in records],
                                       mu.std(axis=1).mean(axis=1))
 

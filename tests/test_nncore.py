@@ -9,12 +9,14 @@ from uqcurate.nncore import (
     AdamState,
     DropoutLayer,
     LinearLayer,
+    child_seed,
     cross_entropy,
     make_rng,
     relu,
     softmax,
     softmax_cross_entropy,
     softplus,
+    spawn_seeds,
     stochastic_nll_from_draws,
 )
 
@@ -220,3 +222,14 @@ class TestAdam:
         opt.step(np.zeros(3), np.ones(3))
         with pytest.raises(DimensionError):
             opt.step(np.zeros(4), np.ones(4))
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**63 - 1])
+    def test_child_seed_equals_spawned_child(self, seed):
+        # the spawn-then-slice derivation the studies' per-repetition seeds
+        # were first defined by
+        spawned = [int(c.generate_state(1, dtype=np.uint64)[0])
+                   for c in np.random.SeedSequence(seed).spawn(60)]
+        assert [child_seed(seed, i) for i in range(60)] == spawned
+        assert spawn_seeds(seed, 60) == spawned
