@@ -7,7 +7,7 @@ Selectors over per-instance (epistemic, aleatoric) uncertainty records:
   dropped from the view and both rankings are recomputed.
 * ``elah``   -- the exact mirror: lowest epistemic, rejected while inside the
   bottom-n_ale aleatoric set.
-* ``random`` -- uniform sampling without replacement.
+* ``random`` -- uniform sampling without replacement from a given rng.
 
 If rejection ever empties the candidate view (always the case once the view
 is no larger than n_ale), the globally extreme-epistemic instance of the
@@ -32,8 +32,9 @@ import numpy as np
 from .data import Dataset, undersample_balance
 from .errors import ConfigError, DomainError
 from .metrics import classification_report
-from .models import HETEROSCEDASTIC, ModelConfig, fit_method, method_passes, predict_samples
-from .nncore import make_rng, spawn_seeds
+from .models import (HETEROSCEDASTIC, ModelConfig, fit_method, hetero_raw_outputs,
+                     method_passes, predict_samples)
+from .nncore import child_seed, make_rng, spawn_seeds
 from .uq import expected_entropy, hetero_decompose, mean_predictive, mutual_information
 
 Array = np.ndarray
@@ -60,7 +61,6 @@ class CurationConfig:
     n_ale: int | None = None            # absolute rejection-set size
     n_ale_fraction: float = 0.1         # used when n_ale is None: ceil(frac * pool)
     selector: str = "ehal"
-    seed: int = 0
 
     def __post_init__(self):
         if self.selector not in SELECTORS:
@@ -130,8 +130,9 @@ def curate(records, config: CurationConfig,
     """
     ids, epi, ale = _record_arrays(records)
     n = len(ids)
-    rng = make_rng(config.seed) if rng is None else rng
     if config.selector == "random":
+        if rng is None:
+            raise ConfigError("the random selector needs an rng")
         order = rng.permutation(n)[: min(config.n_to_select, n)]
         return [str(i) for i in ids[order]]
     alive = np.ones(n, dtype=bool)
@@ -229,40 +230,43 @@ class CurationResult:
     selected_noise_tags: list[bool] = field(default_factory=list)
 
 
-def _fit_uq_model(cfg: LoopConfig, train_ds: Dataset, seed: int,
-                  balance_rng: np.random.Generator):
-    """Standard protocol: carve validation, balance the train share, fit."""
+def _fit_uq_model(cfg: LoopConfig, train_ds: Dataset, seed: int):
+    """Standard protocol: carve validation, balance the train share, fit;
+    each step draws from its own child of ``seed``."""
+    carve_seed, balance_seed, fit_seed = spawn_seeds(seed, 3)
     n = len(train_ds)
-    val_rng = make_rng(seed)
-    perm = val_rng.permutation(n)
+    perm = make_rng(carve_seed).permutation(n)
     n_val = max(1, int(round(cfg.val_fraction * n)))
     if n - n_val < 2:
         raise ConfigError("training partition too small for a validation carve")
     val_ds = train_ds.subset(perm[:n_val])
-    fit_ds = undersample_balance(train_ds.subset(perm[n_val:]), balance_rng)
+    fit_ds = undersample_balance(train_ds.subset(perm[n_val:]), make_rng(balance_seed))
     return fit_method(cfg.uq_method, cfg.model, cfg.ensemble_size,
-                      fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, seed)
+                      fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, fit_seed)
 
 
-def pool_uncertainty_records(model_or_ensemble, pool: Dataset, cfg: LoopConfig,
-                             rng: np.random.Generator) -> list[UncertaintyRecord]:
+def pool_uncertainty_records(fitted, pool: Dataset, cfg: LoopConfig,
+                             seed: int) -> list[UncertaintyRecord]:
     """Score every pool instance with the configured uncertainty split.
 
     Both halves of the (epistemic, aleatoric) pair come from one set of
-    weight samples, so each member's forward pass runs once.
+    weight samples, so each member's forward pass runs once.  The weight
+    samples and the entropy decomposition draw from two children of ``seed``.
     """
+    predict_seed, decompose_seed = spawn_seeds(seed, 2)
     n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
-    raw, samples = predict_samples(model_or_ensemble, pool.X, n_passes, rng)
+    rng = make_rng(predict_seed)
     if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source != "sample":
-        mu, sigma = raw
+        mu, sigma = hetero_raw_outputs(fitted, pool.X, n_passes, rng)
         if cfg.uncertainty_source == "logit":
             epi = mu.std(axis=1).mean(axis=1)
             ale = np.sqrt(np.mean(sigma**2, axis=1)).mean(axis=1)
         else:
-            dec = hetero_decompose(mu, sigma, n_draws=cfg.decompose_draws, rng=rng)
+            dec = hetero_decompose(mu, sigma, cfg.decompose_draws, make_rng(decompose_seed))
             epi = np.atleast_1d(np.asarray(dec.entropy_epistemic))
             ale = np.atleast_1d(np.asarray(dec.entropy_aleatoric))
     else:
+        samples = predict_samples(fitted, pool.X, n_passes, rng)[1]
         epi = np.atleast_1d(np.asarray(mutual_information(samples)))
         ale = np.atleast_1d(np.asarray(expected_entropy(samples)))
     return [
@@ -288,7 +292,6 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
         raise ConfigError(f"selector must be one of {SELECTORS}, got {selector!r}")
     split_seed, selector_seed, eval_seed, round_seed = spawn_seeds(seed, 4)
     selector_rng = make_rng(selector_seed)
-    eval_rng = make_rng(eval_seed)
     round_seed_rng = make_rng(round_seed)
 
     n = len(dataset)
@@ -313,14 +316,14 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
     rounds = 0
     while True:
         fit_seed = int(round_seed_rng.integers(0, 2**63))
-        fitted = _fit_uq_model(cfg, dataset.subset(train_idx), fit_seed, make_rng(fit_seed))
-        probs = mean_predictive(predict_samples(fitted, test_ds.X, n_passes, eval_rng)[1])
+        test_seed, score_seed = spawn_seeds(child_seed(eval_seed, rounds), 2)
+        fitted = _fit_uq_model(cfg, dataset.subset(train_idx), fit_seed)
+        probs = mean_predictive(
+            predict_samples(fitted, test_ds.X, n_passes, make_rng(test_seed))[1])
         f1 = classification_report(probs, test_ds.y).f1
 
         if pool_idx:
-            records = pool_uncertainty_records(
-                fitted, dataset.subset(pool_idx), cfg, eval_rng
-            )
+            records = pool_uncertainty_records(fitted, dataset.subset(pool_idx), cfg, score_seed)
             mean_epi = float(np.mean([r.epistemic for r in records]))
             mean_ale = float(np.mean([r.aleatoric for r in records]))
         else:

@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +51,7 @@ from .models import (
     Ensemble,
     ModelConfig,
     fit_method,
+    hetero_raw_outputs,
     method_passes,
     predict_samples,
     save_ensemble,
@@ -111,12 +113,18 @@ class ExperimentSpec:
         unknown = set(self.uq_methods) - set(UQ_METHODS)
         if unknown:
             raise ConfigError(f"unknown uq methods {sorted(unknown)}; valid: {UQ_METHODS}")
-        if not self.growth_fractions or sorted(self.growth_fractions) != list(self.growth_fractions):
-            raise ConfigError("growth_fractions must be ascending")
-        if any(not 0.0 < f <= 1.0 for f in self.growth_fractions):
+        fractions = self.growth_fractions
+        if not fractions or any(a >= b for a, b in zip(fractions, fractions[1:])):
+            raise ConfigError("growth_fractions must be strictly ascending")
+        if any(not 0.0 < f <= 1.0 for f in fractions):
             raise ConfigError("growth_fractions must lie in (0, 1]")
         if not (self.uq_methods and self.intensities and self.selectors):
             raise ConfigError("uq, intensities and selectors must each list at least one value")
+        # a repeated entry would pool copies of one run as independent repetitions
+        for key, values in (("uq", self.uq_methods), ("intensities", self.intensities),
+                            ("selectors", self.selectors)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} lists a value more than once: {list(values)}")
         if self.mc_passes < 1:
             raise ConfigError("mc_passes must be >= 1")
         if self.decompose_draws < 1:
@@ -322,11 +330,8 @@ def _growth_one_rep(args):
         ensemble = train_ensemble(
             cfg, spec.ensemble_size, fit.X, fit.y, val_ds.X, val_ds.y, seed=fit_seed
         )
-        rng = make_rng(eval_seed)
-        # the predictive distributions are unused, but their logit draws
-        # advance the rng that the decomposition draws from
-        (mu, sigma), _ = predict_samples(ensemble, test_ds.X, rng=rng)
-        dec = hetero_decompose(mu, sigma, n_draws=spec.decompose_draws, rng=rng)
+        mu, sigma = hetero_raw_outputs(ensemble, test_ds.X)
+        dec = hetero_decompose(mu, sigma, spec.decompose_draws, make_rng(eval_seed))
         cells.append({
             "fraction": fraction,
             "rep": rep,
@@ -529,8 +534,15 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(",") if v.strip() != "")
+    return tuple(_float(v) for v in raw.split(",") if v.strip() != "")
 
 
 def _strs(raw: str) -> tuple[str, ...]:
@@ -541,7 +553,7 @@ def _strs(raw: str) -> tuple[str, ...]:
 # key, as is every ExperimentSpec field except the kind and the data source,
 # and ``uq`` sets ``uq_methods``
 _COERCER_BY_TYPE = {
-    "str": str, "int": int, "float": float, "bool": _bool,
+    "str": str, "int": int, "float": _float, "bool": _bool,
     "tuple[str, ...]": _strs, "tuple[float, ...]": _floats,
 }
 _SYNTHETIC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
@@ -558,7 +570,8 @@ def _coerce(key: str, raw: str):
     try:
         return _COERCERS[key](raw)
     except ValueError:
-        raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
+        raise ConfigError(
+            f"config key {key}={raw!r} has the wrong type or is not finite") from None
 
 
 def spec_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentSpec:

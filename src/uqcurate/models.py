@@ -202,8 +202,7 @@ class MlpModel:
             self._cache = (pre_acts, mu_pre, sigma_pre)
         return mu, sigma
 
-    def _train_batch(self, X: Array, y: Array, rng: np.random.Generator,
-                     loss_rng: np.random.Generator) -> float:
+    def _train_batch(self, X: Array, y: Array, rng: np.random.Generator) -> float:
         if self.config.head == HOMOSCEDASTIC:
             logits = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
             loss, dlogits, _ = softmax_cross_entropy(logits, y)
@@ -211,7 +210,7 @@ class MlpModel:
             dh = self.head.backward(dlogits)
         else:
             mu, sigma = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-            eps = loss_rng.standard_normal(
+            eps = rng.standard_normal(
                 (X.shape[0], self.config.logit_samples, self.config.n_classes)
             )
             loss, dmu, dsigma = stochastic_nll_from_draws(mu, sigma, y, eps)
@@ -238,8 +237,7 @@ class MlpModel:
 
 
 def train_model(model: MlpModel, X_train: Array, y_train: Array,
-                X_val: Array, y_val: Array,
-                rng: np.random.Generator | int | None = None) -> MlpModel:
+                X_val: Array, y_val: Array) -> MlpModel:
     """Adam training with early stopping on validation loss.
 
     Stops after ``patience`` epochs without improvement or at ``max_epochs``;
@@ -257,7 +255,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
         raise DimensionError(
             f"feature dim {X_train.shape[1]} does not match config input_dim {cfg.input_dim}"
         )
-    rng = make_rng(model.seed if rng is None else rng)
+    rng = make_rng(model.seed)
     eval_seed = int(rng.integers(0, 2**63))
     opt = AdamState(lr=cfg.learning_rate)
     n = X_train.shape[0]
@@ -272,7 +270,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss = model._train_batch(X_train[idx], y_train[idx], rng, rng)
+            loss = model._train_batch(X_train[idx], y_train[idx], rng)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             opt.step(model.flat_params, model.flat_grads)
@@ -325,17 +323,12 @@ class Ensemble:
 
 def train_ensemble(config: ModelConfig, n_members: int,
                    X_train: Array, y_train: Array, X_val: Array, y_val: Array,
-                   seed: int, member_seeds: list[int] | None = None) -> Ensemble:
-    """Train ``n_members`` models with independent init/shuffle seeds spawned
-    from ``seed`` (or explicit ``member_seeds``)."""
+                   seed: int) -> Ensemble:
+    """Train ``n_members`` models with independent seeds spawned from ``seed``."""
     if n_members < 1:
         raise ConfigError("n_members must be >= 1")
-    if member_seeds is None:
-        member_seeds = spawn_seeds(seed, n_members)
-    if len(member_seeds) != n_members:
-        raise ConfigError(f"expected {n_members} member seeds, got {len(member_seeds)}")
     members = []
-    for member_seed in member_seeds:
+    for member_seed in spawn_seeds(seed, n_members):
         model = MlpModel(config, seed=member_seed)
         train_model(model, X_train, y_train, X_val, y_val)
         members.append(model)

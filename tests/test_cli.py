@@ -63,6 +63,7 @@ class TestGenData:
         "n_instance = 50",      # typo of n_instances
         "seed = abc",
         "data = features.csv",  # gen-data writes synthetic pools only
+        "imbalance = nan",
     ])
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -280,6 +281,14 @@ class TestFailBeforeCompute:
         ("shift", "val_fraction = 1.5"),
         ("growth", "val_fraction = 0"),
         ("train", "val_fraction = -0.5"),
+        ("shift", "imbalance = nan"),         # non-finite floats
+        ("train", "learning_rate = nan"),
+        ("train", "learning_rate = inf"),
+        ("shift", "intensities = 0,nan"),
+        ("shift", "intensities = 0,0"),       # repeated list entries
+        ("compare", "selectors = ehal,ehal"),
+        ("growth", "growth_fractions = 0.6,0.6"),
+        ("growth", "growth_fractions = 1.0,0.6"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, no_compute, command, line):
         # growth fits ensembles only, so a --uq flag would be an error of its own
@@ -296,6 +305,7 @@ class TestFailBeforeCompute:
         ("growth", "uq = vanilla"),
         ("train", "uq = vanilla,ensemble"),  # train and compare fit one method
         ("compare", "uq = ensemble,mc-dropout"),
+        ("shift", "uq = vanilla,vanilla"),  # a repeated method is no new repetition
     ])
     def test_bad_uq_exits_2(self, tmp_path, capsys, no_compute, command, line):
         assert_config_line_exits_2(tmp_path, capsys, command, line)

@@ -16,7 +16,7 @@ from uqcurate.curation import (
 from uqcurate.data import SyntheticSpec, generate_synthetic
 from uqcurate.errors import ConfigError, DomainError
 from uqcurate.models import ModelConfig
-from uqcurate.nncore import make_rng
+from uqcurate.nncore import make_rng, spawn_seeds
 
 
 def rec(i, epi, ale):
@@ -164,15 +164,20 @@ class TestCurate:
 
     def test_random_reproducible(self, rng):
         records = random_records(rng, 20)
-        cfg = CurationConfig(n_to_select=10, selector="random", seed=42)
-        assert curate(records, cfg) == curate(records, cfg)
+        cfg = CurationConfig(n_to_select=10, selector="random")
+        assert curate(records, cfg, make_rng(42)) == curate(records, cfg, make_rng(42))
 
     def test_random_is_subset_without_replacement(self, rng):
         records = random_records(rng, 20)
-        cfg = CurationConfig(n_to_select=10, selector="random", seed=1)
-        out = curate(records, cfg)
+        cfg = CurationConfig(n_to_select=10, selector="random")
+        out = curate(records, cfg, make_rng(1))
         assert len(out) == len(set(out)) == 10
         assert set(out) <= {r.id for r in records}
+
+    def test_random_without_rng_rejected(self, rng):
+        records = random_records(rng, 5)
+        with pytest.raises(ConfigError, match="rng"):
+            curate(records, CurationConfig(n_to_select=2, selector="random"))
 
     @given(record_pools(max_size=20), st.sampled_from(["ehal", "elah"]),
            st.one_of(st.integers(min_value=1, max_value=20),
@@ -323,10 +328,9 @@ class TestUncertaintySources:
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
 
         cfg = replace(tiny_cfg, uncertainty_source=source)
-        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3,
-                               balance_rng=make_rng(4))
+        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
         records = pool_uncertainty_records(fitted, tiny_pool.subset(range(60, 120)),
-                                           cfg, make_rng(5))
+                                           cfg, 5)
         assert len(records) == 60
         assert all(r.epistemic >= 0 and r.aleatoric >= 0 for r in records)
         assert all(math.isfinite(r.epistemic) and math.isfinite(r.aleatoric)
@@ -334,7 +338,8 @@ class TestUncertaintySources:
 
     def test_scoring_uses_one_set_of_weight_samples(self, tiny_pool, tiny_cfg):
         # mc-dropout draws fresh masks on every pass, so the epistemic spread
-        # matches only the samples of one predict_samples call on the same rng
+        # matches only the samples of one predict_samples call on the same
+        # stream: the first child of the scoring seed
         from dataclasses import replace
 
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
@@ -342,11 +347,11 @@ class TestUncertaintySources:
 
         cfg = replace(tiny_cfg, uq_method="mc-dropout", mc_passes=6,
                       uncertainty_source="logit")
-        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3,
-                               balance_rng=make_rng(4))
+        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
-        records = pool_uncertainty_records(fitted, pool, cfg, make_rng(5))
-        (mu, _), _ = predict_samples(fitted, pool.X, cfg.mc_passes, make_rng(5))
+        records = pool_uncertainty_records(fitted, pool, cfg, 5)
+        (mu, _), _ = predict_samples(fitted, pool.X, cfg.mc_passes,
+                                     make_rng(spawn_seeds(5, 2)[0]))
         np.testing.assert_array_equal([r.epistemic for r in records],
                                       mu.std(axis=1).mean(axis=1))
 
@@ -357,13 +362,54 @@ class TestUncertaintySources:
         from uqcurate.models import hetero_raw_outputs
 
         cfg = replace(tiny_cfg, uncertainty_source="logit")
-        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3,
-                               balance_rng=make_rng(4))
+        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
-        records = pool_uncertainty_records(fitted, pool, cfg, make_rng(5))
+        records = pool_uncertainty_records(fitted, pool, cfg, 5)
         mu, sigma = hetero_raw_outputs(fitted, pool.X)
         np.testing.assert_allclose(
             [r.epistemic for r in records], mu.std(axis=1).mean(axis=1), atol=1e-12)
         np.testing.assert_allclose(
             [r.aleatoric for r in records],
             np.sqrt(np.mean(sigma**2, axis=1)).mean(axis=1), atol=1e-12)
+
+    def test_entropy_source_decomposes_on_its_own_stream(self, tiny_pool, tiny_cfg):
+        # the decomposition draws from the second child of the scoring seed,
+        # whatever the prediction drew before it
+        from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
+        from uqcurate.models import hetero_raw_outputs
+        from uqcurate.uq import hetero_decompose
+
+        fitted = _fit_uq_model(tiny_cfg, tiny_pool.subset(range(60)), seed=3)
+        pool = tiny_pool.subset(range(60, 120))
+        records = pool_uncertainty_records(fitted, pool, tiny_cfg, 5)
+        dec = hetero_decompose(*hetero_raw_outputs(fitted, pool.X), tiny_cfg.decompose_draws,
+                               rng=make_rng(spawn_seeds(5, 2)[1]))
+        np.testing.assert_array_equal([r.epistemic for r in records], dec.entropy_epistemic)
+        np.testing.assert_array_equal([r.aleatoric for r in records], dec.entropy_aleatoric)
+
+
+class TestFitUqModel:
+    def test_carve_balance_and_fit_draw_from_three_children(self, tiny_pool, tiny_cfg,
+                                                           monkeypatch):
+        from uqcurate import curation
+
+        seen = {}
+
+        def balance(ds, rng):
+            seen["balance_state"] = rng.bit_generator.state
+            return ds
+
+        def fit(method, config, size, X, y, X_val, y_val, seed):
+            seen.update(X_val=X_val, seed=seed)
+            return "fitted"
+
+        monkeypatch.setattr(curation, "undersample_balance", balance)
+        monkeypatch.setattr(curation, "fit_method", fit)
+        train = tiny_pool.subset(range(60))
+        assert curation._fit_uq_model(tiny_cfg, train, 3) == "fitted"
+        carve_seed, balance_seed, fit_seed = spawn_seeds(3, 3)
+        n_val = round(tiny_cfg.val_fraction * len(train))
+        carve = make_rng(carve_seed).permutation(len(train))[:n_val]
+        np.testing.assert_array_equal(seen["X_val"], train.subset(carve).X)
+        assert seen["balance_state"] == make_rng(balance_seed).bit_generator.state
+        assert seen["seed"] == fit_seed

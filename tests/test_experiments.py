@@ -106,6 +106,17 @@ class TestGrowth:
         expected = 100.0 * (r0["mean_epi"] - r1["mean_epi"]) / r0["mean_epi"]
         assert r1["delta_epi_pct"] == pytest.approx(expected)
 
+    def test_needs_no_predictive_distributions(self, monkeypatch):
+        # the decomposition takes the raw (mu, sigma) stacks only
+        from uqcurate import experiments
+
+        def unused(*args, **kwargs):
+            raise AssertionError("growth computed predictive distributions")
+
+        monkeypatch.setattr(experiments, "predict_samples", unused)
+        result = run_data_growth_experiment(smoke_spec(GROWTH, growth_fractions=(1.0,)))
+        assert len(result.run_rows) == 1
+
 
 class TestCompare:
     def test_single_selector_single_rep(self, tmp_path):
@@ -141,15 +152,23 @@ class TestCompare:
 
 
 class TestParallelism:
-    def test_jobs_env_does_not_change_results(self, tmp_path, monkeypatch):
-        spec = smoke_spec(SHIFT, intensities=(0.0,), uq_methods=("vanilla",),
-                          repetitions=2)
+    @pytest.mark.parametrize("kind, runner, overrides", [
+        (SHIFT, run_shift_experiment, dict(intensities=(0.0,), uq_methods=("vanilla",))),
+        (GROWTH, run_data_growth_experiment, dict(growth_fractions=(0.6, 1.0))),
+        (COMPARE, run_selector_comparison,
+         dict(selectors=("ehal", "random"), tranche_fraction=0.5)),
+    ], ids=["shift", "growth", "compare"])
+    def test_jobs_env_does_not_change_results(self, tmp_path, monkeypatch, kind, runner,
+                                              overrides):
+        spec = smoke_spec(kind, repetitions=2, **overrides)
         monkeypatch.setenv("UQCURATE_JOBS", "1")
-        seq = run_shift_experiment(spec, out_dir=tmp_path / "seq")
+        seq = runner(spec, out_dir=tmp_path / "seq")
         monkeypatch.setenv("UQCURATE_JOBS", "2")
-        par = run_shift_experiment(spec, out_dir=tmp_path / "par")
-        assert open(seq.outputs["runs_csv"], "rb").read() == \
-               open(par.outputs["runs_csv"], "rb").read()
+        par = runner(spec, out_dir=tmp_path / "par")
+        csvs = [key for key in seq.outputs if key.endswith("_csv")]
+        assert "runs_csv" in csvs
+        for key in csvs:
+            assert open(seq.outputs[key], "rb").read() == open(par.outputs[key], "rb").read()
 
 
 class _RecordingExecutor:

@@ -197,9 +197,9 @@ class TestEnsemble:
 
     def test_identical_seeds_give_identical_samples(self, small_splits):
         balanced, val, test = small_splits
-        ens = train_ensemble(small_config("homo", max_epochs=10), 3,
-                             balanced.X, balanced.y, val.X, val.y,
-                             seed=0, member_seeds=[9, 9, 9])
+        ens = Ensemble([train_model(MlpModel(small_config("homo", max_epochs=10), seed=9),
+                                    balanced.X, balanced.y, val.X, val.y)
+                        for _ in range(3)])
         samples = predict_ensemble(ens, test.X)
         np.testing.assert_array_equal(samples[:, 0], samples[:, 1])
         np.testing.assert_array_equal(samples[:, 0], samples[:, 2])
@@ -243,9 +243,9 @@ class TestHeteroRawOutputs:
 
     def test_identically_seeded_ensemble_zero_mu_variance(self, small_splits):
         balanced, val, test = small_splits
-        ens = train_ensemble(small_config("hetero", max_epochs=8), 3,
-                             balanced.X, balanced.y, val.X, val.y,
-                             seed=0, member_seeds=[4, 4, 4])
+        ens = Ensemble([train_model(MlpModel(small_config("hetero", max_epochs=8), seed=4),
+                                    balanced.X, balanced.y, val.X, val.y)
+                        for _ in range(3)])
         mu, _ = hetero_raw_outputs(ens, test.X)
         np.testing.assert_array_equal(mu[:, 0], mu[:, 1])
         np.testing.assert_array_equal(mu[:, 0], mu[:, 2])

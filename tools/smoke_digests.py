@@ -1,0 +1,98 @@
+"""Print the sha256 of every result file the smoke-profile commands write.
+
+Runs a fixed set of ``uqcurate`` commands on the packaged ``smoke`` profile,
+each in a fresh interpreter with ``UQCURATE_JOBS=1``, and prints one
+``sha256  path`` line per result CSV, checkpoint and report JSON, sorted by
+path.  Run manifests are left out because they hold a timestamp.
+
+The set is gen-data (the profile, and ``--seed 3``), shift (default,
+``--uq mc-dropout``, ``--head homo --uq mc-dropout``), growth, compare
+(``--selector`` ehal, elah and random; ``--uq mc-dropout``;
+``--uq mc-dropout --head homo``; ``uncertainty_source`` sample and logit)
+and train (default and ``--uq mc-dropout``).
+
+To check which result files a change moves, run it on the change and on a
+checkout of the parent commit, then diff the two outputs::
+
+    python3 tools/smoke_digests.py > change.txt
+    python3 tools/smoke_digests.py --src PARENT_CHECKOUT/src > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+PROFILE = ["--config", "profile:smoke"]
+
+# (output name, command line); the output name is the --out path under the
+# work directory
+COMMANDS = [
+    ("gen-data/profile.csv", ["gen-data", *PROFILE]),
+    ("gen-data/seed3.csv", ["gen-data", *PROFILE, "--seed", "3"]),
+    ("shift/default", ["shift", *PROFILE]),
+    ("shift/mc-dropout", ["shift", *PROFILE, "--uq", "mc-dropout"]),
+    ("shift/homo-mc-dropout", ["shift", *PROFILE, "--head", "homo", "--uq", "mc-dropout"]),
+    ("growth/default", ["growth", *PROFILE]),
+    ("compare/ehal", ["compare", *PROFILE, "--selector", "ehal"]),
+    ("compare/elah", ["compare", *PROFILE, "--selector", "elah"]),
+    ("compare/random", ["compare", *PROFILE, "--selector", "random"]),
+    ("compare/mc-dropout", ["compare", *PROFILE, "--uq", "mc-dropout"]),
+    ("compare/homo-mc-dropout", ["compare", *PROFILE, "--uq", "mc-dropout", "--head", "homo"]),
+    ("compare/source-sample", ["compare", "--config", "{work}/smoke-sample.cfg"]),
+    ("compare/source-logit", ["compare", "--config", "{work}/smoke-logit.cfg"]),
+    ("train/default", ["train", *PROFILE]),
+    ("train/mc-dropout", ["train", *PROFILE, "--uq", "mc-dropout"]),
+]
+
+
+def _write_source_profiles(src: Path, work: Path) -> None:
+    """The smoke profile with ``uncertainty_source`` set, one file per source."""
+    smoke = (src / "uqcurate" / "profiles" / "smoke.cfg").read_text(encoding="utf-8")
+    for source in ("sample", "logit"):
+        text = f"{smoke}\nuncertainty_source = {source}\n"
+        (work / f"smoke-{source}.cfg").write_text(text, encoding="utf-8")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(src: Path, work: Path) -> list[str]:
+    _write_source_profiles(src, work)
+    env = dict(os.environ, PYTHONPATH=str(src), UQCURATE_JOBS="1")
+    for out, args in COMMANDS:
+        argv = [a.format(work=work) for a in args] + ["--out", str(work / out)]
+        (work / out).parent.mkdir(parents=True, exist_ok=True)
+        subprocess.run([sys.executable, "-m", "uqcurate", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+    lines = []
+    for path in sorted(work.rglob("*")):
+        if path.is_file() and path.suffix != ".cfg" and "_manifest_" not in path.name:
+            lines.append(f"{_sha256(path)}  {path.relative_to(work).as_posix()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=REPO / "src",
+                        help="the src/ directory whose uqcurate to run (default: this checkout's)")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "uqcurate" / "__init__.py").is_file():
+        parser.error(f"no uqcurate package under {src}")
+    with tempfile.TemporaryDirectory(prefix="smoke-digests-") as work:
+        print("\n".join(digests(src, Path(work))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
