@@ -35,14 +35,12 @@ from .models import (
     MlpModel,
     ModelConfig,
     hetero_raw_outputs,
-    load_ensemble,
-    load_model,
+    load_checkpoint,
     predict_ensemble,
     predict_mc_dropout,
     predict_samples,
     predict_vanilla,
-    save_ensemble,
-    save_model,
+    save_checkpoint,
     train_ensemble,
     train_model,
 )

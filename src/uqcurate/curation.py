@@ -152,7 +152,7 @@ def curate(records, config: CurationConfig,
 # ---------------------------------------------------------------------------
 
 
-UNCERTAINTY_SOURCES = ("entropy", "sample", "logit")
+UNCERTAINTY_SOURCES = ("entropy", "sample")
 
 
 @dataclass
@@ -167,11 +167,6 @@ class LoopConfig:
       entropy).
     * ``sample``  -- (mutual information, expected entropy) from the member
       predictive distributions, for either head.
-    * ``logit``   -- dual-head only: the raw head statistics, i.e. the
-      per-instance spread of mu across weight samples (epistemic) and the
-      pooled mean sigma (aleatoric).  Unlike the entropy pair these do not
-      saturate near even class odds, so they discriminate inside the
-      ambiguous region; they are measured in logit units, not nats.
     """
 
     model: ModelConfig
@@ -205,8 +200,6 @@ class LoopConfig:
                 f"uncertainty_source must be one of {UNCERTAINTY_SOURCES}, "
                 f"got {self.uncertainty_source!r}"
             )
-        if self.uncertainty_source == "logit" and self.model.head != HETEROSCEDASTIC:
-            raise ConfigError("the 'logit' uncertainty source needs a dual-head model")
         total = self.seed_fraction + self.pool_fraction
         if not (0.0 < self.seed_fraction and 0.0 < self.pool_fraction and total < 1.0):
             raise ConfigError("seed and pool fractions must be positive and sum below 1")
@@ -226,7 +219,6 @@ class CurveRow:
 class CurationResult:
     selected_ids: list[str]
     rows: list[CurveRow]
-    seed: int
     selected_noise_tags: list[bool] = field(default_factory=list)
 
 
@@ -256,15 +248,11 @@ def pool_uncertainty_records(fitted, pool: Dataset, cfg: LoopConfig,
     predict_seed, decompose_seed = spawn_seeds(seed, 2)
     n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
     rng = make_rng(predict_seed)
-    if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source != "sample":
+    if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source == "entropy":
         mu, sigma = hetero_raw_outputs(fitted, pool.X, n_passes, rng)
-        if cfg.uncertainty_source == "logit":
-            epi = mu.std(axis=1).mean(axis=1)
-            ale = np.sqrt(np.mean(sigma**2, axis=1)).mean(axis=1)
-        else:
-            dec = hetero_decompose(mu, sigma, cfg.decompose_draws, make_rng(decompose_seed))
-            epi = np.atleast_1d(np.asarray(dec.entropy_epistemic))
-            ale = np.atleast_1d(np.asarray(dec.entropy_aleatoric))
+        dec = hetero_decompose(mu, sigma, cfg.decompose_draws, make_rng(decompose_seed))
+        epi = np.atleast_1d(np.asarray(dec.entropy_epistemic))
+        ale = np.atleast_1d(np.asarray(dec.entropy_aleatoric))
     else:
         samples = predict_samples(fitted, pool.X, n_passes, rng)[1]
         epi = np.atleast_1d(np.asarray(mutual_information(samples)))
@@ -353,5 +341,4 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
     if dataset.noise_tags is not None:
         # the picks were appended to the training indices in selection order
         tags = [bool(dataset.noise_tags[i]) for i in train_idx[n_seed:]]
-    return CurationResult(selected_ids=selected, rows=rows, seed=seed,
-                          selected_noise_tags=tags)
+    return CurationResult(selected_ids=selected, rows=rows, selected_noise_tags=tags)

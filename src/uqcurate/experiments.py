@@ -48,14 +48,12 @@ from .metrics import classification_report
 from .models import (
     HETEROSCEDASTIC,
     UQ_METHODS,
-    Ensemble,
     ModelConfig,
     fit_method,
     hetero_raw_outputs,
     method_passes,
     predict_samples,
-    save_ensemble,
-    save_model,
+    save_checkpoint,
     train_ensemble,
 )
 from .nncore import child_seed, make_rng, spawn_seeds
@@ -88,8 +86,6 @@ class ExperimentSpec:
     train_fraction: float = 0.8
     val_fraction: float = 0.1
     intensities: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4)
-    shift_train: bool = True
-    shift_test: bool = True
     growth_fractions: tuple[float, ...] = (0.6, 0.8, 1.0)
     selectors: tuple[str, ...] = ("ehal", "elah", "random")
     tranche_fraction: float = 0.1
@@ -108,6 +104,8 @@ class ExperimentSpec:
             raise ConfigError("exactly one of data_csv / synthetic must be set")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(i < 0 for i in self.intensities):
             raise ConfigError("shift intensities must be >= 0")
         unknown = set(self.uq_methods) - set(UQ_METHODS)
@@ -246,9 +244,9 @@ def _shift_one_rep(args):
     intensity_seeds = spawn_seeds(shift_seed, len(spec.intensities))
     for intensity, iseed in zip(spec.intensities, intensity_seeds):
         irng = make_rng(iseed)
-        tr = inject_shift(train_ds, intensity, irng) if spec.shift_train else train_ds
-        va = inject_shift(val_ds, intensity, irng) if spec.shift_train else val_ds
-        te = inject_shift(test_ds, intensity, irng) if spec.shift_test else test_ds
+        tr = inject_shift(train_ds, intensity, irng)
+        va = inject_shift(val_ds, intensity, irng)
+        te = inject_shift(test_ds, intensity, irng)
         fit = undersample_balance(tr, make_rng(balance_seed))
         for method in spec.uq_methods:
             fitted = fit_method(method, cfg, spec.ensemble_size,
@@ -521,18 +519,6 @@ def _write_outputs(result: ExperimentResult, out_dir, summary_name: str,
 # config mapping (key=value files and CLI overrides)
 # ---------------------------------------------------------------------------
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(raw)
-
 
 def _float(raw: str) -> float:
     value = float(raw)
@@ -553,7 +539,7 @@ def _strs(raw: str) -> tuple[str, ...]:
 # key, as is every ExperimentSpec field except the kind and the data source,
 # and ``uq`` sets ``uq_methods``
 _COERCER_BY_TYPE = {
-    "str": str, "int": int, "float": _float, "bool": _bool,
+    "str": str, "int": int, "float": _float,
     "tuple[str, ...]": _strs, "tuple[float, ...]": _floats,
 }
 _SYNTHETIC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
@@ -646,10 +632,7 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
         os.makedirs(out_dir, exist_ok=True)
         tag = spec.digest()
         ckpt = os.path.join(out_dir, f"{checkpoint_name}_{tag}.npz")
-        if isinstance(fitted, Ensemble):
-            save_ensemble(fitted, ckpt)
-        else:
-            save_model(fitted, ckpt)
+        save_checkpoint(fitted, ckpt)
         report_path = os.path.join(out_dir, f"{checkpoint_name}_report_{tag}.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump({"spec": spec.resolved(), "method": method,

@@ -62,7 +62,9 @@ _HEAD_ALIASES = {
 
 SIGMA_FLOOR = 1e-12  # additive floor keeps sigma strictly positive
 
-CHECKPOINT_FORMAT = 1
+N_CLASSES = 2
+
+CHECKPOINT_FORMAT = 2
 
 # default draw seed so prediction without an explicit rng is reproducible
 _PREDICT_SEED = 0x5EED
@@ -84,7 +86,6 @@ class ModelConfig:
     hidden_width: int = 300
     dropout: float = 0.1
     head: str = HOMOSCEDASTIC
-    n_classes: int = 2
     learning_rate: float = 1e-3
     max_epochs: int = 200
     patience: int = 5
@@ -99,8 +100,6 @@ class ModelConfig:
             raise ConfigError("hidden_layers and hidden_width must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.n_classes != 2:
-            raise ConfigError("only 2-class models are supported")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.max_epochs < 1 or self.batch_size < 1 or self.logit_samples < 1:
@@ -133,13 +132,13 @@ class MlpModel:
             self.dropouts.append(DropoutLayer(config.dropout))
             in_dim = config.hidden_width
         if config.head == HOMOSCEDASTIC:
-            self.head = LinearLayer(in_dim, config.n_classes, rng)
+            self.head = LinearLayer(in_dim, N_CLASSES, rng)
             self.head_mu = None
             self.head_sigma = None
         else:
             self.head = None
-            self.head_mu = LinearLayer(in_dim, config.n_classes, rng)
-            self.head_sigma = LinearLayer(in_dim, config.n_classes, rng)
+            self.head_mu = LinearLayer(in_dim, N_CLASSES, rng)
+            self.head_sigma = LinearLayer(in_dim, N_CLASSES, rng)
         # every layer's w, b, dw and db are views of these two vectors, so the
         # optimizer and the best-epoch snapshot each touch one array
         layers = self.hidden + self._head_layers()
@@ -211,7 +210,7 @@ class MlpModel:
         else:
             mu, sigma = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
             eps = rng.standard_normal(
-                (X.shape[0], self.config.logit_samples, self.config.n_classes)
+                (X.shape[0], self.config.logit_samples, N_CLASSES)
             )
             loss, dmu, dsigma = stochastic_nll_from_draws(mu, sigma, y, eps)
             pre_acts, mu_pre, sigma_pre = self._cache
@@ -230,7 +229,7 @@ class MlpModel:
             return cross_entropy(softmax(logits), y)
         mu, sigma = self.raw_outputs(X)
         eps = make_rng(eval_seed).standard_normal(
-            (X.shape[0], self.config.logit_samples, self.config.n_classes)
+            (X.shape[0], self.config.logit_samples, N_CLASSES)
         )
         loss, _, _ = stochastic_nll_from_draws(mu, sigma, y, eps)
         return float(loss)
@@ -452,11 +451,10 @@ def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
                        rng: np.random.Generator | None = None):
     """``(mu, sigma)`` stacks, each (N, T, C), of a dual-head model's weight
     samples, as in ``predict_samples`` but without predictive distributions,
-    so no logit noise is drawn.  ``n_passes`` of 1 is one eval-mode pass."""
+    so no logit noise is drawn."""
     if model_or_ensemble.config.head != HETEROSCEDASTIC:
         raise ConfigError("dual-head outputs need a heteroscedastic model")
     rng = make_rng(_PREDICT_SEED) if rng is None else rng
-    n_passes = None if n_passes == 1 else n_passes
     return _stack(_forward_samples(model_or_ensemble, X, n_passes, rng))
 
 
@@ -465,7 +463,7 @@ def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _model_arrays(model: MlpModel, prefix: str = "") -> dict[str, Array]:
+def _model_arrays(model: MlpModel, prefix: str) -> dict[str, Array]:
     arrays = {}
     layers = model.hidden + model._head_layers()
     for i, layer in enumerate(layers):
@@ -484,7 +482,7 @@ def _model_meta(model: MlpModel) -> dict:
     }
 
 
-def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str = "") -> MlpModel:
+def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpModel:
     model = MlpModel(ModelConfig(**meta["config"]), seed=meta["seed"])
     layers = model.hidden + model._head_layers()
     for i, layer in enumerate(layers):
@@ -506,47 +504,37 @@ def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str = "") -> Ml
     return model
 
 
-def save_model(model: MlpModel, path) -> None:
-    np.savez(
-        path,
-        format_version=np.int64(CHECKPOINT_FORMAT),
-        meta=json.dumps(_model_meta(model)),
-        **_model_arrays(model),
-    )
-
-
-def load_model(path) -> MlpModel:
-    with np.load(path, allow_pickle=False) as npz:
-        if int(npz["format_version"]) != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint version in {path}")
-        meta = json.loads(str(npz["meta"]))
-        if "config" not in meta:
-            raise DataFormatError(f"{path} is not a single-model checkpoint")
-        return _restore_model(meta, npz)
-
-
-def save_ensemble(ensemble: Ensemble, path) -> None:
+def save_checkpoint(fitted, path) -> None:
+    """Write an ``MlpModel`` or an ``Ensemble`` to ``path`` as one npz file:
+    a JSON meta ``{"ensemble": bool, "members": [...]}`` and the arrays
+    ``m{t}_layer{i}_{w,b}`` of member t (a single model is member 0)."""
+    is_ensemble = isinstance(fitted, Ensemble)
+    members = fitted.members if is_ensemble else [fitted]
     arrays = {}
-    metas = []
-    for t, m in enumerate(ensemble.members):
+    for t, m in enumerate(members):
         arrays.update(_model_arrays(m, prefix=f"m{t}_"))
-        metas.append(_model_meta(m))
+    meta = {"ensemble": is_ensemble, "members": [_model_meta(m) for m in members]}
     np.savez(
         path,
         format_version=np.int64(CHECKPOINT_FORMAT),
-        meta=json.dumps({"members": metas}),
+        meta=json.dumps(meta),
         **arrays,
     )
 
 
-def load_ensemble(path) -> Ensemble:
+def load_checkpoint(path):
+    """The ``MlpModel`` or ``Ensemble`` that ``save_checkpoint`` wrote."""
     with np.load(path, allow_pickle=False) as npz:
         if int(npz["format_version"]) != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint version in {path}")
         meta = json.loads(str(npz["meta"]))
-        if "members" not in meta:
-            raise DataFormatError(f"{path} is not an ensemble checkpoint")
-        members = [
-            _restore_model(m, npz, prefix=f"m{t}_") for t, m in enumerate(meta["members"])
-        ]
-    return Ensemble(members=members)
+        if not isinstance(meta, dict):
+            meta = {}
+        is_ensemble, metas = meta.get("ensemble"), meta.get("members")
+        if (not isinstance(is_ensemble, bool) or not isinstance(metas, list) or not metas
+                or (not is_ensemble and len(metas) != 1)):
+            raise DataFormatError(
+                f"{path} meta needs 'ensemble' and a nonempty 'members' list "
+                "(one member unless 'ensemble' is true)")
+        members = [_restore_model(m, npz, prefix=f"m{t}_") for t, m in enumerate(metas)]
+    return Ensemble(members=members) if is_ensemble else members[0]

@@ -64,6 +64,7 @@ class TestGenData:
         "seed = abc",
         "data = features.csv",  # gen-data writes synthetic pools only
         "imbalance = nan",
+        "seed = -1",            # seed sequences take non-negative seeds only
     ])
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -289,6 +290,7 @@ class TestFailBeforeCompute:
         ("compare", "selectors = ehal,ehal"),
         ("growth", "growth_fractions = 0.6,0.6"),
         ("growth", "growth_fractions = 1.0,0.6"),
+        ("shift", "seed = -1"),               # negative seed
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, no_compute, command, line):
         # growth fits ensembles only, so a --uq flag would be an error of its own

@@ -316,12 +316,7 @@ class TestUncertaintySources:
             LoopConfig(model=ModelConfig(input_dim=4, head="hetero"),
                        uncertainty_source="bogus")
 
-    def test_logit_source_needs_dual_head(self):
-        with pytest.raises(ConfigError):
-            LoopConfig(model=ModelConfig(input_dim=4, head="homo"),
-                       uncertainty_source="logit")
-
-    @pytest.mark.parametrize("source", ["entropy", "sample", "logit"])
+    @pytest.mark.parametrize("source", ["entropy", "sample"])
     def test_sources_produce_valid_records(self, tiny_pool, tiny_cfg, source):
         from dataclasses import replace
 
@@ -337,40 +332,25 @@ class TestUncertaintySources:
                    for r in records)
 
     def test_scoring_uses_one_set_of_weight_samples(self, tiny_pool, tiny_cfg):
-        # mc-dropout draws fresh masks on every pass, so the epistemic spread
-        # matches only the samples of one predict_samples call on the same
-        # stream: the first child of the scoring seed
+        # mc-dropout draws fresh masks on every pass, so both halves of the
+        # split match only the samples of one predict_samples call on the
+        # same stream: the first child of the scoring seed
         from dataclasses import replace
 
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
         from uqcurate.models import predict_samples
+        from uqcurate.uq import expected_entropy, mutual_information
 
         cfg = replace(tiny_cfg, uq_method="mc-dropout", mc_passes=6,
-                      uncertainty_source="logit")
+                      uncertainty_source="sample")
         fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
         records = pool_uncertainty_records(fitted, pool, cfg, 5)
-        (mu, _), _ = predict_samples(fitted, pool.X, cfg.mc_passes,
-                                     make_rng(spawn_seeds(5, 2)[0]))
+        _, probs = predict_samples(fitted, pool.X, 6, make_rng(spawn_seeds(5, 2)[0]))
         np.testing.assert_array_equal([r.epistemic for r in records],
-                                      mu.std(axis=1).mean(axis=1))
-
-    def test_logit_source_matches_head_statistics(self, tiny_pool, tiny_cfg):
-        from dataclasses import replace
-
-        from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
-        from uqcurate.models import hetero_raw_outputs
-
-        cfg = replace(tiny_cfg, uncertainty_source="logit")
-        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
-        pool = tiny_pool.subset(range(60, 120))
-        records = pool_uncertainty_records(fitted, pool, cfg, 5)
-        mu, sigma = hetero_raw_outputs(fitted, pool.X)
-        np.testing.assert_allclose(
-            [r.epistemic for r in records], mu.std(axis=1).mean(axis=1), atol=1e-12)
-        np.testing.assert_allclose(
-            [r.aleatoric for r in records],
-            np.sqrt(np.mean(sigma**2, axis=1)).mean(axis=1), atol=1e-12)
+                                      mutual_information(probs))
+        np.testing.assert_array_equal([r.aleatoric for r in records],
+                                      expected_entropy(probs))
 
     def test_entropy_source_decomposes_on_its_own_stream(self, tiny_pool, tiny_cfg):
         # the decomposition draws from the second child of the scoring seed,

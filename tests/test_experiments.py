@@ -245,7 +245,7 @@ class TestSpecMapping:
             "feature_dim": "5",
             "uq": "vanilla,ensemble",
             "intensities": "0,0.2",
-            "shift_train": "false",
+            "decompose_draws": "40",
             "repetitions": "2",
             "seed": "11",
         }
@@ -253,7 +253,7 @@ class TestSpecMapping:
         assert spec.synthetic.n_instances == 300
         assert spec.uq_methods == ("vanilla", "ensemble")
         assert spec.intensities == (0.0, 0.2)
-        assert spec.shift_train is False and spec.repetitions == 2
+        assert spec.decompose_draws == 40 and spec.repetitions == 2
 
     def test_valid_config_keys(self):
         from uqcurate.experiments import VALID_CONFIG_KEYS
@@ -265,10 +265,10 @@ class TestSpecMapping:
             "label_flip_probability", "learning_rate", "logit_samples", "max_epochs",
             "mc_passes", "n_ale_fraction", "n_instances", "noise_scale",
             "noisy_fraction", "patience", "pool_fraction", "repetitions", "seed",
-            "seed_fraction", "selectors", "separation", "shift_test", "shift_train",
-            "train_fraction", "tranche_fraction", "uncertainty_source", "uq",
-            "val_fraction",
+            "seed_fraction", "selectors", "separation", "train_fraction",
+            "tranche_fraction", "uncertainty_source", "uq", "val_fraction",
         ]
+        assert len(VALID_CONFIG_KEYS) == 34
 
     def test_unknown_key_lists_valid_keys(self):
         with pytest.raises(ConfigError, match="valid keys"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,12 @@ from uqcurate.models import (
     MlpModel,
     ModelConfig,
     hetero_raw_outputs,
-    load_ensemble,
-    load_model,
+    load_checkpoint,
     predict_ensemble,
     predict_mc_dropout,
     predict_samples,
     predict_vanilla,
-    save_ensemble,
-    save_model,
+    save_checkpoint,
     train_ensemble,
     train_model,
 )
@@ -48,7 +48,7 @@ class TestConfig:
     def test_defaults_match_protocol(self):
         cfg = ModelConfig(input_dim=20)
         assert (cfg.hidden_layers, cfg.hidden_width, cfg.dropout) == (3, 300, 0.1)
-        assert cfg.patience == 5 and cfg.n_classes == 2
+        assert cfg.patience == 5
 
     def test_head_aliases(self):
         assert ModelConfig(input_dim=2, head="hetero").head == "heteroscedastic"
@@ -60,8 +60,6 @@ class TestConfig:
             ModelConfig(input_dim=2, dropout=1.0)
         with pytest.raises(ConfigError):
             ModelConfig(input_dim=2, patience=0)
-        with pytest.raises(ConfigError):
-            ModelConfig(input_dim=2, n_classes=3)
 
 
 class TestTraining:
@@ -231,10 +229,20 @@ class TestHeteroRawOutputs:
     def test_single_pass_matches_eval_forward(self, small_splits):
         model = fit_small("hetero", splits=small_splits, max_epochs=10)
         X = small_splits[2].X[:6]
-        mu, sigma = hetero_raw_outputs(model, X, n_passes=1)
+        mu, sigma = hetero_raw_outputs(model, X, n_passes=None)
         mu_direct, sigma_direct = model.raw_outputs(X)
         np.testing.assert_array_equal(mu[:, 0], mu_direct)
         np.testing.assert_array_equal(sigma[:, 0], sigma_direct)
+
+    def test_one_pass_is_one_dropout_pass_as_in_predict_samples(self, small_splits):
+        # n_passes means the same in both functions: 1 is one stochastic pass
+        model = fit_small("hetero", splits=small_splits, max_epochs=5, dropout=0.1)
+        X = small_splits[2].X[:20]
+        mu, sigma = hetero_raw_outputs(model, X, 1, make_rng(8))
+        (mu_s, sigma_s), _ = predict_samples(model, X, 1, make_rng(8))
+        np.testing.assert_array_equal(mu, mu_s)
+        np.testing.assert_array_equal(sigma, sigma_s)
+        assert not np.array_equal(mu[:, 0], model.raw_outputs(X)[0])
 
     def test_sigma_positive(self, small_splits):
         model = fit_small("hetero", splits=small_splits, max_epochs=10)
@@ -277,65 +285,121 @@ class TestHeteroRawOutputs:
         assert probs.shape == (20, 4, 2)
 
 
-class TestSerialization:
-    def test_model_round_trip_bit_exact(self, small_splits, tmp_path):
-        model = fit_small("hetero", splits=small_splits, max_epochs=10)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        for a, b in zip(layer_arrays(model, "w", "b"), layer_arrays(loaded, "w", "b")):
-            np.testing.assert_array_equal(a, b)
-        assert loaded.config == model.config
-        assert loaded.history == model.history
-        assert loaded.trained
+def assert_same_weights(a, b):
+    members_a = a.members if isinstance(a, Ensemble) else [a]
+    members_b = b.members if isinstance(b, Ensemble) else [b]
+    assert len(members_a) == len(members_b)
+    for m1, m2 in zip(members_a, members_b):
+        for x, y in zip(layer_arrays(m1, "w", "b"), layer_arrays(m2, "w", "b")):
+            np.testing.assert_array_equal(x, y)
+        assert m2.config == m1.config and m2.seed == m1.seed
+        assert m2.history == m1.history and m2.trained
 
-    def test_weights_and_gradients_share_one_buffer_each(self, small_splits, tmp_path):
-        model = fit_small("hetero", splits=small_splits, max_epochs=3)
+
+class TestSerialization:
+    @pytest.fixture(scope="class")
+    def fitted(self, small_splits):
+        balanced, val, _ = small_splits
+        return {
+            "vanilla": fit_small("homo", splits=small_splits, max_epochs=6),
+            "mc-dropout-hetero": fit_small("hetero", splits=small_splits, max_epochs=6,
+                                           dropout=0.2),
+            "ensemble": train_ensemble(small_config("homo", max_epochs=6), 3,
+                                       balanced.X, balanced.y, val.X, val.y, seed=5),
+        }
+
+    @staticmethod
+    def _assert_round_trip(fitted, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(fitted, path)
+        loaded = load_checkpoint(path)
+        assert type(loaded) is type(fitted)
+        assert_same_weights(fitted, loaded)
+
+    def test_vanilla_round_trip_bit_exact(self, fitted, tmp_path):
+        self._assert_round_trip(fitted["vanilla"], tmp_path)
+
+    def test_model_round_trip_bit_exact(self, fitted, tmp_path):
+        # a dual-head model with dropout, as mc-dropout predicts with
+        self._assert_round_trip(fitted["mc-dropout-hetero"], tmp_path)
+
+    def test_ensemble_round_trip_bit_exact(self, fitted, tmp_path):
+        self._assert_round_trip(fitted["ensemble"], tmp_path)
+
+    @pytest.mark.parametrize("name", ["mc-dropout-hetero", "ensemble"])
+    def test_save_load_save_gives_the_same_arrays(self, fitted, name, tmp_path):
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        save_checkpoint(fitted[name], first)
+        save_checkpoint(load_checkpoint(first), second)
+        with np.load(first) as a, np.load(second) as b:
+            assert a.files == b.files
+            for key in a.files:
+                np.testing.assert_array_equal(a[key], b[key])
+
+    def test_weights_and_gradients_share_one_buffer_each(self, fitted, tmp_path):
+        model = fitted["mc-dropout-hetero"]
         for names, buffer in ((("w", "b"), model.flat_params),
                               (("dw", "db"), model.flat_grads)):
             arrays = layer_arrays(model, *names)
             assert sum(a.size for a in arrays) == buffer.size
             for a in arrays:
                 assert a.base is buffer
-        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
-        save_model(model, first)
-        loaded = load_model(first)
+        path = tmp_path / "a.npz"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
         for a in layer_arrays(loaded, "w", "b"):
             assert a.base is loaded.flat_params
-        save_model(loaded, second)
-        with np.load(first) as a, np.load(second) as b:
-            assert a.files == b.files
-            for key in a.files:
-                np.testing.assert_array_equal(a[key], b[key])
 
-    def test_wrong_array_shape_rejected(self, small_splits, tmp_path):
-        model = fit_small("homo", splits=small_splits, max_epochs=2)
-        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
-        save_model(model, good)
-        with np.load(good) as npz:
+    @staticmethod
+    def _rewrite(src, dst, **changes):
+        with np.load(src) as npz:
             arrays = {key: npz[key] for key in npz.files}
-        arrays["layer0_w"] = np.zeros((7, 7))
+        arrays.update(changes)
+        np.savez(dst, **arrays)
+
+    def test_wrong_array_shape_rejected(self, fitted, tmp_path):
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["vanilla"], good)
+        self._rewrite(good, bad, m0_layer0_w=np.zeros((7, 7)))
+        with pytest.raises(DataFormatError, match="m0_layer0_w"):
+            load_checkpoint(bad)
+
+    def test_missing_array_rejected(self, fitted, tmp_path):
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["ensemble"], good)
+        with np.load(good) as npz:
+            arrays = {key: npz[key] for key in npz.files if key != "m2_layer1_b"}
         np.savez(bad, **arrays)
-        with pytest.raises(DataFormatError, match="layer0_w"):
-            load_model(bad)
+        with pytest.raises(DataFormatError, match="m2_layer1_b"):
+            load_checkpoint(bad)
 
-    def test_load_model_rejects_ensemble_checkpoint(self, small_splits, tmp_path):
-        balanced, val, _ = small_splits
-        ens = train_ensemble(small_config("homo", max_epochs=2), 2,
-                             balanced.X, balanced.y, val.X, val.y, seed=5)
-        path = tmp_path / "ens.npz"
-        save_ensemble(ens, path)
+    def test_format_1_file_rejected(self, fitted, tmp_path):
+        # the format-1 single-model layout: unprefixed arrays, bare meta
+        model = fitted["vanilla"]
+        arrays = {f"layer{i}_{name}": getattr(layer, name)
+                  for i, layer in enumerate(model.hidden + model._head_layers())
+                  for name in ("w", "b")}
+        path = tmp_path / "old.npz"
+        np.savez(path, format_version=np.int64(1),
+                 meta=json.dumps({"config": {}, "seed": model.seed}), **arrays)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("members"),
+        lambda meta: meta.pop("ensemble"),
+        lambda meta: meta.update(members=[]),
+        lambda meta: meta.update(ensemble="yes"),
+        lambda meta: meta.update(members={}),
+        lambda meta: meta.update(ensemble=False),  # three members, one model
+    ], ids=["no-members", "no-ensemble", "empty-members", "ensemble-not-bool",
+            "members-not-list", "single-with-three-members"])
+    def test_bad_meta_rejected(self, fitted, tmp_path, edit):
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["ensemble"], good)
+        with np.load(good) as npz:
+            meta = json.loads(str(npz["meta"]))
+        edit(meta)
+        self._rewrite(good, bad, meta=json.dumps(meta))
         with pytest.raises(DataFormatError):
-            load_model(path)
-
-    def test_ensemble_round_trip_bit_exact(self, small_splits, tmp_path):
-        balanced, val, _ = small_splits
-        ens = train_ensemble(small_config("homo", max_epochs=6), 3,
-                             balanced.X, balanced.y, val.X, val.y, seed=5)
-        path = tmp_path / "ens.npz"
-        save_ensemble(ens, path)
-        loaded = load_ensemble(path)
-        assert len(loaded) == 3
-        for m1, m2 in zip(ens.members, loaded.members):
-            for a, b in zip(layer_arrays(m1, "w", "b"), layer_arrays(m2, "w", "b")):
-                np.testing.assert_array_equal(a, b)
+            load_checkpoint(bad)
