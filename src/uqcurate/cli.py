@@ -28,6 +28,7 @@ import os
 import sys
 
 from . import __version__
+from .curation import SELECTORS
 from .data import generate_synthetic, parse_kv_file, save_csv
 from .errors import ConfigError, DataFormatError, DomainError, UqCurateError
 from .experiments import (
@@ -44,6 +45,7 @@ from .experiments import (
     spec_from_mapping,
 )
 from .metrics import mann_whitney_u
+from .models import UQ_METHODS
 from .nncore import make_rng
 
 PROFILE_PREFIX = "profile:"
@@ -216,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="feature CSV path, or 'synthetic'")
         p.add_argument("--out", help="output directory (or file for gen-data)")
         p.add_argument("--seed", type=int, help="base seed override")
-        p.add_argument("--uq", choices=["vanilla", "mc-dropout", "ensemble"],
+        p.add_argument("--uq", choices=UQ_METHODS,
                        help="weight-sampling method override")
         p.add_argument("--head", choices=["homo", "hetero"], help="model head override")
         if with_selector:
-            p.add_argument("--selector", choices=["ehal", "elah", "random"],
+            p.add_argument("--selector", choices=SELECTORS,
                            help="restrict comparison to one selector")
 
     p = sub.add_parser("gen-data", help="write a synthetic pool as CSV")

@@ -191,18 +191,24 @@ class LoopConfig:
             raise ConfigError("ensemble_size must be >= 2 for uncertainty splits")
         if self.uq_method == "mc-dropout" and self.mc_passes < 2:
             raise ConfigError("mc_passes must be >= 2 for uncertainty splits")
-        if not 0.0 < self.tranche_fraction <= 1.0:
-            raise ConfigError("tranche_fraction must be in (0, 1]")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        if self.uncertainty_source not in UNCERTAINTY_SOURCES:
-            raise ConfigError(
-                f"uncertainty_source must be one of {UNCERTAINTY_SOURCES}, "
-                f"got {self.uncertainty_source!r}"
-            )
-        total = self.seed_fraction + self.pool_fraction
-        if not (0.0 < self.seed_fraction and 0.0 < self.pool_fraction and total < 1.0):
-            raise ConfigError("seed and pool fractions must be positive and sum below 1")
+        check_loop_fields(self)
+
+
+def check_loop_fields(cfg) -> None:
+    """The ``LoopConfig`` checks that hold for any uq method, on any object
+    with its field names (an experiment spec checks them for every kind)."""
+    if not 0.0 < cfg.tranche_fraction <= 1.0:
+        raise ConfigError("tranche_fraction must be in (0, 1]")
+    if not 0.0 < cfg.val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must be in (0,1), got {cfg.val_fraction}")
+    if cfg.uncertainty_source not in UNCERTAINTY_SOURCES:
+        raise ConfigError(
+            f"uncertainty_source must be one of {UNCERTAINTY_SOURCES}, "
+            f"got {cfg.uncertainty_source!r}"
+        )
+    total = cfg.seed_fraction + cfg.pool_fraction
+    if not (0.0 < cfg.seed_fraction and 0.0 < cfg.pool_fraction and total < 1.0):
+        raise ConfigError("seed and pool fractions must be positive and sum below 1")
 
 
 @dataclass
@@ -251,12 +257,10 @@ def pool_uncertainty_records(fitted, pool: Dataset, cfg: LoopConfig,
     if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source == "entropy":
         mu, sigma = hetero_raw_outputs(fitted, pool.X, n_passes, rng)
         dec = hetero_decompose(mu, sigma, cfg.decompose_draws, make_rng(decompose_seed))
-        epi = np.atleast_1d(np.asarray(dec.entropy_epistemic))
-        ale = np.atleast_1d(np.asarray(dec.entropy_aleatoric))
+        epi, ale = dec.entropy_epistemic, dec.entropy_aleatoric
     else:
         samples = predict_samples(fitted, pool.X, n_passes, rng)[1]
-        epi = np.atleast_1d(np.asarray(mutual_information(samples)))
-        ale = np.atleast_1d(np.asarray(expected_entropy(samples)))
+        epi, ale = mutual_information(samples), expected_entropy(samples)
     return [
         UncertaintyRecord(
             id=str(pool.ids[i]),

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .curation import CurationConfig, CurationResult, LoopConfig, curation_loop
+from .curation import CurationConfig, LoopConfig, check_loop_fields, curation_loop
 from .data import (
     Dataset,
     SplitSpec,
@@ -123,15 +123,19 @@ class ExperimentSpec:
                             ("selectors", self.selectors)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key} lists a value more than once: {list(values)}")
-        if self.mc_passes < 1:
-            raise ConfigError("mc_passes must be >= 1")
+        if self.mc_passes < 1 or self.ensemble_size < 1:
+            raise ConfigError("mc_passes and ensemble_size must be >= 1")
         if self.decompose_draws < 1:
             raise ConfigError("decompose_draws must be >= 1")
-        # the model, loop and selector configs check their own fields; build
-        # them once here so a bad value fails before any data is generated
+        # every key enters the digest, so every kind checks every key: the
+        # model, split and selector configs check their own fields, built once
+        # here so a bad value fails before any data is generated
         model = self.model_config(1)
-        if self.kind in (SHIFT, GROWTH, TRAIN):
-            SplitSpec(self.train_fraction, self.val_fraction)
+        SplitSpec(self.train_fraction, self.val_fraction)
+        check_loop_fields(self)
+        for selector in self.selectors:
+            CurationConfig(n_to_select=1, n_ale_fraction=self.n_ale_fraction,
+                           selector=selector)
         if self.kind in (TRAIN, COMPARE) and len(self.uq_methods) != 1:
             raise ConfigError(f"{self.kind} fits one uq method, got {list(self.uq_methods)}")
         if self.kind == GROWTH:
@@ -143,39 +147,20 @@ class ExperimentSpec:
                 raise ConfigError(f"data-growth study fits ensembles only, got uq "
                                   f"{list(self.uq_methods)}")
         if self.kind == COMPARE:
-            self.loop_config(1)
-            for selector in self.selectors:
-                CurationConfig(n_to_select=1, n_ale_fraction=self.n_ale_fraction,
-                               selector=selector)
+            self.loop_config(1)  # the checks that depend on the uq method
+
+    def _shared(self, config_cls) -> dict:
+        """This spec's values of the fields it shares by name with ``config_cls``."""
+        own = {f.name for f in dataclasses.fields(self)}
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(config_cls) if f.name in own}
 
     def model_config(self, input_dim: int) -> ModelConfig:
-        return ModelConfig(
-            input_dim=input_dim,
-            hidden_layers=self.hidden_layers,
-            hidden_width=self.hidden_width,
-            dropout=self.dropout,
-            head=self.head,
-            learning_rate=self.learning_rate,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            batch_size=self.batch_size,
-            logit_samples=self.logit_samples,
-        )
+        return ModelConfig(input_dim=input_dim, **self._shared(ModelConfig))
 
     def loop_config(self, input_dim: int) -> LoopConfig:
-        return LoopConfig(
-            model=self.model_config(input_dim),
-            uq_method=self.uq_methods[0],
-            ensemble_size=self.ensemble_size,
-            mc_passes=self.mc_passes,
-            seed_fraction=self.seed_fraction,
-            pool_fraction=self.pool_fraction,
-            val_fraction=self.val_fraction,
-            tranche_fraction=self.tranche_fraction,
-            n_ale_fraction=self.n_ale_fraction,
-            decompose_draws=self.decompose_draws,
-            uncertainty_source=self.uncertainty_source,
-        )
+        return LoopConfig(model=self.model_config(input_dim), uq_method=self.uq_methods[0],
+                          **self._shared(LoopConfig))
 
     def resolved(self) -> dict:
         out = dataclasses.asdict(self)
@@ -227,6 +212,29 @@ def _base_dataset(spec: ExperimentSpec, data_seed: int) -> Dataset:
     return generate_synthetic(spec.synthetic, make_rng(data_seed))
 
 
+@dataclass
+class ExperimentResult:
+    spec: ExperimentSpec
+    rows: list[dict]                      # aggregated rows
+    run_rows: list[dict] = field(default_factory=list)   # per-repetition rows
+    outputs: dict = field(default_factory=dict)
+
+
+def _run_study(spec: ExperimentSpec, kind: str, one_rep, summarize, name: str,
+               out_dir) -> ExperimentResult:
+    """Run ``one_rep`` for every repetition, flatten its run rows in
+    repetition order, aggregate them with ``summarize`` and, with ``out_dir``
+    set, write the ``name``-prefixed result files."""
+    if spec.kind != kind:
+        raise ConfigError(f"spec kind is {spec.kind!r}, expected {kind!r}")
+    per_rep = _map_reps(one_rep, [(spec, r) for r in range(spec.repetitions)])
+    run_rows = [row for rows in per_rep for row in rows]
+    result = ExperimentResult(spec, summarize(spec, run_rows), run_rows)
+    if out_dir is not None:
+        _write_outputs(result, out_dir, name)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # quality-shift study
 # ---------------------------------------------------------------------------
@@ -265,22 +273,7 @@ def _shift_one_rep(args):
     return cells
 
 
-@dataclass
-class ExperimentResult:
-    kind: str
-    spec: ExperimentSpec
-    rows: list[dict]                      # aggregated rows
-    run_rows: list[dict] = field(default_factory=list)   # per-repetition rows
-    outputs: dict = field(default_factory=dict)
-
-
-def run_shift_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Mean +- std F1 and Brier per (method, intensity) over repetitions."""
-    if spec.kind != SHIFT:
-        raise ConfigError(f"spec kind is {spec.kind!r}, expected {SHIFT!r}")
-    per_rep = _map_reps(_shift_one_rep, [(spec, r) for r in range(spec.repetitions)])
-    run_rows = [cell for cells in per_rep for cell in cells]
-
+def _shift_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
     rows = []
     for method in spec.uq_methods:
         for intensity in spec.intensities:
@@ -295,11 +288,12 @@ def run_shift_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult
                 "std_brier": float(np.std(briers)),
                 "n_reps": len(f1s),
             })
-    result = ExperimentResult(SHIFT, spec, rows, run_rows)
-    if out_dir is not None:
-        _write_outputs(result, out_dir, summary_name="shift",
-                       run_fields=["method", "intensity", "rep", "f1", "brier"])
-    return result
+    return rows
+
+
+def run_shift_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
+    """Mean +- std F1 and Brier per (method, intensity) over repetitions."""
+    return _run_study(spec, SHIFT, _shift_one_rep, _shift_summary, "shift", out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +333,7 @@ def _growth_one_rep(args):
     return cells
 
 
-def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Test-set mean uncertainties as nested training subsets grow, with
-    relative deltas against the previous fraction."""
-    if spec.kind != GROWTH:
-        raise ConfigError(f"spec kind is {spec.kind!r}, expected {GROWTH!r}")
-    per_rep = _map_reps(_growth_one_rep, [(spec, r) for r in range(spec.repetitions)])
-    run_rows = [cell for cells in per_rep for cell in cells]
-
+def _growth_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
     rows = []
     prev_epi = prev_ale = None
     for fraction in spec.growth_fractions:
@@ -364,11 +351,13 @@ def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> Experiment
             "n_reps": len(epis),
         })
         prev_epi, prev_ale = mean_epi, mean_ale
-    result = ExperimentResult(GROWTH, spec, rows, run_rows)
-    if out_dir is not None:
-        _write_outputs(result, out_dir, summary_name="growth",
-                       run_fields=["fraction", "rep", "mean_epi", "mean_ale"])
-    return result
+    return rows
+
+
+def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
+    """Test-set mean uncertainties as nested training subsets grow, with
+    relative deltas against the previous fraction."""
+    return _run_study(spec, GROWTH, _growth_one_rep, _growth_summary, "growth", out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -381,42 +370,25 @@ def _compare_one_rep(args):
     data_seed, loop_seed = _rep_seeds(spec, rep, 2)
     base = _base_dataset(spec, data_seed)
     cfg = spec.loop_config(base.feature_dim)
-    out = {}
+    cells = []
     for selector in spec.selectors:
-        out[selector] = curation_loop(base, selector, cfg, seed=loop_seed)
-    return rep, out
+        res = curation_loop(base, selector, cfg, seed=loop_seed)
+        for row in res.rows:
+            tags = res.selected_noise_tags[: row.n_selected]
+            cells.append({
+                "selector": selector,
+                "rep": rep,
+                "round": row.round,
+                "fraction_added": row.fraction_added,
+                "f1": row.f1,
+                "mean_epi": row.mean_epi,
+                "mean_ale": row.mean_ale,
+                "selected_noisy_fraction": float(np.mean(tags)) if tags else float("nan"),
+            })
+    return cells
 
 
-def _noisy_fraction(result: CurationResult, upto: int | None = None) -> float:
-    tags = result.selected_noise_tags
-    if upto is not None:
-        tags = tags[:upto]
-    if not tags:
-        return float("nan")
-    return float(np.mean(tags))
-
-
-def run_selector_comparison(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Curation-loop learning curves per selector under shared seeds."""
-    if spec.kind != COMPARE:
-        raise ConfigError(f"spec kind is {spec.kind!r}, expected {COMPARE!r}")
-    per_rep = _map_reps(_compare_one_rep, [(spec, r) for r in range(spec.repetitions)])
-
-    run_rows = []
-    for rep, results in per_rep:
-        for selector, res in results.items():
-            for row in res.rows:
-                run_rows.append({
-                    "selector": selector,
-                    "rep": rep,
-                    "round": row.round,
-                    "fraction_added": row.fraction_added,
-                    "f1": row.f1,
-                    "mean_epi": row.mean_epi,
-                    "mean_ale": row.mean_ale,
-                    "selected_noisy_fraction": _noisy_fraction(res, upto=row.n_selected),
-                })
-
+def _compare_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
     rows = []
     rounds = sorted({r["round"] for r in run_rows})
     for selector in spec.selectors:
@@ -435,13 +407,12 @@ def run_selector_comparison(spec: ExperimentSpec, out_dir=None) -> ExperimentRes
                     [r["selected_noisy_fraction"] for r in sub])),
                 "n_reps": len(sub),
             })
-    result = ExperimentResult(COMPARE, spec, rows, run_rows)
-    if out_dir is not None:
-        _write_outputs(result, out_dir, summary_name="compare",
-                       run_fields=["selector", "rep", "round", "fraction_added", "f1",
-                                   "mean_epi", "mean_ale", "selected_noisy_fraction"])
-        _write_wide_f1(result, out_dir)
-    return result
+    return rows
+
+
+def run_selector_comparison(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
+    """Curation-loop learning curves per selector under shared seeds."""
+    return _run_study(spec, COMPARE, _compare_one_rep, _compare_summary, "compare", out_dir)
 
 
 def _write_wide_f1(result: ExperimentResult, out_dir) -> None:
@@ -486,21 +457,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_outputs(result: ExperimentResult, out_dir, summary_name: str,
-                   run_fields: list[str]) -> None:
+def _write_outputs(result: ExperimentResult, out_dir, name: str) -> None:
+    """Summary and runs CSVs (columns in row-dict order), compare's wide F1
+    CSV, then a manifest that lists them all."""
     os.makedirs(out_dir, exist_ok=True)
     spec = result.spec
     tag = spec.digest()
-    summary_path = os.path.join(out_dir, f"{summary_name}_summary_{tag}.csv")
-    runs_path = os.path.join(out_dir, f"{summary_name}_runs_{tag}.csv")
-    write_rows_csv(result.rows, list(result.rows[0].keys()), summary_path)
-    write_rows_csv(result.run_rows, run_fields, runs_path)
-    result.outputs["summary_csv"] = summary_path
-    result.outputs["runs_csv"] = runs_path
+    for key, rows in (("summary", result.rows), ("runs", result.run_rows)):
+        path = os.path.join(out_dir, f"{name}_{key}_{tag}.csv")
+        write_rows_csv(rows, list(rows[0].keys()), path)
+        result.outputs[f"{key}_csv"] = path
+    if spec.kind == COMPARE:
+        _write_wide_f1(result, out_dir)
     manifest = {
-        "kind": result.kind,
+        "kind": spec.kind,
         "spec": spec.resolved(),
-        "spec_digest": spec.digest(),
+        "spec_digest": tag,
         "tool_version": _version,
         "timestamp_unix": time.time(),
         "input_digests": (
@@ -509,7 +481,7 @@ def _write_outputs(result: ExperimentResult, out_dir, summary_name: str,
         "outputs": dict(result.outputs),
         "jobs": _workers(spec.repetitions),
     }
-    manifest_path = os.path.join(out_dir, f"{summary_name}_manifest_{tag}.json")
+    manifest_path = os.path.join(out_dir, f"{name}_manifest_{tag}.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     result.outputs["manifest_json"] = manifest_path

@@ -1,14 +1,18 @@
-"""Hot numeric kernels for the elementwise-heavy inner loops.
+"""The two training losses, fused forward and backward.
 
-Matrix products stay on numpy/BLAS; the kernels here cover the fused loss
-forward/backward passes.  Models have exactly two classes, so the sampled
-Gaussian-logit NLL is written in margin form on ``z1 - z0`` instead of a
-softmax over the class axis.
+Matrix products stay on numpy/BLAS; the kernels here cover the elementwise
+loss passes.  Each kernel checks its inputs (float64 contiguous arrays, one
+label per row, matching shapes, sigma > 0) and is what the models call.
+Models have exactly two classes, so the sampled Gaussian-logit NLL is
+written in margin form on ``z1 - z0`` instead of a softmax over the class
+axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "backend",
@@ -24,12 +28,21 @@ def backend() -> str:
     return "numpy"
 
 
+def _check_labels(labels, n: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise DimensionError(f"expected {n} labels, got shape {labels.shape}")
+    return labels.astype(np.int64)
+
+
 def softmax_xent(logits, labels):
     """Fused softmax + cross-entropy over a batch.
 
     Returns ``(loss, dlogits, probs)`` where loss is the batch mean of
     -log p[label] (p clamped at LOG_FLOOR) and dlogits = (probs - onehot)/B.
     """
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
+    labels = _check_labels(labels, logits.shape[0])
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e.sum(axis=1, keepdims=True)
@@ -58,6 +71,20 @@ def gaussian_logit_nll(mu, sigma, eps, labels):
     w = p_y / sum_s p_y of the likelihood, and the gradient on z1 is
     -s*(1 - p_y)*w/B, the negative of the one on z0.
     """
+    mu = np.ascontiguousarray(mu, dtype=np.float64)
+    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
+    eps = np.ascontiguousarray(eps, dtype=np.float64)
+    if mu.shape != sigma.shape:
+        raise DimensionError(f"mu {mu.shape} and sigma {sigma.shape} differ")
+    if mu.ndim != 2 or mu.shape[1] != 2:
+        raise DimensionError(f"expected (batch, 2) logits, got {mu.shape}")
+    if eps.ndim != 3 or eps.shape[0] != mu.shape[0] or eps.shape[2] != mu.shape[1]:
+        raise DimensionError(
+            f"eps shape {eps.shape} incompatible with mu shape {mu.shape}"
+        )
+    if np.any(sigma <= 0.0):
+        raise DomainError("sigma entries must be strictly positive")
+    labels = _check_labels(labels, mu.shape[0])
     n, n_draws, _ = eps.shape
     sign = (2 * labels - 1).astype(np.float64)[:, None]
     eps0 = eps[:, :, 0]

@@ -32,20 +32,18 @@ from .errors import (
     DivergenceError,
     ModelStateError,
 )
+from .kernels import gaussian_logit_nll, softmax_xent
 from .nncore import (
     AdamState,
     DropoutLayer,
     LinearLayer,
-    cross_entropy,
     make_rng,
     mc_softmax,
     relu,
     sigmoid,
     softmax,
-    softmax_cross_entropy,
     softplus,
     spawn_seeds,
-    stochastic_nll_from_draws,
 )
 
 Array = np.ndarray
@@ -204,7 +202,7 @@ class MlpModel:
     def _train_batch(self, X: Array, y: Array, rng: np.random.Generator) -> float:
         if self.config.head == HOMOSCEDASTIC:
             logits = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-            loss, dlogits, _ = softmax_cross_entropy(logits, y)
+            loss, dlogits, _ = softmax_xent(logits, y)
             pre_acts, _, _ = self._cache
             dh = self.head.backward(dlogits)
         else:
@@ -212,7 +210,7 @@ class MlpModel:
             eps = rng.standard_normal(
                 (X.shape[0], self.config.logit_samples, N_CLASSES)
             )
-            loss, dmu, dsigma = stochastic_nll_from_draws(mu, sigma, y, eps)
+            loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, eps, y)
             pre_acts, mu_pre, sigma_pre = self._cache
             dmu_pre = dmu * (mu_pre > 0.0)
             dsigma_pre = dsigma * sigmoid(sigma_pre)
@@ -225,14 +223,12 @@ class MlpModel:
         """Eval-mode loss; dual-head models redraw the same noise for a given
         eval_seed so losses are comparable across epochs."""
         if self.config.head == HOMOSCEDASTIC:
-            logits = self.raw_outputs(X)
-            return cross_entropy(softmax(logits), y)
+            return float(softmax_xent(self.raw_outputs(X), y)[0])
         mu, sigma = self.raw_outputs(X)
         eps = make_rng(eval_seed).standard_normal(
             (X.shape[0], self.config.logit_samples, N_CLASSES)
         )
-        loss, _, _ = stochastic_nll_from_draws(mu, sigma, y, eps)
-        return float(loss)
+        return gaussian_logit_nll(mu, sigma, eps, y)[0]
 
 
 def train_model(model: MlpModel, X_train: Array, y_train: Array,

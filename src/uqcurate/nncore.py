@@ -1,9 +1,9 @@
-"""Dense neural-network primitives: layers, activations, losses, Adam.
+"""Dense neural-network primitives: rng plumbing, activations, layers, Adam.
 
 Everything operates on float64 numpy arrays.  Batches are row-major: an
 input matrix has one instance per row.  All randomness flows through
 explicitly passed ``numpy.random.Generator`` streams so a fixed seed
-reproduces a run bit for bit.
+reproduces a run bit for bit.  The two training losses live in ``kernels``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, DomainError, ModelStateError
 
 Array = np.ndarray
-
-LOG_FLOOR = kernels.LOG_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -174,60 +171,6 @@ class DropoutLayer:
         if self._mask is None:
             return dout
         return dout * self._mask
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-
-def _check_labels(labels: Array, n: int) -> Array:
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise DimensionError(f"expected {n} labels, got shape {labels.shape}")
-    return labels.astype(np.int64)
-
-
-def cross_entropy(probs: Array, labels: Array) -> float:
-    """Mean -log p[label] over the batch, p clamped below at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = _check_labels(labels, probs.shape[0])
-    py = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.mean(np.log(np.maximum(py, LOG_FLOOR))))
-
-
-def softmax_cross_entropy(logits: Array, labels: Array):
-    """Fused softmax + cross-entropy.
-
-    Returns ``(loss, dlogits, probs)``; dlogits = (softmax(z) - onehot)/batch.
-    """
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[0])
-    return kernels.softmax_xent(logits, labels)
-
-
-def stochastic_nll_from_draws(mu: Array, sigma: Array, labels: Array, eps: Array):
-    """Sampled Gaussian-logit NLL for fixed noise draws.
-
-    ``eps`` has shape (batch, n_draws, 2); keeping it fixed makes the
-    returned gradients exact for finite-difference checks.
-    Returns ``(loss, dmu, dsigma)``.
-    """
-    mu = np.ascontiguousarray(mu, dtype=np.float64)
-    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
-    eps = np.ascontiguousarray(eps, dtype=np.float64)
-    if mu.shape != sigma.shape:
-        raise DimensionError(f"mu {mu.shape} and sigma {sigma.shape} differ")
-    if mu.ndim != 2 or mu.shape[1] != 2:
-        raise DimensionError(f"expected (batch, 2) logits, got {mu.shape}")
-    if eps.ndim != 3 or eps.shape[0] != mu.shape[0] or eps.shape[2] != mu.shape[1]:
-        raise DimensionError(
-            f"eps shape {eps.shape} incompatible with mu shape {mu.shape}"
-        )
-    if np.any(sigma <= 0.0):
-        raise DomainError("sigma entries must be strictly positive")
-    labels = _check_labels(labels, mu.shape[0])
-    return kernels.gaussian_logit_nll(mu, sigma, eps, labels)
 
 
 # ---------------------------------------------------------------------------

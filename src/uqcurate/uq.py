@@ -4,9 +4,11 @@ A "predictive sample" is one softmax distribution produced by one weight
 sample (one stochastic pass or one ensemble member).  Functions accept a
 stack of samples shaped ``(T, C)`` for a single instance or ``(N, T, C)``
 for a batch and reduce over the T axis; every estimator is symmetric in the
-samples.  ``models.predict_samples`` returns such a stack together with the
-raw head outputs it came from, so the sample-based measures and the dual-head
-(mu, sigma) decomposition below can be taken from one set of weight samples.
+samples.  The measures return numpy arrays with one entry per instance (0-d
+for a single instance).  ``models.predict_samples`` returns such a stack
+together with the raw head outputs it came from, so the sample-based measures
+and the dual-head (mu, sigma) decomposition below can be taken from one set of
+weight samples.
 
 Two decomposition routes are provided:
 
@@ -17,9 +19,9 @@ Two decomposition routes are provided:
   variance of the per-sample probabilities (epistemic).
 
 For dual-head (mu, sigma) models an additional pair of entropies is derived
-from two synthetic distributions: ``p_ale`` pushes the mean logits through
-softmax with the pooled sigma, and ``p_epi`` does the same with the spread of
-mu across weight samples.
+from two synthetic distributions: the aleatoric one pushes the mean logits
+through softmax with the pooled sigma, and the epistemic one does the same
+with the spread of mu across weight samples.
 """
 
 from __future__ import annotations
@@ -50,34 +52,29 @@ def mean_predictive(samples) -> Array:
     return _as_samples(samples).mean(axis=-2)
 
 
-def predictive_entropy(p) -> float | Array:
+def predictive_entropy(p) -> Array:
     """Shannon entropy in nats, with 0*log(0) taken as 0."""
     p = np.asarray(p, dtype=np.float64)
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    h = -terms.sum(axis=-1)
-    return float(h) if h.ndim == 0 else h
+    return -terms.sum(axis=-1)
 
 
-def expected_entropy(samples) -> float | Array:
+def expected_entropy(samples) -> Array:
     """Mean entropy of the individual samples (aleatoric measure)."""
-    a = _as_samples(samples)
-    h = predictive_entropy(a)
-    out = np.asarray(h).mean(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return predictive_entropy(_as_samples(samples)).mean(axis=-1)
 
 
-def mutual_information(samples) -> float | Array:
+def mutual_information(samples) -> Array:
     """Entropy of the mean minus mean entropy (epistemic measure).
 
     Tiny negative values from floating point are clamped to 0; anything
     below -1e-9 indicates invalid inputs and raises.
     """
     a = _as_samples(samples)
-    mi = np.asarray(predictive_entropy(mean_predictive(a))) - np.asarray(expected_entropy(a))
+    mi = predictive_entropy(mean_predictive(a)) - expected_entropy(a)
     if np.any(mi < -_MI_TOL):
         raise DomainError("mutual information below numerical tolerance; inputs are not distributions")
-    mi = np.maximum(mi, 0.0)
-    return float(mi) if mi.ndim == 0 else mi
+    return np.maximum(mi, 0.0)
 
 
 def total_variance_decompose(samples):
@@ -95,10 +92,7 @@ def total_variance_decompose(samples):
     p = a[..., 1]
     var_ale = np.mean(p * (1.0 - p), axis=-1)
     var_epi = np.var(p, axis=-1)
-    var_total = var_ale + var_epi
-    if var_total.ndim == 0:
-        return float(var_total), float(var_epi), float(var_ale)
-    return var_total, var_epi, var_ale
+    return var_ale + var_epi, var_epi, var_ale
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +102,8 @@ def total_variance_decompose(samples):
 
 @dataclass
 class HeteroDecomposition:
-    entropy_aleatoric: float | Array
-    entropy_epistemic: float | Array
-    p_ale: Array
-    p_epi: Array
+    entropy_aleatoric: Array
+    entropy_epistemic: Array
 
 
 def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
@@ -146,8 +138,6 @@ def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
     return HeteroDecomposition(
         entropy_aleatoric=predictive_entropy(p_ale),
         entropy_epistemic=predictive_entropy(p_epi),
-        p_ale=p_ale,
-        p_epi=p_epi,
     )
 
 
@@ -176,11 +166,10 @@ def summarize(samples) -> list[UqSummary]:
     if a.ndim == 2:
         a = a[None, ...]
     p_bar = mean_predictive(a)
-    h_total = np.asarray(predictive_entropy(p_bar))
-    h_exp = np.asarray(expected_entropy(a))
-    mi = np.asarray(mutual_information(a))
+    h_total = predictive_entropy(p_bar)
+    h_exp = expected_entropy(a)
+    mi = mutual_information(a)
     vt, ve, va = total_variance_decompose(a)
-    vt, ve, va = np.asarray(vt), np.asarray(ve), np.asarray(va)
     return [
         UqSummary(
             entropy_total=float(h_total[i]),
@@ -200,8 +189,8 @@ def summarize_hetero(mu_samples, sigma_samples, member_probs, n_draws: int = 50,
     predictive distributions plus the (mu, sigma)-derived entropy pair."""
     out = summarize(member_probs)
     dec = hetero_decompose(mu_samples, sigma_samples, n_draws=n_draws, rng=rng)
-    h_ale = np.atleast_1d(np.asarray(dec.entropy_aleatoric))
-    h_epi = np.atleast_1d(np.asarray(dec.entropy_epistemic))
+    h_ale = np.atleast_1d(dec.entropy_aleatoric)
+    h_epi = np.atleast_1d(dec.entropy_epistemic)
     if len(out) != h_ale.shape[0]:
         raise DimensionError("member_probs and mu/sigma samples disagree on instance count")
     for i, s in enumerate(out):

@@ -15,13 +15,9 @@ import numpy as np
 
 from uqcurate.curation import _record_arrays
 from uqcurate.errors import DomainError
+from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
-from uqcurate.nncore import (
-    make_rng,
-    sigmoid,
-    softmax_cross_entropy,
-    stochastic_nll_from_draws,
-)
+from uqcurate.nncore import make_rng, sigmoid
 
 
 def naive_matmul_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,10 +87,10 @@ def model_loss(model: MlpModel, X, y, eps=None, mask_seed: int = 123) -> float:
     rng = make_rng(mask_seed)
     if model.config.head == HOMOSCEDASTIC:
         logits = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, _, _ = softmax_cross_entropy(logits, y)
+        loss, _, _ = softmax_xent(logits, y)
     else:
         mu, sigma = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, _, _ = stochastic_nll_from_draws(mu, sigma, y, eps)
+        loss, _, _ = gaussian_logit_nll(mu, sigma, eps, y)
     model._cache = None
     return float(loss)
 
@@ -103,12 +99,12 @@ def model_loss_and_grads(model: MlpModel, X, y, eps=None, mask_seed: int = 123):
     rng = make_rng(mask_seed)
     if model.config.head == HOMOSCEDASTIC:
         logits = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, dlogits, _ = softmax_cross_entropy(logits, y)
+        loss, dlogits, _ = softmax_xent(logits, y)
         pre_acts, _, _ = model._cache
         dh = model.head.backward(dlogits)
     else:
         mu, sigma = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, dmu, dsigma = stochastic_nll_from_draws(mu, sigma, y, eps)
+        loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, eps, y)
         pre_acts, mu_pre, sigma_pre = model._cache
         dh = model.head_mu.backward(dmu * (mu_pre > 0.0))
         dh = dh + model.head_sigma.backward(dsigma * sigmoid(sigma_pre))

@@ -291,6 +291,15 @@ class TestFailBeforeCompute:
         ("growth", "growth_fractions = 0.6,0.6"),
         ("growth", "growth_fractions = 1.0,0.6"),
         ("shift", "seed = -1"),               # negative seed
+        # every key enters the digest, so every kind checks it
+        ("shift", "uncertainty_source = bogus"),
+        ("growth", "uncertainty_source = bogus"),
+        ("train", "uncertainty_source = bogus"),
+        ("shift", "selectors = best"),
+        ("shift", "tranche_fraction = 7"),
+        ("train", "ensemble_size = 0"),
+        ("train", "pool_fraction = 0.9"),
+        ("compare", "train_fraction = 7"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, no_compute, command, line):
         # growth fits ensembles only, so a --uq flag would be an error of its own

@@ -171,6 +171,20 @@ class TestParallelism:
             assert open(seq.outputs[key], "rb").read() == open(par.outputs[key], "rb").read()
 
 
+class TestManifest:
+    @pytest.mark.parametrize("kind, runner, overrides", [
+        (SHIFT, run_shift_experiment, dict(intensities=(0.0,), uq_methods=("vanilla",))),
+        (GROWTH, run_data_growth_experiment, dict(growth_fractions=(1.0,))),
+        (COMPARE, run_selector_comparison, dict(selectors=("ehal",), tranche_fraction=0.5)),
+    ], ids=["shift", "growth", "compare"])
+    def test_lists_every_csv_written(self, tmp_path, kind, runner, overrides):
+        result = runner(smoke_spec(kind, **overrides), out_dir=tmp_path)
+        manifest = json.load(open(result.outputs["manifest_json"]))
+        csvs = {k: v for k, v in result.outputs.items() if v.endswith(".csv")}
+        assert "runs_csv" in csvs
+        assert {k: manifest["outputs"].get(k) for k in csvs} == csvs
+
+
 class _RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers and runs the
     work in this process, so no worker is ever started."""

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import gaussian_logit_nll_loop
 from uqcurate import kernels
+from uqcurate.errors import DimensionError, DomainError
 
 
 def _random_case(seed, n=32, n_draws=12, n_classes=2):
@@ -76,3 +77,24 @@ def test_gaussian_nll_large_margins():
     eps = rng.standard_normal((4, 20, 2))
     for labels in ([1, 0, 0, 1], [0, 1, 1, 0]):
         _assert_nll_matches_loop(mu, sigma, eps, np.array(labels))
+
+
+_MU, _EPS, _LABELS = np.ones((4, 2)), np.zeros((4, 3, 2)), np.array([0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("kernel, args, error", [
+    (kernels.softmax_xent, (_MU, _LABELS[:3]), DimensionError),
+    (kernels.gaussian_logit_nll, (_MU, _MU[:3], _EPS, _LABELS), DimensionError),
+    (kernels.gaussian_logit_nll,
+     (np.ones((4, 3)), np.ones((4, 3)), np.zeros((4, 3, 3)), _LABELS), DimensionError),
+    (kernels.gaussian_logit_nll, (_MU, _MU, _EPS[:3], _LABELS), DimensionError),
+    (kernels.gaussian_logit_nll, (_MU, _MU, np.zeros((4, 3, 3)), _LABELS), DimensionError),
+    (kernels.gaussian_logit_nll, (_MU, _MU, _EPS, _LABELS[:3]), DimensionError),
+    (kernels.gaussian_logit_nll, (_MU, np.array([[1.0, 0.0]] * 4), _EPS, _LABELS),
+     DomainError),
+    (kernels.gaussian_logit_nll, (_MU, -_MU, _EPS, _LABELS), DomainError),
+], ids=["xent-labels", "mu-sigma-differ", "mu-not-b2", "eps-batch", "eps-classes",
+        "nll-labels", "sigma-zero", "sigma-negative"])
+def test_bad_inputs_rejected(kernel, args, error):
+    with pytest.raises(error):
+        kernel(*args)

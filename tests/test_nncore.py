@@ -5,19 +5,17 @@ import pytest
 
 from helpers import naive_matmul_bias
 from uqcurate.errors import DimensionError, DomainError, ModelStateError
+from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.nncore import (
     AdamState,
     DropoutLayer,
     LinearLayer,
     child_seed,
-    cross_entropy,
     make_rng,
     relu,
     softmax,
-    softmax_cross_entropy,
     softplus,
     spawn_seeds,
-    stochastic_nll_from_draws,
 )
 
 
@@ -108,27 +106,30 @@ class TestDropout:
             DropoutLayer(1.0)
 
 
+# the two training losses, from ``uqcurate.kernels``
+
+
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        loss = cross_entropy(np.array([[1.0, 0.0]]), np.array([0]))
-        assert loss <= 1e-12 * 10
+        loss, _, _ = softmax_xent(np.array([[40.0, 0.0]]), np.array([0]))
+        assert loss <= 1e-11
 
     def test_uniform_prediction(self):
-        loss = cross_entropy(np.array([[0.5, 0.5]]), np.array([1]))
+        loss, _, _ = softmax_xent(np.array([[0.3, 0.3]]), np.array([1]))
         assert loss == pytest.approx(math.log(2), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((6, 2))
         labels = rng.integers(0, 2, 6)
-        _, dlogits, _ = softmax_cross_entropy(logits, labels)
+        _, dlogits, _ = softmax_xent(logits, labels)
         h = 1e-5
         for i in range(6):
             for c in range(2):
                 pert = logits.copy()
                 pert[i, c] += h
-                lp, _, _ = softmax_cross_entropy(pert, labels)
+                lp, _, _ = softmax_xent(pert, labels)
                 pert[i, c] -= 2 * h
-                lm, _, _ = softmax_cross_entropy(pert, labels)
+                lm, _, _ = softmax_xent(pert, labels)
                 fd = (lp - lm) / (2 * h)
                 rel = abs(fd - dlogits[i, c]) / max(abs(fd), abs(dlogits[i, c]), 1e-6)
                 assert rel < 1e-4
@@ -140,8 +141,8 @@ class TestStochasticNll:
         sigma = np.full((5, 2), 1e-9)
         labels = rng.integers(0, 2, 5)
         eps = make_rng(3).standard_normal((5, 20, 2))
-        loss, _, _ = stochastic_nll_from_draws(mu, sigma, labels, eps)
-        expected = cross_entropy(softmax(mu), labels)
+        loss, _, _ = gaussian_logit_nll(mu, sigma, eps, labels)
+        expected = softmax_xent(mu, labels)[0]
         assert loss == pytest.approx(expected, abs=1e-6)
 
     def test_symmetric_mu_gives_log2(self):
@@ -149,7 +150,7 @@ class TestStochasticNll:
         sigma = np.full((200, 2), 0.7)
         labels = np.zeros(200, dtype=np.int64)
         eps = make_rng(5).standard_normal((200, 400, 2))
-        loss, _, _ = stochastic_nll_from_draws(mu, sigma, labels, eps)
+        loss, _, _ = gaussian_logit_nll(mu, sigma, eps, labels)
         # equal-coordinate noise keeps the two classes exchangeable on average
         assert loss == pytest.approx(math.log(2), abs=0.01)
 
@@ -158,16 +159,16 @@ class TestStochasticNll:
         sigma = rng.uniform(0.2, 1.5, (4, 2))
         labels = rng.integers(0, 2, 4)
         eps = rng.standard_normal((4, 9, 2))
-        _, dmu, dsigma = stochastic_nll_from_draws(mu, sigma, labels, eps)
+        _, dmu, dsigma = gaussian_logit_nll(mu, sigma, eps, labels)
         h = 1e-5
         for arr, grad in ((mu, dmu), (sigma, dsigma)):
             for i in range(4):
                 for c in range(2):
                     orig = arr[i, c]
                     arr[i, c] = orig + h
-                    lp, _, _ = stochastic_nll_from_draws(mu, sigma, labels, eps)
+                    lp, _, _ = gaussian_logit_nll(mu, sigma, eps, labels)
                     arr[i, c] = orig - h
-                    lm, _, _ = stochastic_nll_from_draws(mu, sigma, labels, eps)
+                    lm, _, _ = gaussian_logit_nll(mu, sigma, eps, labels)
                     arr[i, c] = orig
                     fd = (lp - lm) / (2 * h)
                     rel = abs(fd - grad[i, c]) / max(abs(fd), abs(grad[i, c]), 1e-6)
@@ -177,7 +178,7 @@ class TestStochasticNll:
         mu = np.zeros((2, 2))
         sigma = np.array([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DomainError):
-            stochastic_nll_from_draws(mu, sigma, np.zeros(2), rng.standard_normal((2, 3, 2)))
+            gaussian_logit_nll(mu, sigma, rng.standard_normal((2, 3, 2)), np.zeros(2))
 
 
 class TestAdam:
