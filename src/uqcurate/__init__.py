@@ -47,7 +47,6 @@ from .models import (
 from .curation import (
     CurationConfig,
     CurationResult,
-    LoopConfig,
     UncertaintyRecord,
     curate,
     curation_loop,

@@ -29,7 +29,7 @@ import sys
 
 from . import __version__
 from .curation import SELECTORS
-from .data import generate_synthetic, parse_kv_file, save_csv
+from .data import generate_synthetic, parse_kv_file, save_csv, utf8_lines
 from .errors import ConfigError, DataFormatError, DomainError, UqCurateError
 from .experiments import (
     COMPARE,
@@ -45,7 +45,7 @@ from .experiments import (
     spec_from_mapping,
 )
 from .metrics import mann_whitney_u
-from .models import UQ_METHODS
+from .models import HEADS, UQ_METHODS
 from .nncore import make_rng
 
 PROFILE_PREFIX = "profile:"
@@ -166,7 +166,7 @@ def _cmd_report(args) -> int:
     group_b: list[float] = []
     for path in args.results_csv:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(utf8_lines(fh, DataFormatError))
             header = reader.fieldnames or []
             for col in (args.col_a, args.col_b):
                 if col not in header:
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base seed override")
         p.add_argument("--uq", choices=UQ_METHODS,
                        help="weight-sampling method override")
-        p.add_argument("--head", choices=["homo", "hetero"], help="model head override")
+        p.add_argument("--head", choices=HEADS, help="model head override")
         if with_selector:
             p.add_argument("--selector", choices=SELECTORS,
                            help="restrict comparison to one selector")

@@ -25,7 +25,8 @@ after every round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .models import (HETEROSCEDASTIC, ModelConfig, fit_method, hetero_raw_output
                      method_passes, predict_samples)
 from .nncore import child_seed, make_rng, spawn_seeds
 from .uq import expected_entropy, hetero_decompose, mean_predictive, mutual_information
+
+if TYPE_CHECKING:  # experiments imports this module
+    from .experiments import ExperimentSpec
 
 Array = np.ndarray
 
@@ -156,107 +160,57 @@ UNCERTAINTY_SOURCES = ("entropy", "sample")
 
 
 @dataclass
-class LoopConfig:
-    """Configuration of one retrain-and-select run.
-
-    ``uncertainty_source`` picks the (epistemic, aleatoric) pair used to
-    score the pool:
-
-    * ``entropy`` (default) -- dual-head models use the (mu, sigma)-derived
-      entropy pair; single-head models use (mutual information, expected
-      entropy).
-    * ``sample``  -- (mutual information, expected entropy) from the member
-      predictive distributions, for either head.
-    """
-
-    model: ModelConfig
-    uq_method: str = "ensemble"         # 'ensemble' or 'mc-dropout'
-    ensemble_size: int = 5
-    mc_passes: int = 30
-    seed_fraction: float = 0.2
-    pool_fraction: float = 0.6
-    val_fraction: float = 0.1
-    tranche_fraction: float = 0.1       # of the original pool, per round
-    n_ale_fraction: float = 0.1
-    decompose_draws: int = 200
-    uncertainty_source: str = "entropy"
-
-    def __post_init__(self):
-        if self.uq_method not in ("ensemble", "mc-dropout"):
-            raise ConfigError(
-                "curation needs multiple weight samples: uq_method must be "
-                f"'ensemble' or 'mc-dropout', got {self.uq_method!r}"
-            )
-        if self.uq_method == "ensemble" and self.ensemble_size < 2:
-            raise ConfigError("ensemble_size must be >= 2 for uncertainty splits")
-        if self.uq_method == "mc-dropout" and self.mc_passes < 2:
-            raise ConfigError("mc_passes must be >= 2 for uncertainty splits")
-        check_loop_fields(self)
-
-
-def check_loop_fields(cfg) -> None:
-    """The ``LoopConfig`` checks that hold for any uq method, on any object
-    with its field names (an experiment spec checks them for every kind)."""
-    if not 0.0 < cfg.tranche_fraction <= 1.0:
-        raise ConfigError("tranche_fraction must be in (0, 1]")
-    if not 0.0 < cfg.val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must be in (0,1), got {cfg.val_fraction}")
-    if cfg.uncertainty_source not in UNCERTAINTY_SOURCES:
-        raise ConfigError(
-            f"uncertainty_source must be one of {UNCERTAINTY_SOURCES}, "
-            f"got {cfg.uncertainty_source!r}"
-        )
-    total = cfg.seed_fraction + cfg.pool_fraction
-    if not (0.0 < cfg.seed_fraction and 0.0 < cfg.pool_fraction and total < 1.0):
-        raise ConfigError("seed and pool fractions must be positive and sum below 1")
-
-
-@dataclass
 class CurveRow:
     round: int
     fraction_added: float
     f1: float
     mean_epi: float
     mean_ale: float
-    n_selected: int = 0
+    selected_noisy_fraction: float   # of the picks so far; NaN without picks or tags
 
 
 @dataclass
 class CurationResult:
     selected_ids: list[str]
     rows: list[CurveRow]
-    selected_noise_tags: list[bool] = field(default_factory=list)
 
 
-def _fit_uq_model(cfg: LoopConfig, train_ds: Dataset, seed: int):
+def _fit_uq_model(spec: ExperimentSpec, model: ModelConfig, train_ds: Dataset, seed: int):
     """Standard protocol: carve validation, balance the train share, fit;
     each step draws from its own child of ``seed``."""
     carve_seed, balance_seed, fit_seed = spawn_seeds(seed, 3)
     n = len(train_ds)
     perm = make_rng(carve_seed).permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
+    n_val = max(1, int(round(spec.val_fraction * n)))
     if n - n_val < 2:
         raise ConfigError("training partition too small for a validation carve")
     val_ds = train_ds.subset(perm[:n_val])
     fit_ds = undersample_balance(train_ds.subset(perm[n_val:]), make_rng(balance_seed))
-    return fit_method(cfg.uq_method, cfg.model, cfg.ensemble_size,
+    return fit_method(spec.uq_methods[0], model, spec.ensemble_size,
                       fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, fit_seed)
 
 
-def pool_uncertainty_records(fitted, pool: Dataset, cfg: LoopConfig,
+def pool_uncertainty_records(fitted, pool: Dataset, spec: ExperimentSpec,
                              seed: int) -> list[UncertaintyRecord]:
-    """Score every pool instance with the configured uncertainty split.
+    """Score every pool instance with the spec's uncertainty split.
 
-    Both halves of the (epistemic, aleatoric) pair come from one set of
-    weight samples, so each member's forward pass runs once.  The weight
-    samples and the entropy decomposition draw from two children of ``seed``.
+    ``uncertainty_source`` picks the (epistemic, aleatoric) pair:
+
+    * ``entropy`` -- dual-head models use the (mu, sigma)-derived entropy
+      pair; single-head models use (mutual information, expected entropy).
+    * ``sample``  -- (mutual information, expected entropy) from the member
+      predictive distributions, for either head.
+
+    Both halves of the pair come from one set of weight samples, so each
+    member's forward pass runs once.  The weight samples and the entropy
+    decomposition draw from two children of ``seed``.
     """
     predict_seed, decompose_seed = spawn_seeds(seed, 2)
-    n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
+    n_passes = method_passes(spec.uq_methods[0], spec.mc_passes)
     rng = make_rng(predict_seed)
-    if cfg.model.head == HETEROSCEDASTIC and cfg.uncertainty_source == "entropy":
+    if fitted.config.head == HETEROSCEDASTIC and spec.uncertainty_source == "entropy":
         mu, sigma = hetero_raw_outputs(fitted, pool.X, n_passes, rng)
-        dec = hetero_decompose(mu, sigma, cfg.decompose_draws, make_rng(decompose_seed))
+        dec = hetero_decompose(mu, sigma, spec.decompose_draws, make_rng(decompose_seed))
         epi, ale = dec.entropy_epistemic, dec.entropy_aleatoric
     else:
         samples = predict_samples(fitted, pool.X, n_passes, rng)[1]
@@ -271,8 +225,10 @@ def pool_uncertainty_records(fitted, pool: Dataset, cfg: LoopConfig,
     ]
 
 
-def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -> CurationResult:
-    """Iterative selection study on one dataset shuffle.
+def curation_loop(dataset: Dataset, selector: str, spec: ExperimentSpec,
+                  seed: int) -> CurationResult:
+    """Iterative selection study on one dataset shuffle, under the fractions,
+    uq method and model fields of ``spec``.
 
     Split into seed/pool/test partitions, then alternate: fit the uncertainty
     model on the current training set, score the remaining pool, select one
@@ -288,8 +244,8 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
 
     n = len(dataset)
     perm = make_rng(split_seed).permutation(n)
-    n_seed = int(round(cfg.seed_fraction * n))
-    n_pool = int(round(cfg.pool_fraction * n))
+    n_seed = int(round(spec.seed_fraction * n))
+    n_pool = int(round(spec.pool_fraction * n))
     if n_seed < 4 or n_pool < 1 or n - n_seed - n_pool < 1:
         raise ConfigError(f"dataset of {n} instances does not support the loop split")
     train_idx = list(perm[:n_seed])
@@ -299,9 +255,10 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
         raise ConfigError("seed partition is single-class; reshuffle or enlarge it")
 
     pool0 = len(pool_idx)
-    tranche = max(1, int(round(cfg.tranche_fraction * pool0)))
+    tranche = max(1, int(round(spec.tranche_fraction * pool0)))
     id_to_index = {str(dataset.ids[i]): i for i in pool_idx}
-    n_passes = method_passes(cfg.uq_method, cfg.mc_passes)
+    model = spec.model_config(dataset.feature_dim)
+    n_passes = method_passes(spec.uq_methods[0], spec.mc_passes)
 
     selected: list[str] = []
     rows: list[CurveRow] = []
@@ -309,13 +266,13 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
     while True:
         fit_seed = int(round_seed_rng.integers(0, 2**63))
         test_seed, score_seed = spawn_seeds(child_seed(eval_seed, rounds), 2)
-        fitted = _fit_uq_model(cfg, dataset.subset(train_idx), fit_seed)
+        fitted = _fit_uq_model(spec, model, dataset.subset(train_idx), fit_seed)
         probs = mean_predictive(
             predict_samples(fitted, test_ds.X, n_passes, make_rng(test_seed))[1])
         f1 = classification_report(probs, test_ds.y).f1
 
         if pool_idx:
-            records = pool_uncertainty_records(fitted, dataset.subset(pool_idx), cfg, score_seed)
+            records = pool_uncertainty_records(fitted, dataset.subset(pool_idx), spec, score_seed)
             mean_epi = float(np.mean([r.epistemic for r in records]))
             mean_ale = float(np.mean([r.aleatoric for r in records]))
         else:
@@ -323,14 +280,17 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
             mean_epi = float("nan")
             mean_ale = float("nan")
 
-        rows.append(CurveRow(rounds, len(selected) / pool0, f1, mean_epi, mean_ale,
-                             len(selected)))
+        # the picks were appended to the training indices in selection order
+        picks = train_idx[n_seed:]
+        noisy = (float(np.mean(dataset.noise_tags[picks]))
+                 if picks and dataset.noise_tags is not None else float("nan"))
+        rows.append(CurveRow(rounds, len(selected) / pool0, f1, mean_epi, mean_ale, noisy))
         if not pool_idx:
             break
 
         pick_cfg = CurationConfig(
             n_to_select=min(tranche, len(pool_idx)),
-            n_ale_fraction=cfg.n_ale_fraction,
+            n_ale_fraction=spec.n_ale_fraction,
             selector=selector,
         )
         picked = curate(records, pick_cfg, rng=selector_rng)
@@ -340,9 +300,4 @@ def curation_loop(dataset: Dataset, selector: str, cfg: LoopConfig, seed: int) -
             train_idx.append(idx)
             pool_idx.remove(idx)
         rounds += 1
-
-    tags = []
-    if dataset.noise_tags is not None:
-        # the picks were appended to the training indices in selection order
-        tags = [bool(dataset.noise_tags[i]) for i in train_idx[n_seed:]]
-    return CurationResult(selected_ids=selected, rows=rows, selected_noise_tags=tags)
+    return CurationResult(selected_ids=selected, rows=rows)

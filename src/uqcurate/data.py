@@ -87,7 +87,7 @@ def _expected_header(d: int, with_tag: bool) -> list[str]:
 def load_csv(path) -> Dataset:
     """Parse the documented CSV format; row order is preserved."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, DataFormatError))
         try:
             header = next(reader)
         except StopIteration:
@@ -297,12 +297,21 @@ def generate_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset
 # ---------------------------------------------------------------------------
 
 
+def utf8_lines(fh, error: type[Exception]):
+    """The lines of a text file opened as UTF-8; bytes that are not UTF-8
+    raise ``error`` naming the file instead of a ``UnicodeDecodeError``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise error(f"{fh.name}: not UTF-8 text") from None
+
+
 def parse_kv_file(path) -> dict[str, str]:
     """Plain-text config: one ``key = value`` per line, '#' comments, blank
     lines ignored.  Later duplicates override earlier ones."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh, ConfigError), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

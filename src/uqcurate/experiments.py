@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .curation import CurationConfig, LoopConfig, check_loop_fields, curation_loop
+from .curation import UNCERTAINTY_SOURCES, CurationConfig, curation_loop
 from .data import (
     Dataset,
     SplitSpec,
@@ -127,40 +127,53 @@ class ExperimentSpec:
             raise ConfigError("mc_passes and ensemble_size must be >= 1")
         if self.decompose_draws < 1:
             raise ConfigError("decompose_draws must be >= 1")
+        if not 0.0 < self.tranche_fraction <= 1.0:
+            raise ConfigError("tranche_fraction must be in (0, 1]")
+        if self.uncertainty_source not in UNCERTAINTY_SOURCES:
+            raise ConfigError(
+                f"uncertainty_source must be one of {UNCERTAINTY_SOURCES}, "
+                f"got {self.uncertainty_source!r}"
+            )
+        total = self.seed_fraction + self.pool_fraction
+        if not (0.0 < self.seed_fraction and 0.0 < self.pool_fraction and total < 1.0):
+            raise ConfigError("seed and pool fractions must be positive and sum below 1")
         # every key enters the digest, so every kind checks every key: the
         # model, split and selector configs check their own fields, built once
         # here so a bad value fails before any data is generated
-        model = self.model_config(1)
+        self.model_config(1)
         SplitSpec(self.train_fraction, self.val_fraction)
-        check_loop_fields(self)
         for selector in self.selectors:
             CurationConfig(n_to_select=1, n_ale_fraction=self.n_ale_fraction,
                            selector=selector)
         if self.kind in (TRAIN, COMPARE) and len(self.uq_methods) != 1:
             raise ConfigError(f"{self.kind} fits one uq method, got {list(self.uq_methods)}")
         if self.kind == GROWTH:
-            if model.head != HETEROSCEDASTIC:
-                raise ConfigError("data-growth study requires the heteroscedastic head")
+            if self.head != HETEROSCEDASTIC:
+                raise ConfigError("data-growth study requires head = hetero")
             if self.ensemble_size < 2:
                 raise ConfigError("data-growth study needs ensemble_size >= 2")
             if self.uq_methods != ("ensemble",):
                 raise ConfigError(f"data-growth study fits ensembles only, got uq "
                                   f"{list(self.uq_methods)}")
         if self.kind == COMPARE:
-            self.loop_config(1)  # the checks that depend on the uq method
-
-    def _shared(self, config_cls) -> dict:
-        """This spec's values of the fields it shares by name with ``config_cls``."""
-        own = {f.name for f in dataclasses.fields(self)}
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(config_cls) if f.name in own}
+            uq = self.uq_methods[0]
+            if uq not in ("ensemble", "mc-dropout"):
+                raise ConfigError(
+                    "curation needs multiple weight samples: uq_method must be "
+                    f"'ensemble' or 'mc-dropout', got {uq!r}"
+                )
+            if uq == "ensemble" and self.ensemble_size < 2:
+                raise ConfigError("ensemble_size must be >= 2 for uncertainty splits")
+            if uq == "mc-dropout" and self.mc_passes < 2:
+                raise ConfigError("mc_passes must be >= 2 for uncertainty splits")
 
     def model_config(self, input_dim: int) -> ModelConfig:
-        return ModelConfig(input_dim=input_dim, **self._shared(ModelConfig))
-
-    def loop_config(self, input_dim: int) -> LoopConfig:
-        return LoopConfig(model=self.model_config(input_dim), uq_method=self.uq_methods[0],
-                          **self._shared(LoopConfig))
+        """The model fields of this spec, which share their names with
+        ``ModelConfig``'s."""
+        own = {f.name for f in dataclasses.fields(self)}
+        return ModelConfig(input_dim=input_dim, **{
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(ModelConfig) if f.name in own})
 
     def resolved(self) -> dict:
         out = dataclasses.asdict(self)
@@ -240,6 +253,16 @@ def _run_study(spec: ExperimentSpec, kind: str, one_rep, summarize, name: str,
 # ---------------------------------------------------------------------------
 
 
+def _fit_and_score(spec: ExperimentSpec, method: str, cfg: ModelConfig, fit: Dataset,
+                   val: Dataset, test: Dataset, fit_seed: int, eval_seed: int):
+    """Fit ``method`` on ``fit`` (early-stopped on ``val``) and report its
+    mean predictive on ``test``; returns (fitted, report)."""
+    fitted = fit_method(method, cfg, spec.ensemble_size, fit.X, fit.y, val.X, val.y, fit_seed)
+    n_passes = method_passes(method, spec.mc_passes)
+    samples = predict_samples(fitted, test.X, n_passes, make_rng(eval_seed))
+    return fitted, classification_report(mean_predictive(samples[1]), test.y)
+
+
 def _shift_one_rep(args):
     spec, rep = args
     data_seed, split_seed, balance_seed, shift_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
@@ -257,12 +280,7 @@ def _shift_one_rep(args):
         te = inject_shift(test_ds, intensity, irng)
         fit = undersample_balance(tr, make_rng(balance_seed))
         for method in spec.uq_methods:
-            fitted = fit_method(method, cfg, spec.ensemble_size,
-                                fit.X, fit.y, va.X, va.y, fit_seed)
-            n_passes = method_passes(method, spec.mc_passes)
-            samples = predict_samples(fitted, te.X, n_passes, make_rng(eval_seed))
-            probs = mean_predictive(samples[1])
-            report = classification_report(probs, te.y)
+            _, report = _fit_and_score(spec, method, cfg, fit, va, te, fit_seed, eval_seed)
             cells.append({
                 "method": method,
                 "intensity": intensity,
@@ -369,23 +387,9 @@ def _compare_one_rep(args):
     spec, rep = args
     data_seed, loop_seed = _rep_seeds(spec, rep, 2)
     base = _base_dataset(spec, data_seed)
-    cfg = spec.loop_config(base.feature_dim)
-    cells = []
-    for selector in spec.selectors:
-        res = curation_loop(base, selector, cfg, seed=loop_seed)
-        for row in res.rows:
-            tags = res.selected_noise_tags[: row.n_selected]
-            cells.append({
-                "selector": selector,
-                "rep": rep,
-                "round": row.round,
-                "fraction_added": row.fraction_added,
-                "f1": row.f1,
-                "mean_epi": row.mean_epi,
-                "mean_ale": row.mean_ale,
-                "selected_noisy_fraction": float(np.mean(tags)) if tags else float("nan"),
-            })
-    return cells
+    return [{"selector": selector, "rep": rep, **dataclasses.asdict(row)}
+            for selector in spec.selectors
+            for row in curation_loop(base, selector, spec, seed=loop_seed).rows]
 
 
 def _compare_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
@@ -592,13 +596,8 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
     fit = undersample_balance(train_ds, make_rng(balance_seed))
-    cfg = spec.model_config(base.feature_dim)
-    fitted = fit_method(method, cfg, spec.ensemble_size,
-                        fit.X, fit.y, val_ds.X, val_ds.y, fit_seed)
-    n_passes = method_passes(method, spec.mc_passes)
-    samples = predict_samples(fitted, test_ds.X, n_passes, make_rng(eval_seed))
-    probs = mean_predictive(samples[1])
-    report = classification_report(probs, test_ds.y)
+    fitted, report = _fit_and_score(spec, method, spec.model_config(base.feature_dim),
+                                    fit, val_ds, test_ds, fit_seed, eval_seed)
     outputs: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -48,33 +48,18 @@ from .nncore import (
 
 Array = np.ndarray
 
-HOMOSCEDASTIC = "homoscedastic"
-HETEROSCEDASTIC = "heteroscedastic"
-
-_HEAD_ALIASES = {
-    "homo": HOMOSCEDASTIC,
-    HOMOSCEDASTIC: HOMOSCEDASTIC,
-    "hetero": HETEROSCEDASTIC,
-    HETEROSCEDASTIC: HETEROSCEDASTIC,
-}
+HOMOSCEDASTIC = "homo"
+HETEROSCEDASTIC = "hetero"
+HEADS = (HOMOSCEDASTIC, HETEROSCEDASTIC)
 
 SIGMA_FLOOR = 1e-12  # additive floor keeps sigma strictly positive
 
 N_CLASSES = 2
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 # default draw seed so prediction without an explicit rng is reproducible
 _PREDICT_SEED = 0x5EED
-
-
-def canonical_head(head: str) -> str:
-    try:
-        return _HEAD_ALIASES[head.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"head must be one of {sorted(set(_HEAD_ALIASES))}, got {head!r}"
-        ) from None
 
 
 @dataclass
@@ -91,7 +76,8 @@ class ModelConfig:
     logit_samples: int = 50   # draws for the sampled NLL and dual-head prediction
 
     def __post_init__(self):
-        self.head = canonical_head(self.head)
+        if self.head not in HEADS:
+            raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
         if self.hidden_layers < 1 or self.hidden_width < 1:
@@ -449,7 +435,7 @@ def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
     samples, as in ``predict_samples`` but without predictive distributions,
     so no logit noise is drawn."""
     if model_or_ensemble.config.head != HETEROSCEDASTIC:
-        raise ConfigError("dual-head outputs need a heteroscedastic model")
+        raise ConfigError("dual-head outputs need a hetero-head model")
     rng = make_rng(_PREDICT_SEED) if rng is None else rng
     return _stack(_forward_samples(model_or_ensemble, X, n_passes, rng))
 

@@ -244,6 +244,39 @@ class TestOutputPath:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestNonUtf8Input:
+    """A config or CSV whose bytes are not UTF-8 is a typed error naming the
+    file, at each of the three readers."""
+
+    BAD = b"\xffid,f0,label\n"
+
+    def assert_exits_2(self, capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(path) in err and "UTF-8" in err
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(self.BAD)
+        self.assert_exits_2(capsys, ["shift", "--config", str(cfg),
+                                     "--out", str(tmp_path / "o")], cfg)
+
+    def test_data_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "plain.cfg"
+        cfg.write_text("seed = 3\nrepetitions = 1\n", encoding="utf-8")
+        data = tmp_path / "bad.csv"
+        data.write_bytes(self.BAD)
+        self.assert_exits_2(capsys, ["shift", "--config", str(cfg), "--data", str(data),
+                                     "--out", str(tmp_path / "o")], data)
+
+    def test_report_csv(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(self.BAD)
+        self.assert_exits_2(capsys, ["report", str(data), "--col-a", "f0",
+                                     "--col-b", "label"], data)
+
+
 def assert_config_line_exits_2(tmp_path, capsys, command, line, *flags):
     """``command`` on the small config plus ``line`` exits 2 with one error line."""
     cfg = tmp_path / "bad.cfg"
@@ -268,7 +301,8 @@ class TestFailBeforeCompute:
     @pytest.mark.parametrize("command, line", [
         ("shift", "mc_passes = 0"),           # ExperimentSpec
         ("train", "hidden_width = 0"),        # ModelConfig
-        ("compare", "tranche_fraction = 0"),  # LoopConfig
+        ("compare", "tranche_fraction = 0"),  # the loop fields
+        ("compare", "mc_passes = 1"),         # the uq-method checks of compare
         ("compare", "selectors = ehal,best"),  # CurationConfig
         ("compare", "n_ale_fraction = 0"),
         ("compare", "n_ale_fraction = 1.5"),
@@ -316,6 +350,7 @@ class TestFailBeforeCompute:
         ("growth", "uq = vanilla"),
         ("train", "uq = vanilla,ensemble"),  # train and compare fit one method
         ("compare", "uq = ensemble,mc-dropout"),
+        ("compare", "ensemble_size = 1"),  # with uq at its default, ensemble
         ("shift", "uq = vanilla,vanilla"),  # a repeated method is no new repetition
     ])
     def test_bad_uq_exits_2(self, tmp_path, capsys, no_compute, command, line):

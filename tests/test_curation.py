@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 from helpers import top_n_by_aleatoric, top_one_by_epistemic, trace_curate, trace_select_one
 from uqcurate.curation import (
     CurationConfig,
-    LoopConfig,
     UncertaintyRecord,
     curate,
     curation_loop,
 )
 from uqcurate.data import SyntheticSpec, generate_synthetic
 from uqcurate.errors import ConfigError, DomainError
-from uqcurate.models import ModelConfig
+from uqcurate.experiments import COMPARE, ExperimentSpec
 from uqcurate.nncore import make_rng, spawn_seeds
 
 
@@ -241,25 +241,23 @@ class TestEhalAvoidsNoise:
         assert picked_noisy / 60 < base_rate
 
 
+TINY_SYNTHETIC = SyntheticSpec(n_instances=120, feature_dim=6, noisy_fraction=0.2)
+
+
+def compare_spec(**fields):
+    return ExperimentSpec(kind=COMPARE, synthetic=TINY_SYNTHETIC, **fields)
+
+
 @pytest.fixture(scope="module")
 def tiny_cfg():
-    return LoopConfig(
-        model=ModelConfig(input_dim=6, hidden_layers=1, hidden_width=8,
-                          max_epochs=4, head="hetero", logit_samples=5,
-                          batch_size=16),
-        uq_method="ensemble",
-        ensemble_size=2,
-        tranche_fraction=0.5,
-        decompose_draws=50,
-    )
+    return compare_spec(hidden_layers=1, hidden_width=8, max_epochs=4, head="hetero",
+                        logit_samples=5, batch_size=16, uq_methods=("ensemble",),
+                        ensemble_size=2, tranche_fraction=0.5, decompose_draws=50)
 
 
 @pytest.fixture(scope="module")
-def tiny_pool():
-    return generate_synthetic(
-        SyntheticSpec(n_instances=120, feature_dim=6, noisy_fraction=0.2),
-        make_rng(3),
-    )
+def tiny_pool(tiny_cfg):
+    return generate_synthetic(tiny_cfg.synthetic, make_rng(3))
 
 
 class TestCurationLoop:
@@ -285,36 +283,43 @@ class TestCurationLoop:
         rows = {}
         for selector in ("ehal", "elah", "random"):
             rows[selector] = curation_loop(tiny_pool, selector, tiny_cfg, seed=5).rows[0]
-        assert rows["ehal"] == rows["elah"] == rows["random"]
+        # nan-aware: row 0 has no picks, so its selected_noisy_fraction is NaN
+        np.testing.assert_equal(asdict(rows["ehal"]), asdict(rows["elah"]))
+        np.testing.assert_equal(asdict(rows["ehal"]), asdict(rows["random"]))
 
     def test_deterministic(self, tiny_pool, tiny_cfg):
         a = curation_loop(tiny_pool, "ehal", tiny_cfg, seed=9)
         b = curation_loop(tiny_pool, "ehal", tiny_cfg, seed=9)
         assert a.selected_ids == b.selected_ids
         for ra, rb in zip(a.rows, b.rows):
-            assert (ra.round, ra.fraction_added, ra.f1, ra.n_selected) == \
-                   (rb.round, rb.fraction_added, rb.f1, rb.n_selected)
+            assert (ra.round, ra.fraction_added, ra.f1) == (rb.round, rb.fraction_added, rb.f1)
             np.testing.assert_equal(ra.mean_epi, rb.mean_epi)  # nan-aware
             np.testing.assert_equal(ra.mean_ale, rb.mean_ale)
+            np.testing.assert_equal(ra.selected_noisy_fraction, rb.selected_noisy_fraction)
+
+    def test_selected_noisy_fraction_counts_the_picks_so_far(self, tiny_pool, tiny_cfg):
+        result = curation_loop(tiny_pool, "ehal", tiny_cfg, seed=1)
+        noisy = dict(zip(map(str, tiny_pool.ids), tiny_pool.noise_tags.tolist()))
+        pool0 = round(tiny_cfg.pool_fraction * len(tiny_pool))
+        assert math.isnan(result.rows[0].selected_noisy_fraction)
+        for row in result.rows[1:]:
+            picks = result.selected_ids[: round(row.fraction_added * pool0)]
+            assert row.selected_noisy_fraction == np.mean([noisy[i] for i in picks])
 
     def test_vanilla_uq_rejected(self):
         with pytest.raises(ConfigError):
-            LoopConfig(
-                model=ModelConfig(input_dim=4),
-                uq_method="vanilla",
-            )
+            compare_spec(uq_methods=("vanilla",))
 
     @pytest.mark.parametrize("val_fraction", [-0.5, 0.0, 1.0])
     def test_val_fraction_outside_unit_interval_rejected(self, val_fraction):
         with pytest.raises(ConfigError, match="val_fraction"):
-            LoopConfig(model=ModelConfig(input_dim=4), val_fraction=val_fraction)
+            compare_spec(val_fraction=val_fraction)
 
 
 class TestUncertaintySources:
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
-            LoopConfig(model=ModelConfig(input_dim=4, head="hetero"),
-                       uncertainty_source="bogus")
+            compare_spec(head="hetero", uncertainty_source="bogus")
 
     @pytest.mark.parametrize("source", ["entropy", "sample"])
     def test_sources_produce_valid_records(self, tiny_pool, tiny_cfg, source):
@@ -323,7 +328,7 @@ class TestUncertaintySources:
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
 
         cfg = replace(tiny_cfg, uncertainty_source=source)
-        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
+        fitted = _fit_uq_model(cfg, cfg.model_config(6), tiny_pool.subset(range(60)), seed=3)
         records = pool_uncertainty_records(fitted, tiny_pool.subset(range(60, 120)),
                                            cfg, 5)
         assert len(records) == 60
@@ -341,9 +346,9 @@ class TestUncertaintySources:
         from uqcurate.models import predict_samples
         from uqcurate.uq import expected_entropy, mutual_information
 
-        cfg = replace(tiny_cfg, uq_method="mc-dropout", mc_passes=6,
+        cfg = replace(tiny_cfg, uq_methods=("mc-dropout",), mc_passes=6,
                       uncertainty_source="sample")
-        fitted = _fit_uq_model(cfg, tiny_pool.subset(range(60)), seed=3)
+        fitted = _fit_uq_model(cfg, cfg.model_config(6), tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
         records = pool_uncertainty_records(fitted, pool, cfg, 5)
         _, probs = predict_samples(fitted, pool.X, 6, make_rng(spawn_seeds(5, 2)[0]))
@@ -359,7 +364,8 @@ class TestUncertaintySources:
         from uqcurate.models import hetero_raw_outputs
         from uqcurate.uq import hetero_decompose
 
-        fitted = _fit_uq_model(tiny_cfg, tiny_pool.subset(range(60)), seed=3)
+        fitted = _fit_uq_model(tiny_cfg, tiny_cfg.model_config(6), tiny_pool.subset(range(60)),
+                               seed=3)
         pool = tiny_pool.subset(range(60, 120))
         records = pool_uncertainty_records(fitted, pool, tiny_cfg, 5)
         dec = hetero_decompose(*hetero_raw_outputs(fitted, pool.X), tiny_cfg.decompose_draws,
@@ -386,7 +392,7 @@ class TestFitUqModel:
         monkeypatch.setattr(curation, "undersample_balance", balance)
         monkeypatch.setattr(curation, "fit_method", fit)
         train = tiny_pool.subset(range(60))
-        assert curation._fit_uq_model(tiny_cfg, train, 3) == "fitted"
+        assert curation._fit_uq_model(tiny_cfg, tiny_cfg.model_config(6), train, 3) == "fitted"
         carve_seed, balance_seed, fit_seed = spawn_seeds(3, 3)
         n_val = round(tiny_cfg.val_fraction * len(train))
         carve = make_rng(carve_seed).permutation(len(train))[:n_val]

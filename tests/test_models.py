@@ -51,9 +51,11 @@ class TestConfig:
         assert cfg.patience == 5
 
     def test_head_aliases(self):
-        assert ModelConfig(input_dim=2, head="hetero").head == "heteroscedastic"
-        with pytest.raises(ConfigError):
-            ModelConfig(input_dim=2, head="bogus")
+        # one spelling per head, so a run has one spec digest
+        assert ModelConfig(input_dim=2, head="hetero").head == "hetero"
+        for head in ("bogus", "HETERO", "Homo"):
+            with pytest.raises(ConfigError):
+                ModelConfig(input_dim=2, head=head)
 
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
