@@ -10,8 +10,9 @@ Subcommands
 
 Every command is a pure function of its flags, config file, input files and
 seed, so reruns reproduce output files byte for byte (timestamps appear only
-in run manifests).  Exit codes: 0 success, 1 internal failure, 2 usage or
-configuration error.
+in run manifests).  Exit codes: 0 success, 1 internal failure (running out of
+memory included), 2 usage or configuration error.  Either failure prints one
+``error:`` line, never a traceback.
 
 Environment: UQCURATE_JOBS sets the worker-process count for experiment
 repetitions, capped at the repetition count and the CPU count.  A value that
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         return 2
     except UqCurateError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

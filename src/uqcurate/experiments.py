@@ -82,7 +82,6 @@ class ExperimentSpec:
     max_epochs: int = 200
     patience: int = 5
     batch_size: int = 64
-    logit_samples: int = 50
     train_fraction: float = 0.8
     val_fraction: float = 0.1
     intensities: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4)
@@ -219,9 +218,15 @@ def _rep_seeds(spec: ExperimentSpec, rep: int, k: int) -> list[int]:
     return [child_seed(spec.seed, k * rep + j) for j in range(k)]
 
 
-def _base_dataset(spec: ExperimentSpec, data_seed: int) -> Dataset:
-    if spec.data_csv is not None:
-        return load_csv(spec.data_csv)
+def _csv_dataset(spec: ExperimentSpec) -> Dataset | None:
+    """The spec's feature CSV, parsed and checked once before any repetition
+    starts (so a bad file fails before compute); None for synthetic data."""
+    return None if spec.data_csv is None else load_csv(spec.data_csv)
+
+
+def _base_dataset(spec: ExperimentSpec, csv_data: Dataset | None, data_seed: int) -> Dataset:
+    if csv_data is not None:
+        return csv_data
     return generate_synthetic(spec.synthetic, make_rng(data_seed))
 
 
@@ -240,7 +245,8 @@ def _run_study(spec: ExperimentSpec, kind: str, one_rep, summarize, name: str,
     set, write the ``name``-prefixed result files."""
     if spec.kind != kind:
         raise ConfigError(f"spec kind is {spec.kind!r}, expected {kind!r}")
-    per_rep = _map_reps(one_rep, [(spec, r) for r in range(spec.repetitions)])
+    csv_data = _csv_dataset(spec)
+    per_rep = _map_reps(one_rep, [(spec, r, csv_data) for r in range(spec.repetitions)])
     run_rows = [row for rows in per_rep for row in rows]
     result = ExperimentResult(spec, summarize(spec, run_rows), run_rows)
     if out_dir is not None:
@@ -264,9 +270,9 @@ def _fit_and_score(spec: ExperimentSpec, method: str, cfg: ModelConfig, fit: Dat
 
 
 def _shift_one_rep(args):
-    spec, rep = args
+    spec, rep, csv_data = args
     data_seed, split_seed, balance_seed, shift_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
-    base = _base_dataset(spec, data_seed)
+    base = _base_dataset(spec, csv_data, data_seed)
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
     cfg = spec.model_config(base.feature_dim)
@@ -326,9 +332,9 @@ def nested_fractions(n: int, fractions, rng) -> list[np.ndarray]:
 
 
 def _growth_one_rep(args):
-    spec, rep = args
+    spec, rep, csv_data = args
     data_seed, split_seed, subset_seed, balance_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
-    base = _base_dataset(spec, data_seed)
+    base = _base_dataset(spec, csv_data, data_seed)
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
     cfg = spec.model_config(base.feature_dim)
@@ -384,9 +390,9 @@ def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> Experiment
 
 
 def _compare_one_rep(args):
-    spec, rep = args
+    spec, rep, csv_data = args
     data_seed, loop_seed = _rep_seeds(spec, rep, 2)
-    base = _base_dataset(spec, data_seed)
+    base = _base_dataset(spec, csv_data, data_seed)
     return [{"selector": selector, "rep": rep, **dataclasses.asdict(row)}
             for selector in spec.selectors
             for row in curation_loop(base, selector, spec, seed=loop_seed).rows]
@@ -592,7 +598,7 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
         raise ConfigError(f"spec kind is {spec.kind!r}, expected {TRAIN!r}")
     method = spec.uq_methods[0]
     data_seed, split_seed, balance_seed, fit_seed, eval_seed = spawn_seeds(spec.seed, 5)
-    base = _base_dataset(spec, data_seed)
+    base = _base_dataset(spec, _csv_dataset(spec), data_seed)
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
     fit = undersample_balance(train_ds, make_rng(balance_seed))

@@ -4,13 +4,13 @@ Two fixed-depth MLP variants over dense feature vectors:
 
 * single-head: hidden stack -> logits, softmax probabilities;
 * dual-head: hidden stack -> (mu, sigma) with mu through ReLU and sigma
-  through softplus, trained with the sampled Gaussian-logit NLL.
+  through softplus, trained with the Gaussian-logit NLL.  The logits are
+  integrated out by quadrature (``kernels``), so neither the loss nor the
+  dual head's predictive distribution draws logit noise.
 
 The hidden stack is Linear -> ReLU -> Dropout repeated ``hidden_layers``
 times.  Training uses Adam with early stopping on validation loss; the
 checkpoint with the lowest validation loss is restored before returning.
-Dual-head validation losses reuse the same noise draws every epoch so early
-stopping is not driven by sampling noise.
 
 ``fit_method`` fits what a weight-sampling method (vanilla, mc-dropout,
 ensemble) predicts with, and ``predict_samples`` is the one prediction path
@@ -32,13 +32,12 @@ from .errors import (
     DivergenceError,
     ModelStateError,
 )
-from .kernels import gaussian_logit_nll, softmax_xent
+from .kernels import gaussian_logit_nll, gaussian_logit_probs, softmax_xent
 from .nncore import (
     AdamState,
     DropoutLayer,
     LinearLayer,
     make_rng,
-    mc_softmax,
     relu,
     sigmoid,
     softmax,
@@ -56,9 +55,10 @@ SIGMA_FLOOR = 1e-12  # additive floor keeps sigma strictly positive
 
 N_CLASSES = 2
 
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
-# default draw seed so prediction without an explicit rng is reproducible
+# default dropout-mask seed so prediction without an explicit rng is
+# reproducible
 _PREDICT_SEED = 0x5EED
 
 
@@ -73,7 +73,6 @@ class ModelConfig:
     max_epochs: int = 200
     patience: int = 5
     batch_size: int = 64
-    logit_samples: int = 50   # draws for the sampled NLL and dual-head prediction
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -86,8 +85,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if self.max_epochs < 1 or self.batch_size < 1 or self.logit_samples < 1:
-            raise ConfigError("max_epochs, batch_size and logit_samples must be >= 1")
+        if self.max_epochs < 1 or self.batch_size < 1:
+            raise ConfigError("max_epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
 
@@ -193,10 +192,7 @@ class MlpModel:
             dh = self.head.backward(dlogits)
         else:
             mu, sigma = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-            eps = rng.standard_normal(
-                (X.shape[0], self.config.logit_samples, N_CLASSES)
-            )
-            loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, eps, y)
+            loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, y)
             pre_acts, mu_pre, sigma_pre = self._cache
             dmu_pre = dmu * (mu_pre > 0.0)
             dsigma_pre = dsigma * sigmoid(sigma_pre)
@@ -205,16 +201,11 @@ class MlpModel:
         self._cache = None
         return float(loss)
 
-    def evaluate_loss(self, X: Array, y: Array, eval_seed: int) -> float:
-        """Eval-mode loss; dual-head models redraw the same noise for a given
-        eval_seed so losses are comparable across epochs."""
+    def evaluate_loss(self, X: Array, y: Array) -> float:
+        """Eval-mode loss; it draws nothing, so losses compare across epochs."""
         if self.config.head == HOMOSCEDASTIC:
             return float(softmax_xent(self.raw_outputs(X), y)[0])
-        mu, sigma = self.raw_outputs(X)
-        eps = make_rng(eval_seed).standard_normal(
-            (X.shape[0], self.config.logit_samples, N_CLASSES)
-        )
-        return gaussian_logit_nll(mu, sigma, eps, y)[0]
+        return gaussian_logit_nll(*self.raw_outputs(X), y)[0]
 
 
 def train_model(model: MlpModel, X_train: Array, y_train: Array,
@@ -237,7 +228,9 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
             f"feature dim {X_train.shape[1]} does not match config input_dim {cfg.input_dim}"
         )
     rng = make_rng(model.seed)
-    eval_seed = int(rng.integers(0, 2**63))
+    # an unused draw, kept so that the shuffles and masks below, and with them
+    # every single-head result, stay as they were; ROADMAP schedules its removal
+    rng.integers(0, 2**63)
     opt = AdamState(lr=cfg.learning_rate)
     n = X_train.shape[0]
 
@@ -257,7 +250,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
             opt.step(model.flat_params, model.flat_grads)
             total += loss * idx.shape[0]
         train_loss = total / n
-        val_loss = model.evaluate_loss(X_val, y_val, eval_seed)
+        val_loss = model.evaluate_loss(X_val, y_val)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
         model.history.append(EpochRecord(epoch, train_loss, val_loss))
@@ -343,9 +336,10 @@ def fit_method(method: str, config: ModelConfig, ensemble_size: int,
 # ---------------------------------------------------------------------------
 # prediction under the three weight-sampling schemes
 # ---------------------------------------------------------------------------
-# Draw order, which result files depend on: with one rng, ``predict_samples``
-# draws every dropout mask before any logit noise, and the noise in sample
-# order.  An ensemble's forward passes draw nothing.
+# Draw order, which result files depend on: ``predict_samples`` draws only
+# dropout masks, pass by pass, layer by layer.  An ensemble's forward passes
+# and every predictive distribution (the dual head's by quadrature) draw
+# nothing.
 
 
 def _require_trained(model: MlpModel) -> None:
@@ -395,24 +389,23 @@ def predict_samples(fitted, X: Array, n_passes: int | None = None,
     Returns ``(raw, probs)``: ``raw`` holds the (N, T, C) logits, or a
     ``(mu, sigma)`` pair of (N, T, C) arrays for a dual head; ``probs`` is
     the (N, T, C) stack of predictive distributions.  A dual-head sample's
-    distribution is the mean softmax over ``logit_samples`` Gaussian logit
-    draws.  ``rng`` drives the dropout masks and the logit noise; a fixed
-    default seed is used when it is None.
+    distribution is the expected softmax of its Gaussian logits,
+    ``kernels.gaussian_logit_probs``.  ``rng`` drives the dropout masks only;
+    a fixed default seed is used when it is None.
     """
     rng = make_rng(_PREDICT_SEED) if rng is None else rng
     outputs = _forward_samples(fitted, X, n_passes, rng)
     if fitted.config.head == HOMOSCEDASTIC:
         probs = [softmax(z) for z in outputs]
     else:
-        n_draws = fitted.config.logit_samples
-        probs = [mc_softmax(mu, sigma, n_draws, rng) for mu, sigma in outputs]
+        probs = [gaussian_logit_probs(mu, sigma) for mu, sigma in outputs]
     return _stack(outputs), np.stack(probs, axis=1)
 
 
 def predict_vanilla(model: MlpModel, X: Array,
                     rng: np.random.Generator | None = None) -> Array:
-    """(N, C) predictive distribution of the point model (one eval-mode pass;
-    see ``predict_samples`` for the dual head's logit draws)."""
+    """(N, C) predictive distribution of the point model (one eval-mode
+    pass)."""
     return predict_samples(model, X, rng=rng)[1][:, 0]
 
 
@@ -432,8 +425,8 @@ def predict_ensemble(ensemble: Ensemble, X: Array,
 def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
                        rng: np.random.Generator | None = None):
     """``(mu, sigma)`` stacks, each (N, T, C), of a dual-head model's weight
-    samples, as in ``predict_samples`` but without predictive distributions,
-    so no logit noise is drawn."""
+    samples, as in ``predict_samples`` but without predictive distributions;
+    it draws the same dropout masks."""
     if model_or_ensemble.config.head != HETEROSCEDASTIC:
         raise ConfigError("dual-head outputs need a hetero-head model")
     rng = make_rng(_PREDICT_SEED) if rng is None else rng

@@ -2,9 +2,10 @@
 
 Oracles here must stay independent of the implementation paths they check:
 matrix products use explicit loops, gradients come from central finite
-differences, the selector's ranking oracles sort each view from scratch, and
-selection traces re-implement the published loop with plain python data
-structures.
+differences, the Gaussian-logit expectations come from Monte Carlo draws and
+from adaptive quadrature (scipy), the selector's ranking oracles sort each
+view from scratch, and selection traces re-implement the published loop with
+plain python data structures.
 """
 
 from __future__ import annotations
@@ -34,13 +35,58 @@ def naive_matmul_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
+def sampled_gaussian_logit_nll(mu, sigma, eps, labels):
+    """Monte Carlo oracle of ``kernels.gaussian_logit_nll`` over the given
+    draws eps, (B, S, 2): the logit pair of draw s is z_s = mu + sigma*eps_s,
+    the per-instance loss is -log(mean_s softmax(z_s)[label]) and the result
+    is the batch mean.  Returns ``(loss, dmu, dsigma)``, the gradients
+    flowing through the fixed draws.
+
+    With label sign s = +-1 and margin d = z1 - z0 each draw has
+    log p_y = -logaddexp(0, -s*d).  The draws are weighted by their share
+    w = p_y / sum_s p_y of the likelihood, and the gradient on z1 is
+    -s*(1 - p_y)*w/B, the negative of the one on z0.
+    """
+    n, n_draws, _ = eps.shape
+    sign = (2 * np.asarray(labels) - 1).astype(np.float64)[:, None]
+    eps0 = eps[:, :, 0]
+    eps1 = eps[:, :, 1]
+    margin = (mu[:, 1] - mu[:, 0])[:, None] + sigma[:, 1:2] * eps1 - sigma[:, 0:1] * eps0
+    logp = -np.logaddexp(0.0, -sign * margin)
+    amax = logp.max(axis=1, keepdims=True)
+    lse = amax + np.log(np.exp(logp - amax).sum(axis=1, keepdims=True))
+    loss = float(np.mean(np.log(n_draws) - lse))
+    g1 = (sign / n) * np.exp(logp - lse) * np.expm1(logp)
+    dmu1 = g1.sum(axis=1)
+    dmu = np.stack((-dmu1, dmu1), axis=1)
+    dsigma = np.stack((-(g1 * eps0).sum(axis=1), (g1 * eps1).sum(axis=1)), axis=1)
+    return loss, dmu, dsigma
+
+
+def margin_probability_quad(m: float, scale: float) -> float:
+    """E[sigmoid(d)] for d ~ N(m, scale^2) by adaptive quadrature (scipy),
+    with a breakpoint where the sigmoid steps; relative tolerance 1e-13."""
+    from scipy.integrate import quad
+
+    def integrand(x):
+        d = m + scale * x
+        sig = 1.0 / (1.0 + math.exp(-d)) if d >= 0 else math.exp(d) / (1.0 + math.exp(d))
+        return sig * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    step = min(max(-m / scale, -38.0), 38.0)
+    value, _ = quad(integrand, -38.0, 38.0, points=[step], epsabs=0.0, epsrel=1e-13,
+                    limit=500)
+    return value
+
+
 def gaussian_logit_nll_loop(mu, sigma, eps, labels):
     """Sampled Gaussian-logit NLL for any class count, written as plain loops.
 
     Per instance and draw it forms z = mu + sigma*eps, takes the softmax over
     the classes and log p[label]; the loss is mean_i(log S - logsumexp_s),
     and the gradients weight each draw's (p - onehot) by its likelihood
-    share.  Returns ``(loss, dmu, dsigma)`` like ``kernels.gaussian_logit_nll``.
+    share.  Returns ``(loss, dmu, dsigma)`` like
+    ``sampled_gaussian_logit_nll``.
     """
     n, n_draws, n_classes = eps.shape
     dmu = np.zeros((n, n_classes))
@@ -81,7 +127,7 @@ def gaussian_logit_nll_loop(mu, sigma, eps, labels):
 # ---------------------------------------------------------------------------
 
 
-def model_loss(model: MlpModel, X, y, eps=None, mask_seed: int = 123) -> float:
+def model_loss(model: MlpModel, X, y, mask_seed: int = 123) -> float:
     """Training-mode loss with dropout masks frozen by reseeding, so repeated
     evaluations at perturbed parameters see identical stochasticity."""
     rng = make_rng(mask_seed)
@@ -90,12 +136,12 @@ def model_loss(model: MlpModel, X, y, eps=None, mask_seed: int = 123) -> float:
         loss, _, _ = softmax_xent(logits, y)
     else:
         mu, sigma = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, _, _ = gaussian_logit_nll(mu, sigma, eps, y)
+        loss, _, _ = gaussian_logit_nll(mu, sigma, y)
     model._cache = None
     return float(loss)
 
 
-def model_loss_and_grads(model: MlpModel, X, y, eps=None, mask_seed: int = 123):
+def model_loss_and_grads(model: MlpModel, X, y, mask_seed: int = 123):
     rng = make_rng(mask_seed)
     if model.config.head == HOMOSCEDASTIC:
         logits = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
@@ -104,7 +150,7 @@ def model_loss_and_grads(model: MlpModel, X, y, eps=None, mask_seed: int = 123):
         dh = model.head.backward(dlogits)
     else:
         mu, sigma = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, eps, y)
+        loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, y)
         pre_acts, mu_pre, sigma_pre = model._cache
         dh = model.head_mu.backward(dmu * (mu_pre > 0.0))
         dh = dh + model.head_sigma.backward(dsigma * sigmoid(sigma_pre))
@@ -113,7 +159,7 @@ def model_loss_and_grads(model: MlpModel, X, y, eps=None, mask_seed: int = 123):
     return float(loss), model.flat_grads.copy()
 
 
-def kink_margin(model: MlpModel, X, eps=None, mask_seed: int = 123) -> float:
+def kink_margin(model: MlpModel, X, mask_seed: int = 123) -> float:
     """Smallest |pre-activation| at any relu in the frozen-mask forward pass.
 
     Central differences are invalid when a perturbation crosses a relu kink,
@@ -129,19 +175,19 @@ def kink_margin(model: MlpModel, X, eps=None, mask_seed: int = 123) -> float:
     return margin
 
 
-def max_relative_gradient_error(model: MlpModel, X, y, eps=None, step: float = 1e-5,
+def max_relative_gradient_error(model: MlpModel, X, y, step: float = 1e-5,
                                 mask_seed: int = 123) -> float:
     """Worst relative disagreement between analytic and central-difference
     gradients over every parameter of the model."""
-    _, flat_g = model_loss_and_grads(model, X, y, eps=eps, mask_seed=mask_seed)
+    _, flat_g = model_loss_and_grads(model, X, y, mask_seed=mask_seed)
     flat_p = model.flat_params  # every layer's w and b are views of it
     worst = 0.0
     for i in range(flat_p.shape[0]):
         orig = flat_p[i]
         flat_p[i] = orig + step
-        lp = model_loss(model, X, y, eps=eps, mask_seed=mask_seed)
+        lp = model_loss(model, X, y, mask_seed=mask_seed)
         flat_p[i] = orig - step
-        lm = model_loss(model, X, y, eps=eps, mask_seed=mask_seed)
+        lm = model_loss(model, X, y, mask_seed=mask_seed)
         flat_p[i] = orig
         fd = (lp - lm) / (2.0 * step)
         denom = max(abs(fd), abs(flat_g[i]), 1e-6)
@@ -151,7 +197,7 @@ def max_relative_gradient_error(model: MlpModel, X, y, eps=None, step: float = 1
 
 def gradcheck_model(head: str, seed: int, *, dropout: float = 0.1, step: float = 1e-5,
                     n_instances: int = 4, input_dim: int = 5, hidden_layers: int = 3,
-                    hidden_width: int = 8, logit_samples: int = 7) -> float:
+                    hidden_width: int = 8) -> float:
     """Build a small random model/batch in general position and return the
     worst relative gradient error.  Seeds that land a pre-activation within
     50 steps of a relu kink are skipped deterministically."""
@@ -165,18 +211,12 @@ def gradcheck_model(head: str, seed: int, *, dropout: float = 0.1, step: float =
             hidden_width=hidden_width,
             dropout=dropout,
             head=head,
-            logit_samples=logit_samples,
         )
         model = MlpModel(cfg, seed=candidate)
         X = rng.standard_normal((n_instances, input_dim))
         y = rng.integers(0, 2, n_instances)
-        eps = (
-            rng.standard_normal((n_instances, logit_samples, 2))
-            if cfg.head != HOMOSCEDASTIC
-            else None
-        )
-        if kink_margin(model, X, eps=eps) > 50 * step:
-            return max_relative_gradient_error(model, X, y, eps=eps, step=step)
+        if kink_margin(model, X) > 50 * step:
+            return max_relative_gradient_error(model, X, y, step=step)
     raise AssertionError("no kink-safe configuration found in 50 candidate seeds")
 
 

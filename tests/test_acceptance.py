@@ -333,7 +333,7 @@ def test_criterion_10_real_csv_hook(tmp_path, capsys):
     mapping = {
         "data": FIXTURE_CSV, "intensities": "0,0.2", "repetitions": "2",
         "hidden_layers": "2", "hidden_width": "32", "max_epochs": "20",
-        "logit_samples": "20", "ensemble_size": "2", "seed": "5",
+        "ensemble_size": "2", "seed": "5",
     }
     spec = spec_from_mapping(SHIFT, mapping)
     result = run_shift_experiment(spec, out_dir=str(tmp_path / "shift"))

@@ -18,7 +18,6 @@ SMOKE_CFG = [
     "hidden_layers = 1",
     "hidden_width = 8",
     "max_epochs = 4",
-    "logit_samples = 5",
     "batch_size = 16",
     "ensemble_size = 2",
     "mc_passes = 4",
@@ -365,6 +364,49 @@ class TestFailBeforeCompute:
         assert code == 2
         err = capsys.readouterr().err
         assert "UQCURATE_JOBS" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["shift", "growth", "compare", "train"])
+    def test_deleted_key_exits_2(self, tmp_path, capsys, no_compute, command):
+        # logit_samples left with the sampled Gaussian-logit integrals
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("\n".join(SMOKE_CFG + ["logit_samples = 20"]) + "\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys ['logit_samples']")
+        assert "Traceback" not in err
+
+    def test_bad_csv_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        from uqcurate import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("a fit started although the CSV is bad")
+
+        monkeypatch.setattr(experiments, "fit_method", never)
+        monkeypatch.setenv("UQCURATE_JOBS", "2")
+        data = tmp_path / "bad.csv"
+        data.write_text("id,f0,label\na,1.0,0\nb,oops,1\n", encoding="utf-8")
+        cfg = tmp_path / "plain.cfg"
+        cfg.write_text("seed = 3\nrepetitions = 3\n", encoding="utf-8")
+        code = main(["shift", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 3" in err and "Traceback" not in err
+
+
+class TestInternalFailure:
+    def test_memory_error_is_one_error_line_exit_1(self, monkeypatch, capsys):
+        from uqcurate import cli
+
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 596. GiB")
+
+        monkeypatch.setattr(cli, "_cmd_shift", out_of_memory)
+        assert cli.main(["shift", "--config", "profile:smoke"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "596. GiB" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 class TestEntryPoint:

@@ -251,7 +251,7 @@ def compare_spec(**fields):
 @pytest.fixture(scope="module")
 def tiny_cfg():
     return compare_spec(hidden_layers=1, hidden_width=8, max_epochs=4, head="hetero",
-                        logit_samples=5, batch_size=16, uq_methods=("ensemble",),
+                        batch_size=16, uq_methods=("ensemble",),
                         ensemble_size=2, tranche_fraction=0.5, decompose_draws=50)
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from uqcurate.data import SyntheticSpec
+from uqcurate.data import SyntheticSpec, load_csv
 from uqcurate.errors import ConfigError
 from uqcurate.experiments import (
     COMPARE,
@@ -24,8 +24,8 @@ from uqcurate.nncore import make_rng
 
 SMOKE_DATA = dict(n_instances=160, feature_dim=6, noisy_fraction=0.25)
 SMOKE_MODEL = dict(
-    hidden_layers=1, hidden_width=8, max_epochs=4, logit_samples=5,
-    batch_size=16, ensemble_size=2, mc_passes=4, decompose_draws=50,
+    hidden_layers=1, hidden_width=8, max_epochs=4, batch_size=16,
+    ensemble_size=2, mc_passes=4, decompose_draws=50,
 )
 
 
@@ -276,13 +276,13 @@ class TestSpecMapping:
             "batch_size", "cluster_std", "data", "decompose_draws", "dropout",
             "ensemble_size", "feature_dim", "growth_fractions", "head",
             "hidden_layers", "hidden_width", "imbalance", "intensities",
-            "label_flip_probability", "learning_rate", "logit_samples", "max_epochs",
+            "label_flip_probability", "learning_rate", "max_epochs",
             "mc_passes", "n_ale_fraction", "n_instances", "noise_scale",
             "noisy_fraction", "patience", "pool_fraction", "repetitions", "seed",
             "seed_fraction", "selectors", "separation", "train_fraction",
             "tranche_fraction", "uncertainty_source", "uq", "val_fraction",
         ]
-        assert len(VALID_CONFIG_KEYS) == 34
+        assert len(VALID_CONFIG_KEYS) == 33
 
     def test_unknown_key_lists_valid_keys(self):
         with pytest.raises(ConfigError, match="valid keys"):
@@ -324,3 +324,22 @@ class TestCsvHook:
         result = run_shift_experiment(spec)
         assert len(result.rows) == 1
         assert 0.0 <= result.rows[0]["mean_f1"] <= 1.0
+
+    def test_csv_parsed_once_per_study(self, monkeypatch):
+        from uqcurate import experiments
+
+        calls = []
+
+        def counting_load_csv(path):
+            calls.append(path)
+            return load_csv(path)
+
+        monkeypatch.setattr(experiments, "load_csv", counting_load_csv)
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "real_features_200.csv")
+        spec = ExperimentSpec(
+            kind=SHIFT, data_csv=path, intensities=(0.0,),
+            uq_methods=("vanilla",), repetitions=3, seed=1, **SMOKE_MODEL,
+        )
+        result = run_shift_experiment(spec)
+        assert calls == [path]
+        assert [r["rep"] for r in result.run_rows] == [0, 1, 2]

@@ -25,7 +25,7 @@ from uqcurate.nncore import make_rng, softmax
 def small_config(head="homo", **overrides):
     defaults = dict(
         input_dim=10, hidden_layers=2, hidden_width=16, head=head,
-        max_epochs=40, logit_samples=20,
+        max_epochs=40,
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
@@ -104,7 +104,7 @@ class TestTraining:
         recorded = [r.val_loss for r in model.history]
         assert model.best_val_loss == min(recorded)
         # restored weights reproduce the recorded best loss
-        eval_now = model.evaluate_loss(val.X, val.y, eval_seed=0)
+        eval_now = model.evaluate_loss(val.X, val.y)
         assert eval_now == pytest.approx(model.best_val_loss, rel=1e-9)
 
     def test_early_stopping_bounds_epochs(self, small_splits):
@@ -275,15 +275,26 @@ class TestHeteroRawOutputs:
         hetero_raw_outputs(ens, test.X, rng=r)
         assert r.bit_generator.state == before
 
-    def test_dropout_masks_precede_logit_noise(self, small_splits):
-        # predict_samples draws every mask before any logit noise, so its raw
-        # outputs are the masks-only outputs of hetero_raw_outputs
+    def test_prediction_draws_only_dropout_masks(self, small_splits):
+        # the dual head's distributions are integrated, not sampled: an
+        # ensemble's prediction draws nothing, and mc-dropout draws exactly
+        # the masks of hetero_raw_outputs
+        balanced, val, test = small_splits
+        X = test.X[:20]
+        ens = train_ensemble(small_config("hetero", max_epochs=3), 2,
+                             balanced.X, balanced.y, val.X, val.y, seed=1)
+        r = make_rng(2)
+        before = r.bit_generator.state
+        _, probs = predict_samples(ens, X, rng=r)
+        assert r.bit_generator.state == before and probs.shape == (20, 2, 2)
+
         model = fit_small("hetero", splits=small_splits, max_epochs=5)
-        X = small_splits[2].X[:20]
-        (mu, sigma), probs = predict_samples(model, X, 4, make_rng(6))
-        mu_raw, sigma_raw = hetero_raw_outputs(model, X, n_passes=4, rng=make_rng(6))
+        r_pred, r_raw = make_rng(6), make_rng(6)
+        (mu, sigma), probs = predict_samples(model, X, 4, r_pred)
+        mu_raw, sigma_raw = hetero_raw_outputs(model, X, n_passes=4, rng=r_raw)
         np.testing.assert_array_equal(mu, mu_raw)
         np.testing.assert_array_equal(sigma, sigma_raw)
+        assert r_pred.bit_generator.state == r_raw.bit_generator.state
         assert probs.shape == (20, 4, 2)
 
 
