@@ -202,15 +202,14 @@ def pool_uncertainty_records(fitted, pool: Dataset, spec: ExperimentSpec,
       predictive distributions, for either head.
 
     Both halves of the pair come from one set of weight samples, so each
-    member's forward pass runs once.  The weight samples and the entropy
-    decomposition draw from two children of ``seed``.
+    member's forward pass runs once.  The weight samples (dropout masks) draw
+    from child 0 of ``seed``; the decomposition draws nothing.
     """
-    predict_seed, decompose_seed = spawn_seeds(seed, 2)
     n_passes = method_passes(spec.uq_methods[0], spec.mc_passes)
-    rng = make_rng(predict_seed)
+    rng = make_rng(child_seed(seed, 0))
     if fitted.config.head == HETEROSCEDASTIC and spec.uncertainty_source == "entropy":
         mu, sigma = hetero_raw_outputs(fitted, pool.X, n_passes, rng)
-        dec = hetero_decompose(mu, sigma, spec.decompose_draws, make_rng(decompose_seed))
+        dec = hetero_decompose(mu, sigma)
         epi, ale = dec.entropy_epistemic, dec.entropy_aleatoric
     else:
         samples = predict_samples(fitted, pool.X, n_passes, rng)[1]

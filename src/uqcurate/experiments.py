@@ -91,6 +91,8 @@ class ExperimentSpec:
     n_ale_fraction: float = 0.1
     seed_fraction: float = 0.2
     pool_fraction: float = 0.6
+    # sizes nothing; the benchmark's select workload still reads it, and
+    # ROADMAP item 2's rewrite of that workload deletes it
     decompose_draws: int = 200
     uncertainty_source: str = "entropy"
     repetitions: int = 10
@@ -333,7 +335,8 @@ def nested_fractions(n: int, fractions, rng) -> list[np.ndarray]:
 
 def _growth_one_rep(args):
     spec, rep, csv_data = args
-    data_seed, split_seed, subset_seed, balance_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
+    # six slots with the last unused, so every other seed keeps its value
+    data_seed, split_seed, subset_seed, balance_seed, fit_seed, _ = _rep_seeds(spec, rep, 6)
     base = _base_dataset(spec, csv_data, data_seed)
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
@@ -347,7 +350,7 @@ def _growth_one_rep(args):
             cfg, spec.ensemble_size, fit.X, fit.y, val_ds.X, val_ds.y, seed=fit_seed
         )
         mu, sigma = hetero_raw_outputs(ensemble, test_ds.X)
-        dec = hetero_decompose(mu, sigma, spec.decompose_draws, make_rng(eval_seed))
+        dec = hetero_decompose(mu, sigma)
         cells.append({
             "fraction": fraction,
             "rep": rep,

@@ -3,7 +3,8 @@ predictive distribution.
 
 Matrix products stay on numpy/BLAS; the kernels here cover the elementwise
 loss passes.  Each kernel checks its inputs (float64 contiguous arrays, one
-label per row, matching shapes, sigma > 0) and is what the models call.
+label per row, matching shapes, sigma >= 0, and sigma > 0 for the loss,
+which divides by it) and is what the models call.
 
 Models have exactly two classes, so the Gaussian logits z ~ N(mu, sigma^2)
 of the dual head enter only through the margin d = z1 - z0 ~ N(m, S^2), with
@@ -96,8 +97,6 @@ def _check_gaussian(mu, sigma):
         raise DimensionError(f"mu {mu.shape} and sigma {sigma.shape} differ")
     if mu.ndim != 2 or mu.shape[1] != 2:
         raise DimensionError(f"expected (batch, 2) logits, got {mu.shape}")
-    if np.any(sigma <= 0.0):
-        raise DomainError("sigma entries must be strictly positive")
     return mu, sigma
 
 
@@ -122,6 +121,8 @@ def gaussian_logit_nll(mu, sigma, labels):
     it by x_k, and dsigma_c = dS * sigma_c / S.
     """
     mu, sigma = _check_gaussian(mu, sigma)
+    if np.any(sigma <= 0.0):  # dsigma divides by S
+        raise DomainError("sigma entries must be strictly positive")
     labels = _check_labels(labels, mu.shape[0])
     x, _, log_w = _gauss_hermite()
     n = mu.shape[0]
@@ -149,8 +150,11 @@ def gaussian_logit_probs(mu, sigma):
     """(B, 2) predictive distribution of two-class Gaussian logits:
     ``[E sigmoid(-d), E sigmoid(d)]`` for the margin d ~ N(m, S^2), by the
     same Gauss-Hermite rule as ``gaussian_logit_nll``.  Each class is summed
-    on its own, so a probability near 0 keeps its relative precision."""
+    on its own, so a probability near 0 keeps its relative precision.  sigma
+    may be 0: every node then falls on m, which gives softmax(mu)."""
     mu, sigma = _check_gaussian(mu, sigma)
+    if np.any(sigma < 0.0):
+        raise DomainError("sigma entries must be >= 0")
     x, w, _ = _gauss_hermite()
     margin, _ = _margin_nodes(mu, sigma, x)
     e = np.exp(-np.abs(margin))

@@ -458,7 +458,14 @@ def _model_meta(model: MlpModel) -> dict:
 
 
 def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpModel:
-    model = MlpModel(ModelConfig(**meta["config"]), seed=meta["seed"])
+    for key in ("config", "seed", "trained", "history"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise DataFormatError(f"checkpoint member meta has no {key!r}")
+    try:
+        config = ModelConfig(**meta["config"])
+    except TypeError as exc:  # a key ModelConfig lacks or needs, or not a mapping
+        raise DataFormatError(f"checkpoint member config does not fit ModelConfig: {exc}") from exc
+    model = MlpModel(config, seed=meta["seed"])
     layers = model.hidden + model._head_layers()
     for i, layer in enumerate(layers):
         for name, target in (("w", layer.w), ("b", layer.b)):

@@ -67,13 +67,6 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def mc_softmax(mu: Array, scale: Array, n_draws: int, rng: np.random.Generator) -> Array:
-    """Monte Carlo mean of softmax(mu + scale*eps) over n_draws standard-normal
-    draws of eps, drawn as one (n_draws, *mu.shape) block."""
-    eps = rng.standard_normal((n_draws,) + mu.shape)
-    return softmax(mu[None, ...] + scale[None, ...] * eps).mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ Two decomposition routes are provided:
   variance of the per-sample probabilities (epistemic).
 
 For dual-head (mu, sigma) models an additional pair of entropies is derived
-from two synthetic distributions: the aleatoric one pushes the mean logits
-through softmax with the pooled sigma, and the epistemic one does the same
-with the spread of mu across weight samples.
+from two Gaussian-logit distributions around the mean logits: the aleatoric
+one has the pooled sigma as its noise scale, the epistemic one the spread of
+mu across weight samples.  With two classes each is an expectation over the
+margin d = z1 - z0 ~ N(m, S^2), which ``kernels.gaussian_logit_probs``
+integrates by Gauss-Hermite quadrature, so the decomposition draws nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .nncore import make_rng, mc_softmax
+from .kernels import gaussian_logit_probs
 
 Array = np.ndarray
 
@@ -106,16 +108,18 @@ class HeteroDecomposition:
     entropy_epistemic: Array
 
 
-def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
-                     rng: np.random.Generator | None = None) -> HeteroDecomposition:
+def hetero_decompose(mu_samples, sigma_samples) -> HeteroDecomposition:
     """Aleatoric/epistemic entropies from sampled (mu, sigma) head outputs.
 
-    Inputs are shaped ``(T, C)`` or ``(N, T, C)`` over T weight samples.
-    ``p_ale`` = MC mean of softmax(mu_bar + sigma_bar*eps) with
-    sigma_bar^2 the mean of sigma_t^2; ``p_epi`` = MC mean of
-    softmax(mu_bar + s_epi*eps) with s_epi the population std of mu_t.
-    Entropies of these two distributions are returned in nats.  The
-    epistemic branch needs at least two weight samples.
+    Inputs are shaped ``(T, 2)`` or ``(N, T, 2)`` over T weight samples.
+    Both distributions have the mean logits mu_bar and independent Gaussian
+    noise per class: ``p_ale`` with scale sigma_bar, where sigma_bar^2 is the
+    mean of sigma_t^2, and ``p_epi`` with scale s_epi, the population std of
+    mu_t.  Each is the exact margin integral of ``gaussian_logit_probs``
+    (margin scale hypot of the two class scales); s_epi = 0, where every
+    weight sample agrees, gives softmax(mu_bar).  Entropies of the two
+    distributions are returned in nats.  The epistemic branch needs at least
+    two weight samples.
     """
     mu = _as_samples(mu_samples)
     sigma = _as_samples(sigma_samples)
@@ -125,16 +129,14 @@ def hetero_decompose(mu_samples, sigma_samples, n_draws: int = 50,
         raise DomainError("epistemic spread needs at least 2 weight samples")
     if np.any(sigma <= 0.0):
         raise DomainError("sigma entries must be strictly positive")
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
-    rng = make_rng(0) if rng is None else rng
 
     mu_bar = mu.mean(axis=-2)
     sigma_bar = np.sqrt(np.mean(sigma**2, axis=-2))
     s_epi = mu.std(axis=-2)
 
-    p_ale = mc_softmax(mu_bar, sigma_bar, n_draws, rng)
-    p_epi = mc_softmax(mu_bar, s_epi, n_draws, rng)
+    rows = mu_bar.reshape(-1, mu_bar.shape[-1])
+    p_ale = gaussian_logit_probs(rows, sigma_bar.reshape(rows.shape)).reshape(mu_bar.shape)
+    p_epi = gaussian_logit_probs(rows, s_epi.reshape(rows.shape)).reshape(mu_bar.shape)
     return HeteroDecomposition(
         entropy_aleatoric=predictive_entropy(p_ale),
         entropy_epistemic=predictive_entropy(p_epi),
@@ -183,12 +185,14 @@ def summarize(samples) -> list[UqSummary]:
     ]
 
 
-def summarize_hetero(mu_samples, sigma_samples, member_probs, n_draws: int = 50,
-                     rng: np.random.Generator | None = None) -> list[UqSummary]:
+def summarize_hetero(mu_samples, sigma_samples, member_probs, n_draws=None,
+                     rng=None) -> list[UqSummary]:
     """Summaries for dual-head models: sample-based measures from the member
     predictive distributions plus the (mu, sigma)-derived entropy pair."""
+    # n_draws and rng have no effect; the benchmark's select workload still
+    # passes them, and ROADMAP item 2's rewrite of that workload deletes them
     out = summarize(member_probs)
-    dec = hetero_decompose(mu_samples, sigma_samples, n_draws=n_draws, rng=rng)
+    dec = hetero_decompose(mu_samples, sigma_samples)
     h_ale = np.atleast_1d(dec.entropy_aleatoric)
     h_epi = np.atleast_1d(dec.entropy_epistemic)
     if len(out) != h_ale.shape[0]:

@@ -18,7 +18,7 @@ from uqcurate.curation import _record_arrays
 from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
-from uqcurate.nncore import make_rng, sigmoid
+from uqcurate.nncore import make_rng, sigmoid, softmax
 
 
 def naive_matmul_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,6 +77,43 @@ def margin_probability_quad(m: float, scale: float) -> float:
     value, _ = quad(integrand, -38.0, 38.0, points=[step], epsabs=0.0, epsrel=1e-13,
                     limit=500)
     return value
+
+
+def mc_softmax(mu, scale, n_draws: int, rng: np.random.Generator):
+    """Monte Carlo oracle of a Gaussian-logit predictive distribution: the
+    mean of softmax(mu + scale*eps) over n_draws standard-normal draws of
+    eps, independent per class, drawn as one (n_draws, *mu.shape) block.
+    Returns ``(mean, standard error)``, each shaped like mu."""
+    eps = rng.standard_normal((n_draws,) + mu.shape)
+    p = softmax(mu[None, ...] + scale[None, ...] * eps)
+    return p.mean(axis=0), p.std(axis=0) / math.sqrt(n_draws)
+
+
+def _binary_entropy_quad(m: float, scale: float) -> float:
+    """Entropy in nats of [E sigmoid(-d), E sigmoid(d)], d ~ N(m, scale^2),
+    each class integrated on its own by adaptive quadrature; scale 0 gives
+    the sigmoid at m."""
+    if scale == 0.0:
+        p = [1.0 / (1.0 + math.exp(m)), 1.0 / (1.0 + math.exp(-m))]
+    else:
+        p = [margin_probability_quad(-m, scale), margin_probability_quad(m, scale)]
+    return -sum(q * math.log(q) for q in p if q > 0.0)
+
+
+def hetero_entropies_quad(mu, sigma):
+    """Oracle of ``uq.hetero_decompose`` for (N, T, 2) head outputs, one
+    instance at a time in plain python: the (aleatoric, epistemic) entropies
+    of the Gaussian logits around mean(mu_t) with per-class scales
+    sqrt(mean(sigma_t^2)) and the population std of mu_t."""
+    h_ale, h_epi = [], []
+    for mu_i, sigma_i in zip(np.asarray(mu).tolist(), np.asarray(sigma).tolist()):
+        t = len(mu_i)
+        mean = [sum(row[c] for row in mu_i) / t for c in (0, 1)]
+        ale = [math.sqrt(sum(row[c] ** 2 for row in sigma_i) / t) for c in (0, 1)]
+        epi = [math.sqrt(sum((row[c] - mean[c]) ** 2 for row in mu_i) / t) for c in (0, 1)]
+        h_ale.append(_binary_entropy_quad(mean[1] - mean[0], math.hypot(*ale)))
+        h_epi.append(_binary_entropy_quad(mean[1] - mean[0], math.hypot(*epi)))
+    return np.array(h_ale), np.array(h_epi)
 
 
 def gaussian_logit_nll_loop(mu, sigma, eps, labels):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import top_n_by_aleatoric, top_one_by_epistemic, trace_curate, trace_select_one
+from helpers import (
+    hetero_entropies_quad,
+    top_n_by_aleatoric,
+    top_one_by_epistemic,
+    trace_curate,
+    trace_select_one,
+)
 from uqcurate.curation import (
     CurationConfig,
     UncertaintyRecord,
@@ -357,21 +363,28 @@ class TestUncertaintySources:
         np.testing.assert_array_equal([r.aleatoric for r in records],
                                       expected_entropy(probs))
 
-    def test_entropy_source_decomposes_on_its_own_stream(self, tiny_pool, tiny_cfg):
-        # the decomposition draws from the second child of the scoring seed,
-        # whatever the prediction drew before it
+    def test_entropy_source_is_the_exact_decomposition(self, tiny_pool, tiny_cfg):
+        # the dual-head pair is the margin integral over the weight samples
+        # that the first child of the scoring seed draws, which draws nothing
+        from dataclasses import replace
+
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
         from uqcurate.models import hetero_raw_outputs
         from uqcurate.uq import hetero_decompose
 
-        fitted = _fit_uq_model(tiny_cfg, tiny_cfg.model_config(6), tiny_pool.subset(range(60)),
-                               seed=3)
+        cfg = replace(tiny_cfg, uq_methods=("mc-dropout",), mc_passes=6)
+        fitted = _fit_uq_model(cfg, cfg.model_config(6), tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
-        records = pool_uncertainty_records(fitted, pool, tiny_cfg, 5)
-        dec = hetero_decompose(*hetero_raw_outputs(fitted, pool.X), tiny_cfg.decompose_draws,
-                               rng=make_rng(spawn_seeds(5, 2)[1]))
+        records = pool_uncertainty_records(fitted, pool, cfg, 5)
+        mu, sigma = hetero_raw_outputs(fitted, pool.X, 6, make_rng(spawn_seeds(5, 2)[0]))
+        dec = hetero_decompose(mu, sigma)
         np.testing.assert_array_equal([r.epistemic for r in records], dec.entropy_epistemic)
         np.testing.assert_array_equal([r.aleatoric for r in records], dec.entropy_aleatoric)
+        # the aleatoric margin scale reaches 6.7 on this 4-epoch head, where
+        # the 48-node rule's entropy is within 3.1e-5 of adaptive quadrature
+        h_ale, h_epi = hetero_entropies_quad(mu, sigma)
+        np.testing.assert_allclose(dec.entropy_epistemic, h_epi, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dec.entropy_aleatoric, h_ale, rtol=0, atol=1e-4)
 
 
 class TestFitUqModel:

@@ -179,10 +179,11 @@ def test_probs_agree_with_nll():
     loss = kernels.gaussian_logit_nll(mu, sigma, labels)[0]
     rows = np.arange(len(labels))
     assert loss == pytest.approx(-np.mean(np.log(probs[rows, labels])), rel=1e-12)
-    # vanishing noise leaves the softmax of the means
-    sharp = kernels.gaussian_logit_probs(mu, np.full(mu.shape, 1e-12))
+    # vanishing or zero noise leaves the softmax of the means
     e = np.exp(mu - mu.max(axis=1, keepdims=True))
-    np.testing.assert_allclose(sharp, e / e.sum(axis=1, keepdims=True), rtol=1e-12)
+    for scale in (1e-12, 0.0):
+        sharp = kernels.gaussian_logit_probs(mu, np.full(mu.shape, scale))
+        np.testing.assert_allclose(sharp, e / e.sum(axis=1, keepdims=True), rtol=1e-12)
 
 
 def test_node_table_built_on_first_use():

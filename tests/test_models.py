@@ -416,3 +416,18 @@ class TestSerialization:
         self._rewrite(good, bad, meta=json.dumps(meta))
         with pytest.raises(DataFormatError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda member: member["config"].update(bogus=1), "bogus"),
+        (lambda member: member.pop("config"), "config"),
+        (lambda member: member.pop("seed"), "seed"),
+    ], ids=["unknown-config-key", "no-config", "no-seed"])
+    def test_bad_member_meta_rejected(self, fitted, tmp_path, edit, key):
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["ensemble"], good)
+        with np.load(good) as npz:
+            meta = json.loads(str(npz["meta"]))
+        edit(meta["members"][1])
+        self._rewrite(good, bad, meta=json.dumps(meta))
+        with pytest.raises(DataFormatError, match=f"'{key}'"):
+            load_checkpoint(bad)

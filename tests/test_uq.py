@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hetero_entropies_quad, mc_softmax
 from uqcurate.errors import DimensionError, DomainError
+from uqcurate.experiments import COMPARE, load_profile, spec_from_mapping
 from uqcurate.nncore import make_rng, softmax
 from uqcurate.uq import (
     expected_entropy,
@@ -123,33 +125,78 @@ class TestVarianceDecomposition:
         assert vt == pytest.approx(va_direct + ve_direct, abs=1e-12)
 
 
+def _two_sample_heads(m, scale):
+    """(N, 2, 2) mu and sigma stacks whose decomposition has margin mean m
+    and margin scale ``scale`` in both branches: two weight samples at
+    mu_bar -/+ c in each class and sigma = c, with c = scale/sqrt(2) (scale
+    0 gets a sigma far too small to move the aleatoric margin).  The margin
+    is the same in both samples, so its own spread across them is 0."""
+    m = np.asarray(m, dtype=np.float64)
+    c = scale / math.sqrt(2.0)
+    shift = np.full(m.shape, c)
+    mu = np.stack([np.stack((-shift, m - shift), axis=-1),
+                   np.stack((shift, m + shift), axis=-1)], axis=1)
+    sigma = np.full(mu.shape, c if scale > 0 else 1e-300)
+    return mu, sigma
+
+
+def _entropy_bounds(lo, hi):
+    """Least and greatest two-class entropy over P(y=1) in [lo, hi]."""
+    lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+    h_lo = predictive_entropy(np.stack((1.0 - lo, lo), axis=-1))
+    h_hi = predictive_entropy(np.stack((1.0 - hi, hi), axis=-1))
+    top = np.where((lo <= 0.5) & (hi >= 0.5), LN2, np.maximum(h_lo, h_hi))
+    return np.minimum(h_lo, h_hi), top
+
+
 class TestHeteroDecompose:
     def test_degenerate_spread(self):
+        # every weight sample agrees, so s_epi is exactly 0
         mu = np.tile([[2.0, 0.5]], (4, 1))
         sigma = np.full((4, 2), 1e-9)
-        dec = hetero_decompose(mu, sigma, n_draws=200, rng=make_rng(0))
-        assert dec.entropy_epistemic == pytest.approx(
-            predictive_entropy(softmax(mu[0])), abs=1e-6)
-        assert dec.entropy_aleatoric == pytest.approx(
-            predictive_entropy(softmax(mu[0])), abs=1e-6)
+        dec = hetero_decompose(mu, sigma)
+        want = predictive_entropy(softmax(mu[0]))
+        assert dec.entropy_epistemic.shape == ()
+        assert dec.entropy_epistemic == pytest.approx(want, rel=0, abs=1e-12)
+        assert dec.entropy_aleatoric == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_symmetric_mu_gives_log2(self, rng):
         mu = rng.normal(0, 0.5, (6, 2))
         mu[:, 1] = mu[:, 0]  # exactly symmetric coordinates
         sigma = np.full((6, 2), 0.8)
-        dec = hetero_decompose(mu, sigma, n_draws=40_000, rng=make_rng(1))
-        # H(0.5 +- 0.01) = ln 2 - 2.0e-4, so this bounds |p - 0.5| below 0.01
-        assert np.all(np.abs(dec.entropy_aleatoric - LN2) < 2e-4)
+        dec = hetero_decompose(mu, sigma)
+        np.testing.assert_allclose(dec.entropy_aleatoric, LN2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dec.entropy_epistemic, LN2, rtol=0, atol=1e-12)
 
-    def test_monte_carlo_convergence(self, rng):
-        mu = np.abs(rng.standard_normal((3, 2)))
-        sigma = rng.uniform(0.3, 1.0, (3, 2))
-        d1 = hetero_decompose(mu, sigma, n_draws=10_000, rng=make_rng(2))
-        d2 = hetero_decompose(mu, sigma, n_draws=100_000, rng=make_rng(3))
-        np.testing.assert_allclose(
-            np.asarray(d1.entropy_aleatoric), np.asarray(d2.entropy_aleatoric), atol=0.01)
-        np.testing.assert_allclose(
-            np.asarray(d1.entropy_epistemic), np.asarray(d2.entropy_epistemic), atol=0.01)
+    # the 48-node rule keeps log p within 1e-6 up to margin scale 2; on this
+    # grid the entropies agree with adaptive quadrature to 4e-10
+    @pytest.mark.parametrize("scale", [0.0, 0.1, 0.5, 1.0, 2.0])
+    def test_matches_adaptive_quadrature(self, scale):
+        mu, sigma = _two_sample_heads([-8.0, -3.0, -1.0, 0.0, 0.5, 2.0, 6.0], scale)
+        dec = hetero_decompose(mu, sigma)
+        h_ale, h_epi = hetero_entropies_quad(mu, sigma)
+        np.testing.assert_allclose(dec.entropy_aleatoric, h_ale, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dec.entropy_epistemic, h_epi, rtol=0, atol=1e-9)
+
+    def test_matches_monte_carlo(self, rng):
+        # P(y=1) of each branch lies within 4 standard errors of a 2e5-draw
+        # estimate, so its entropy lies in the entropy range of that interval
+        mu = rng.normal(0.0, 1.5, (6, 5, 2))
+        sigma = rng.uniform(0.3, 1.5, (6, 5, 2))
+        dec = hetero_decompose(mu, sigma)
+        mu_bar = mu.mean(axis=1)
+        for got, scale in ((dec.entropy_aleatoric, np.sqrt(np.mean(sigma**2, axis=1))),
+                           (dec.entropy_epistemic, mu.std(axis=1))):
+            p, se = mc_softmax(mu_bar, scale, 200_000, make_rng(4))
+            low, high = _entropy_bounds(p[:, 1] - 4 * se[:, 1], p[:, 1] + 4 * se[:, 1])
+            assert np.all((low <= got) & (got <= high))
+
+    def test_deterministic(self, rng):
+        mu = rng.normal(0.0, 1.0, (50, 5, 2))
+        sigma = rng.uniform(0.2, 2.0, (50, 5, 2))
+        first, second = hetero_decompose(mu, sigma), hetero_decompose(mu, sigma)
+        assert first.entropy_aleatoric.tobytes() == second.entropy_aleatoric.tobytes()
+        assert first.entropy_epistemic.tobytes() == second.entropy_epistemic.tobytes()
 
     def test_single_weight_sample_rejected(self):
         with pytest.raises(DomainError):
@@ -220,8 +267,20 @@ class TestSummaries:
         mu = np.abs(rng.standard_normal((4, 3, 2)))
         sigma = rng.uniform(0.2, 1.0, (4, 3, 2))
         member_probs = random_samples(rng, n_sets=4, n_samples=3)
-        out = summarize_hetero(mu, sigma, member_probs, n_draws=500, rng=make_rng(0))
+        out = summarize_hetero(mu, sigma, member_probs)
+        dec = hetero_decompose(mu, sigma)
         assert len(out) == 4
-        for s in out:
-            assert s.entropy_aleatoric is not None and s.entropy_aleatoric >= 0
-            assert s.entropy_epistemic is not None and s.entropy_epistemic >= 0
+        assert [s.entropy_aleatoric for s in out] == dec.entropy_aleatoric.tolist()
+        assert [s.entropy_epistemic for s in out] == dec.entropy_epistemic.tolist()
+
+    def test_summarize_hetero_takes_the_benchmark_keywords(self, rng):
+        # the benchmark's select workload passes n_draws and rng, which have
+        # no effect, exactly as below; ROADMAP item 2 deletes both
+        spec = spec_from_mapping(COMPARE, load_profile("standard-synthetic"))
+        mu = rng.normal(0.0, 1.0, (5, 5, 2))
+        sigma = rng.uniform(0.2, 1.0, (5, 5, 2))
+        member_probs = random_samples(rng, n_sets=5, n_samples=5)
+        out = summarize_hetero(mu, sigma, member_probs,
+                               n_draws=spec.decompose_draws, rng=make_rng(0))
+        plain = summarize_hetero(mu, sigma, member_probs)
+        assert out == plain
