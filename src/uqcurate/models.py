@@ -9,8 +9,12 @@ Two fixed-depth MLP variants over dense feature vectors:
   dual head's predictive distribution draws logit noise.
 
 The hidden stack is Linear -> ReLU -> Dropout repeated ``hidden_layers``
-times.  Training uses Adam with early stopping on validation loss; the
-checkpoint with the lowest validation loss is restored before returning.
+times.  ``MlpModel._forward`` is the one forward pass, for training and
+prediction alike, and ``MlpModel._train_batch`` is the one training step: it
+alone computes a batch's loss and fills the gradient vector, and the
+finite-difference check of acceptance criterion 1 differentiates it.
+Training uses Adam with early stopping on validation loss; the checkpoint
+with the lowest validation loss is restored before returning.
 
 ``fit_method`` fits what a weight-sampling method (vanilla, mc-dropout,
 ensemble) predicts with, and ``predict_samples`` is the one prediction path
@@ -57,10 +61,6 @@ N_CLASSES = 2
 
 CHECKPOINT_FORMAT = 4
 
-# default dropout-mask seed so prediction without an explicit rng is
-# reproducible
-_PREDICT_SEED = 0x5EED
-
 
 @dataclass
 class ModelConfig:
@@ -98,6 +98,11 @@ class EpochRecord:
     val_loss: float
 
 
+def _dual_head(mu_pre: Array, sigma_pre: Array) -> tuple[Array, Array]:
+    """(mu, sigma) from the dual head's two affine outputs."""
+    return relu(mu_pre), softplus(sigma_pre) + SIGMA_FLOOR
+
+
 class MlpModel:
     """Fixed-architecture MLP; weights are immutable once training returns."""
 
@@ -114,17 +119,12 @@ class MlpModel:
             self.hidden.append(LinearLayer(in_dim, config.hidden_width, rng))
             self.dropouts.append(DropoutLayer(config.dropout))
             in_dim = config.hidden_width
-        if config.head == HOMOSCEDASTIC:
-            self.head = LinearLayer(in_dim, N_CLASSES, rng)
-            self.head_mu = None
-            self.head_sigma = None
-        else:
-            self.head = None
-            self.head_mu = LinearLayer(in_dim, N_CLASSES, rng)
-            self.head_sigma = LinearLayer(in_dim, N_CLASSES, rng)
+        # [logits] or [mu, sigma], in init-draw and checkpoint order
+        n_heads = 1 if config.head == HOMOSCEDASTIC else 2
+        self.heads = [LinearLayer(in_dim, N_CLASSES, rng) for _ in range(n_heads)]
         # every layer's w, b, dw and db are views of these two vectors, so the
         # optimizer and the best-epoch snapshot each touch one array
-        layers = self.hidden + self._head_layers()
+        layers = self.hidden + self.heads
         self.flat_params = np.empty(sum(layer.size for layer in layers))
         self.flat_grads = np.zeros_like(self.flat_params)
         start = 0
@@ -133,72 +133,49 @@ class MlpModel:
             layer.bind(self.flat_params[start:stop], self.flat_grads[start:stop])
             start = stop
 
-    # -- parameter plumbing -------------------------------------------------
-
-    def _head_layers(self) -> list[LinearLayer]:
-        if self.config.head == HOMOSCEDASTIC:
-            return [self.head]
-        return [self.head_mu, self.head_sigma]
-
-    # -- forward / backward -------------------------------------------------
-
-    def _forward_hidden(self, x: Array, *, stochastic: bool, cache: bool,
-                        rng: np.random.Generator | None):
-        pre_acts = [] if cache else None
-        h = x
+    def _forward(self, X: Array, *, stochastic: bool, train: bool,
+                 rng: np.random.Generator | None):
+        """``(head-layer outputs, hidden pre-activations)``: the head layers'
+        affine outputs before their activations, and with ``train`` the
+        pre-activation of every hidden relu (an empty list otherwise).
+        ``train`` also makes each layer keep what ``_train_batch``'s backward
+        pass reads; ``stochastic`` keeps dropout masks active."""
+        pre_acts = []
+        h = X
         for lin, drop in zip(self.hidden, self.dropouts):
-            z = lin.forward(h, train=cache)
-            if cache:
+            z = lin.forward(h, train=train)
+            if train:
                 pre_acts.append(z)
             h = drop.forward(relu(z), train=stochastic, rng=rng)
-        return h, pre_acts
+        return [head.forward(h, train=train) for head in self.heads], pre_acts
 
-    def _backward_hidden(self, dh: Array, pre_acts: list[Array]) -> None:
-        for lin, drop, z in zip(reversed(self.hidden), reversed(self.dropouts),
-                                reversed(pre_acts)):
-            da = drop.backward(dh)
-            dz = da * (z > 0.0)
-            dh = lin.backward(dz)
-
-    def raw_outputs(self, X: Array, *, stochastic: bool = False, cache: bool = False,
+    def raw_outputs(self, X: Array, *, stochastic: bool = False,
                     rng: np.random.Generator | None = None):
         """Head outputs: logits for single-head, (mu, sigma) for dual-head.
 
-        ``stochastic`` keeps dropout masks active (weight sampling);
-        ``cache`` retains activations for a following backward pass.
+        ``stochastic`` keeps dropout masks active (weight sampling).
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        h, pre_acts = self._forward_hidden(X, stochastic=stochastic, cache=cache, rng=rng)
-        if self.config.head == HOMOSCEDASTIC:
-            logits = self.head.forward(h, train=cache)
-            if cache:
-                self._cache = (pre_acts, None, None)
-            return logits
-        mu_pre = self.head_mu.forward(h, train=cache)
-        sigma_pre = self.head_sigma.forward(h, train=cache)
-        mu = relu(mu_pre)
-        sigma = softplus(sigma_pre) + SIGMA_FLOOR
-        if cache:
-            self._cache = (pre_acts, mu_pre, sigma_pre)
-        return mu, sigma
+        outs, _ = self._forward(X, stochastic=stochastic, train=False, rng=rng)
+        return outs[0] if self.config.head == HOMOSCEDASTIC else _dual_head(*outs)
 
     def _train_batch(self, X: Array, y: Array, rng: np.random.Generator) -> float:
+        """The one training step: the batch's loss under fresh dropout masks
+        from ``rng``, with its gradient written to ``flat_grads``."""
+        outs, pre_acts = self._forward(X, stochastic=True, train=True, rng=rng)
         if self.config.head == HOMOSCEDASTIC:
-            logits = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-            loss, dlogits, _ = softmax_xent(logits, y)
-            pre_acts, _, _ = self._cache
-            dh = self.head.backward(dlogits)
+            loss, dlogits, _ = softmax_xent(outs[0], y)
+            dh = self.heads[0].backward(dlogits)
         else:
-            mu, sigma = self.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-            loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, y)
-            pre_acts, mu_pre, sigma_pre = self._cache
-            dmu_pre = dmu * (mu_pre > 0.0)
-            dsigma_pre = dsigma * sigmoid(sigma_pre)
-            dh = self.head_mu.backward(dmu_pre) + self.head_sigma.backward(dsigma_pre)
-        self._backward_hidden(dh, pre_acts)
-        self._cache = None
+            mu_pre, sigma_pre = outs
+            loss, dmu, dsigma = gaussian_logit_nll(*_dual_head(mu_pre, sigma_pre), y)
+            dh = (self.heads[0].backward(dmu * (mu_pre > 0.0))
+                  + self.heads[1].backward(dsigma * sigmoid(sigma_pre)))
+        for lin, drop, z in zip(reversed(self.hidden), reversed(self.dropouts),
+                                reversed(pre_acts)):
+            dh = lin.backward(drop.backward(dh) * (z > 0.0))
         return float(loss)
 
     def evaluate_loss(self, X: Array, y: Array) -> float:
@@ -348,7 +325,7 @@ def _require_trained(model: MlpModel) -> None:
 
 
 def _forward_samples(fitted, X: Array, n_passes: int | None,
-                     rng: np.random.Generator) -> list:
+                     rng: np.random.Generator | None) -> list:
     """Head outputs of each weight sample, in sample order: logits, or a
     (mu, sigma) pair for a dual head, each (N, C)."""
     if isinstance(fitted, Ensemble):
@@ -364,6 +341,8 @@ def _forward_samples(fitted, X: Array, n_passes: int | None,
         return [fitted.raw_outputs(X)]
     if n_passes < 1:
         raise ConfigError(f"n_passes must be >= 1, got {n_passes}")
+    if rng is None:
+        raise ConfigError("dropout passes need an rng for their masks")
     if fitted.config.dropout == 0.0:
         warnings.warn(
             "dropout probability is 0; all stochastic passes are identical",
@@ -390,10 +369,10 @@ def predict_samples(fitted, X: Array, n_passes: int | None = None,
     ``(mu, sigma)`` pair of (N, T, C) arrays for a dual head; ``probs`` is
     the (N, T, C) stack of predictive distributions.  A dual-head sample's
     distribution is the expected softmax of its Gaussian logits,
-    ``kernels.gaussian_logit_probs``.  ``rng`` drives the dropout masks only;
-    a fixed default seed is used when it is None.
+    ``kernels.gaussian_logit_probs``.  ``rng`` drives the dropout masks only:
+    dropout passes raise ``ConfigError`` without one, and eval-mode passes
+    draw nothing.
     """
-    rng = make_rng(_PREDICT_SEED) if rng is None else rng
     outputs = _forward_samples(fitted, X, n_passes, rng)
     if fitted.config.head == HOMOSCEDASTIC:
         probs = [softmax(z) for z in outputs]
@@ -429,7 +408,6 @@ def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
     it draws the same dropout masks."""
     if model_or_ensemble.config.head != HETEROSCEDASTIC:
         raise ConfigError("dual-head outputs need a hetero-head model")
-    rng = make_rng(_PREDICT_SEED) if rng is None else rng
     return _stack(_forward_samples(model_or_ensemble, X, n_passes, rng))
 
 
@@ -440,7 +418,7 @@ def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
 
 def _model_arrays(model: MlpModel, prefix: str) -> dict[str, Array]:
     arrays = {}
-    layers = model.hidden + model._head_layers()
+    layers = model.hidden + model.heads
     for i, layer in enumerate(layers):
         arrays[f"{prefix}layer{i}_w"] = layer.w
         arrays[f"{prefix}layer{i}_b"] = layer.b
@@ -457,16 +435,35 @@ def _model_meta(model: MlpModel) -> dict:
     }
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each member meta value must be (only best_val_loss may be absent)
+_MEMBER_META = {
+    "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    "trained": (lambda v: isinstance(v, bool), "true or false"),
+    "history": (lambda v: isinstance(v, list) and all(
+        isinstance(r, list) and len(r) == 3 and type(r[0]) is int
+        and _is_real(r[1]) and _is_real(r[2]) for r in v),
+        "a list of [epoch, train_loss, val_loss] rows"),
+    "best_val_loss": (lambda v: v is None or _is_real(v), "a number or null"),
+}
+
+
 def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpModel:
-    for key in ("config", "seed", "trained", "history"):
-        if not isinstance(meta, dict) or key not in meta:
-            raise DataFormatError(f"checkpoint member meta has no {key!r}")
+    if not isinstance(meta, dict) or "config" not in meta:
+        raise DataFormatError("checkpoint member meta has no 'config'")
+    for key, (valid, kind) in _MEMBER_META.items():
+        if not valid(meta.get(key)):
+            raise DataFormatError(
+                f"checkpoint member {key!r} must be {kind}, got {meta.get(key)!r}")
     try:
         config = ModelConfig(**meta["config"])
     except TypeError as exc:  # a key ModelConfig lacks or needs, or not a mapping
         raise DataFormatError(f"checkpoint member config does not fit ModelConfig: {exc}") from exc
     model = MlpModel(config, seed=meta["seed"])
-    layers = model.hidden + model._head_layers()
+    layers = model.hidden + model.heads
     for i, layer in enumerate(layers):
         for name, target in (("w", layer.w), ("b", layer.b)):
             key = f"{prefix}layer{i}_{name}"
@@ -480,7 +477,7 @@ def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpMode
                 )
             target[...] = value  # write into the view; the flat buffer stays shared
     model.trained = meta["trained"]
-    model.history = [EpochRecord(int(e), tl, vl) for e, tl, vl in meta["history"]]
+    model.history = [EpochRecord(e, tl, vl) for e, tl, vl in meta["history"]]
     if meta.get("best_val_loss") is not None:
         model.best_val_loss = meta["best_val_loss"]
     return model

@@ -18,7 +18,7 @@ from uqcurate.curation import _record_arrays
 from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
-from uqcurate.nncore import make_rng, sigmoid, softmax
+from uqcurate.nncore import make_rng, softmax
 
 
 def naive_matmul_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,35 +165,20 @@ def gaussian_logit_nll_loop(mu, sigma, eps, labels):
 
 
 def model_loss(model: MlpModel, X, y, mask_seed: int = 123) -> float:
-    """Training-mode loss with dropout masks frozen by reseeding, so repeated
-    evaluations at perturbed parameters see identical stochasticity."""
-    rng = make_rng(mask_seed)
+    """Loss of the prediction path's stochastic forward (``raw_outputs``)
+    with dropout masks frozen by reseeding, so repeated evaluations at
+    perturbed parameters see identical stochasticity."""
+    outputs = model.raw_outputs(X, stochastic=True, rng=make_rng(mask_seed))
     if model.config.head == HOMOSCEDASTIC:
-        logits = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, _, _ = softmax_xent(logits, y)
-    else:
-        mu, sigma = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, _, _ = gaussian_logit_nll(mu, sigma, y)
-    model._cache = None
-    return float(loss)
+        return float(softmax_xent(outputs, y)[0])
+    return float(gaussian_logit_nll(*outputs, y)[0])
 
 
 def model_loss_and_grads(model: MlpModel, X, y, mask_seed: int = 123):
-    rng = make_rng(mask_seed)
-    if model.config.head == HOMOSCEDASTIC:
-        logits = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, dlogits, _ = softmax_xent(logits, y)
-        pre_acts, _, _ = model._cache
-        dh = model.head.backward(dlogits)
-    else:
-        mu, sigma = model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-        loss, dmu, dsigma = gaussian_logit_nll(mu, sigma, y)
-        pre_acts, mu_pre, sigma_pre = model._cache
-        dh = model.head_mu.backward(dmu * (mu_pre > 0.0))
-        dh = dh + model.head_sigma.backward(dsigma * sigmoid(sigma_pre))
-    model._backward_hidden(dh, pre_acts)
-    model._cache = None
-    return float(loss), model.flat_grads.copy()
+    """Loss and flat gradient of the model's own training step under the
+    masks of ``model_loss``."""
+    loss = model._train_batch(X, y, make_rng(mask_seed))
+    return loss, model.flat_grads.copy()
 
 
 def kink_margin(model: MlpModel, X, mask_seed: int = 123) -> float:
@@ -202,21 +187,19 @@ def kink_margin(model: MlpModel, X, mask_seed: int = 123) -> float:
     Central differences are invalid when a perturbation crosses a relu kink,
     so gradient checks require this margin to exceed the step size.
     """
-    rng = make_rng(mask_seed)
-    model.raw_outputs(X, stochastic=True, cache=True, rng=rng)
-    pre_acts, mu_pre, _ = model._cache
-    margin = min(float(np.abs(z).min()) for z in pre_acts)
-    if mu_pre is not None:
-        margin = min(margin, float(np.abs(mu_pre).min()))
-    model._cache = None
-    return margin
+    outs, pre_acts = model._forward(X, stochastic=True, train=True, rng=make_rng(mask_seed))
+    if model.config.head != HOMOSCEDASTIC:
+        pre_acts.append(outs[0])  # mu passes through a relu too
+    return min(float(np.abs(z).min()) for z in pre_acts)
 
 
 def max_relative_gradient_error(model: MlpModel, X, y, step: float = 1e-5,
                                 mask_seed: int = 123) -> float:
     """Worst relative disagreement between analytic and central-difference
     gradients over every parameter of the model."""
-    _, flat_g = model_loss_and_grads(model, X, y, mask_seed=mask_seed)
+    loss, flat_g = model_loss_and_grads(model, X, y, mask_seed=mask_seed)
+    # training and prediction run one forward pass, so the losses agree exactly
+    assert loss == model_loss(model, X, y, mask_seed=mask_seed)
     flat_p = model.flat_params  # every layer's w and b are views of it
     worst = 0.0
     for i in range(flat_p.shape[0]):

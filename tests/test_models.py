@@ -40,7 +40,7 @@ def fit_small(head="homo", seed=11, splits=None, **overrides):
 
 def layer_arrays(model, *names):
     """The named arrays (w, b, dw or db) of every layer, in layer order."""
-    return [getattr(layer, name) for layer in model.hidden + model._head_layers()
+    return [getattr(layer, name) for layer in model.hidden + model.heads
             for name in names]
 
 
@@ -123,8 +123,8 @@ class TestPrediction:
 
     def test_zeroed_head_gives_uniform(self, small_splits):
         model = fit_small("homo", splits=small_splits)
-        model.head.w[...] = 0.0
-        model.head.b[...] = 0.0
+        model.heads[0].w[...] = 0.0
+        model.heads[0].b[...] = 0.0
         probs = predict_vanilla(model, small_splits[2].X)
         np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
@@ -137,8 +137,8 @@ class TestPrediction:
 
     def test_degenerate_sigma_matches_softmax_mu(self, small_splits):
         model = fit_small("hetero", splits=small_splits, max_epochs=10)
-        model.head_sigma.w[...] = 0.0
-        model.head_sigma.b[...] = -40.0  # softplus(-40) ~ 4e-18
+        model.heads[1].w[...] = 0.0
+        model.heads[1].b[...] = -40.0  # softplus(-40) ~ 4e-18
         X = small_splits[2].X[:20]
         mu, _ = model.raw_outputs(X)
         probs = predict_vanilla(model, X)
@@ -175,6 +175,21 @@ class TestMcDropout:
         s2 = predict_mc_dropout(model, small_splits[2].X[:5], 7, make_rng(3))
         np.testing.assert_array_equal(s1, s2)
 
+    def test_dropout_passes_need_an_rng(self, small_splits, monkeypatch):
+        # there is no default mask seed, and the error comes before any pass
+        model = fit_small("hetero", splits=small_splits, max_epochs=2)
+        X = small_splits[2].X[:5]
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(model, "raw_outputs", no_pass)
+        for call in (lambda: predict_samples(model, X, 3),
+                     lambda: hetero_raw_outputs(model, X, 3),
+                     lambda: predict_mc_dropout(model, X)):
+            with pytest.raises(ConfigError, match="rng"):
+                call()
+
 
 class TestEnsemble:
     def test_single_member_matches_vanilla(self, small_splits):
@@ -185,8 +200,8 @@ class TestEnsemble:
             predict_ensemble(ens, test.X)[:, 0, :],
             predict_vanilla(ens.members[0], test.X),
         )
-        # dual head: the members' logit noise comes from one shared stream,
-        # drawn in member order
+        # dual head: the members' eval-mode passes draw nothing, so the
+        # samples are the same with and without an rng
         ens = train_ensemble(small_config("hetero", max_epochs=5), 3,
                              balanced.X, balanced.y, val.X, val.y, seed=5)
         shared = make_rng(11)
@@ -194,6 +209,10 @@ class TestEnsemble:
                             axis=1)
         np.testing.assert_array_equal(predict_ensemble(ens, test.X, rng=make_rng(11)),
                                       expected)
+        (mu, sigma), probs = predict_samples(ens, test.X)
+        (mu_r, sigma_r), probs_r = predict_samples(ens, test.X, rng=make_rng(11))
+        for a, b in ((mu, mu_r), (sigma, sigma_r), (probs, probs_r)):
+            np.testing.assert_array_equal(a, b)
 
     def test_identical_seeds_give_identical_samples(self, small_splits):
         balanced, val, test = small_splits
@@ -390,7 +409,7 @@ class TestSerialization:
         # the format-1 single-model layout: unprefixed arrays, bare meta
         model = fitted["vanilla"]
         arrays = {f"layer{i}_{name}": getattr(layer, name)
-                  for i, layer in enumerate(model.hidden + model._head_layers())
+                  for i, layer in enumerate(model.hidden + model.heads)
                   for name in ("w", "b")}
         path = tmp_path / "old.npz"
         np.savez(path, format_version=np.int64(1),
@@ -421,7 +440,12 @@ class TestSerialization:
         (lambda member: member["config"].update(bogus=1), "bogus"),
         (lambda member: member.pop("config"), "config"),
         (lambda member: member.pop("seed"), "seed"),
-    ], ids=["unknown-config-key", "no-config", "no-seed"])
+        (lambda member: member.update(seed="abc"), "seed"),
+        (lambda member: member.update(history=[[1, 2]]), "history"),
+        (lambda member: member.update(trained="yes"), "trained"),
+        (lambda member: member.update(best_val_loss="x"), "best_val_loss"),
+    ], ids=["unknown-config-key", "no-config", "no-seed", "seed-not-int",
+            "history-row-too-short", "trained-not-bool", "best-val-loss-not-number"])
     def test_bad_member_meta_rejected(self, fitted, tmp_path, edit, key):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
         save_checkpoint(fitted["ensemble"], good)
