@@ -19,11 +19,13 @@ depend on the degree of parallelism).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -200,17 +202,45 @@ def _jobs() -> int:
 
 def _workers(n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` repetitions: ``UQCURATE_JOBS``, capped
-    at the task count and the CPU count.  A fork-based pool starts every
-    worker at once, so the cap bounds the processes any setting can start."""
+    at the task count and the CPU count, so the cap bounds the processes any
+    setting can start."""
     return min(_jobs(), n_tasks, os.cpu_count() or 1)
 
 
+# BLAS threads in each repetition worker.  A BLAS library sizes its thread
+# pool for the whole machine when numpy loads, so workers x BLAS threads would
+# oversubscribe the cores; workers are spawned (not forked from a process whose
+# BLAS is loaded) with these variables set, so the pin holds from the start.
+WORKER_BLAS_THREADS = 1
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_blas_env():
+    """Set the BLAS thread variables that spawned workers inherit, and restore
+    this process's values afterwards."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(WORKER_BLAS_THREADS)))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def _map_reps(fn, args_list):
-    """Run per-repetition work, optionally in processes; order preserved."""
+    """Run per-repetition work, optionally in spawned worker processes with
+    BLAS pinned to ``WORKER_BLAS_THREADS``; order preserved."""
     workers = _workers(len(args_list))
     if workers <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool spawns its workers inside map, so the environment is set until
+    # the pool has shut down
+    with _worker_blas_env(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -261,14 +291,11 @@ def _run_study(spec: ExperimentSpec, kind: str, one_rep, summarize, name: str,
 # ---------------------------------------------------------------------------
 
 
-def _fit_and_score(spec: ExperimentSpec, method: str, cfg: ModelConfig, fit: Dataset,
-                   val: Dataset, test: Dataset, fit_seed: int, eval_seed: int):
-    """Fit ``method`` on ``fit`` (early-stopped on ``val``) and report its
-    mean predictive on ``test``; returns (fitted, report)."""
-    fitted = fit_method(method, cfg, spec.ensemble_size, fit.X, fit.y, val.X, val.y, fit_seed)
+def _score(spec: ExperimentSpec, method: str, fitted, test: Dataset, eval_seed: int):
+    """The classification report of ``method``'s mean predictive on ``test``."""
     n_passes = method_passes(method, spec.mc_passes)
     samples = predict_samples(fitted, test.X, n_passes, make_rng(eval_seed))
-    return fitted, classification_report(mean_predictive(samples[1]), test.y)
+    return classification_report(mean_predictive(samples[1]), test.y)
 
 
 def _shift_one_rep(args):
@@ -287,8 +314,15 @@ def _shift_one_rep(args):
         va = inject_shift(val_ds, intensity, irng)
         te = inject_shift(test_ds, intensity, irng)
         fit = undersample_balance(tr, make_rng(balance_seed))
+        # vanilla and mc-dropout differ only at prediction time, so they
+        # share one fit: one single model and one ensemble per intensity
+        fits = {}
         for method in spec.uq_methods:
-            _, report = _fit_and_score(spec, method, cfg, fit, va, te, fit_seed, eval_seed)
+            is_ensemble = method == "ensemble"
+            if is_ensemble not in fits:
+                fits[is_ensemble] = fit_method(method, cfg, spec.ensemble_size,
+                                               fit.X, fit.y, va.X, va.y, fit_seed)
+            report = _score(spec, method, fits[is_ensemble], te, eval_seed)
             cells.append({
                 "method": method,
                 "intensity": intensity,
@@ -476,6 +510,7 @@ def _write_outputs(result: ExperimentResult, out_dir, name: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     spec = result.spec
     tag = spec.digest()
+    jobs = _workers(spec.repetitions)
     for key, rows in (("summary", result.rows), ("runs", result.run_rows)):
         path = os.path.join(out_dir, f"{name}_{key}_{tag}.csv")
         write_rows_csv(rows, list(rows[0].keys()), path)
@@ -492,7 +527,9 @@ def _write_outputs(result: ExperimentResult, out_dir, name: str) -> None:
             {spec.data_csv: _sha256(spec.data_csv)} if spec.data_csv else {}
         ),
         "outputs": dict(result.outputs),
-        "jobs": _workers(spec.repetitions),
+        "jobs": jobs,
+        # null when the repetitions ran in this process
+        "worker_blas_threads": WORKER_BLAS_THREADS if jobs > 1 else None,
     }
     manifest_path = os.path.join(out_dir, f"{name}_manifest_{tag}.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -605,8 +642,9 @@ def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "mod
     train_ds, val_ds, test_ds = split(base, SplitSpec(
         spec.train_fraction, spec.val_fraction, seed=split_seed))
     fit = undersample_balance(train_ds, make_rng(balance_seed))
-    fitted, report = _fit_and_score(spec, method, spec.model_config(base.feature_dim),
-                                    fit, val_ds, test_ds, fit_seed, eval_seed)
+    fitted = fit_method(method, spec.model_config(base.feature_dim), spec.ensemble_size,
+                        fit.X, fit.y, val_ds.X, val_ds.y, fit_seed)
+    report = _score(spec, method, fitted, test_ds, eval_seed)
     outputs: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

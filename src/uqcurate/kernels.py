@@ -103,7 +103,9 @@ def _check_gaussian(mu, sigma):
 def _margin_nodes(mu, sigma, x):
     """The margin d = m + S*x_k at every node x_k, (B, K), and S, (B, 1)."""
     scale = np.hypot(sigma[:, 0], sigma[:, 1])[:, None]
-    return (mu[:, 1] - mu[:, 0])[:, None] + scale * x, scale
+    margin = scale * x
+    margin += (mu[:, 1] - mu[:, 0])[:, None]
+    return margin, scale
 
 
 def gaussian_logit_nll(mu, sigma, labels):
@@ -156,9 +158,14 @@ def gaussian_logit_probs(mu, sigma):
     if np.any(sigma < 0.0):
         raise DomainError("sigma entries must be >= 0")
     x, w, _ = _gauss_hermite()
-    margin, _ = _margin_nodes(mu, sigma, x)
-    e = np.exp(-np.abs(margin))
-    near = 1.0 / (1.0 + e)   # sigmoid(|d|)
-    far = e * near           # sigmoid(-|d|)
-    pos = margin >= 0.0
-    return np.stack((np.where(pos, far, near) @ w, np.where(pos, near, far) @ w), axis=1)
+    # three (B, K) buffers: the margin's, and two more; every ufunc writes
+    # into one of them
+    d, _ = _margin_nodes(mu, sigma, x)
+    pos = d >= 0.0
+    e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)  # exp(-|d|)
+    near = np.add(1.0, e)
+    np.divide(1.0, near, out=near)      # sigmoid(|d|)
+    far = np.multiply(e, near, out=e)   # sigmoid(-|d|)
+    p1 = np.where(pos, near, far)
+    np.copyto(near, far, where=pos)     # p0 = where(pos, far, near)
+    return np.stack((near @ w, p1 @ w), axis=1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -145,8 +145,11 @@ class MlpModel:
         for lin, drop in zip(self.hidden, self.dropouts):
             z = lin.forward(h, train=train)
             if train:
-                pre_acts.append(z)
-            h = drop.forward(relu(z), train=stochastic, rng=rng)
+                pre_acts.append(z)  # the backward pass reads z's sign
+                a = relu(z)
+            else:
+                a = np.maximum(z, 0.0, out=z)  # z is the layer's fresh output
+            h = drop.forward(a, train=stochastic, rng=rng)
         return [head.forward(h, train=train) for head in self.heads], pre_acts
 
     def raw_outputs(self, X: Array, *, stochastic: bool = False,
@@ -451,6 +454,28 @@ _MEMBER_META = {
 }
 
 
+# what a member config value must be, by its ModelConfig annotation
+_CONFIG_VALUE = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_real, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _restore_config(config) -> ModelConfig:
+    if not isinstance(config, dict):
+        raise DataFormatError(f"checkpoint member config must be a mapping, got {config!r}")
+    for f in fields(ModelConfig):
+        valid, kind = _CONFIG_VALUE[f.type]
+        if f.name in config and not valid(config[f.name]):
+            raise DataFormatError(
+                f"checkpoint member config {f.name!r} must be {kind}, got {config[f.name]!r}")
+    try:
+        return ModelConfig(**config)
+    except (TypeError, ConfigError) as exc:  # a key ModelConfig lacks or needs, or a bad value
+        raise DataFormatError(f"checkpoint member config does not fit ModelConfig: {exc}") from exc
+
+
 def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpModel:
     if not isinstance(meta, dict) or "config" not in meta:
         raise DataFormatError("checkpoint member meta has no 'config'")
@@ -458,10 +483,7 @@ def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpMode
         if not valid(meta.get(key)):
             raise DataFormatError(
                 f"checkpoint member {key!r} must be {kind}, got {meta.get(key)!r}")
-    try:
-        config = ModelConfig(**meta["config"])
-    except TypeError as exc:  # a key ModelConfig lacks or needs, or not a mapping
-        raise DataFormatError(f"checkpoint member config does not fit ModelConfig: {exc}") from exc
+    config = _restore_config(meta["config"])
     model = MlpModel(config, seed=meta["seed"])
     layers = model.hidden + model.heads
     for i, layer in enumerate(layers):

@@ -123,7 +123,9 @@ class LinearLayer:
             )
         if train:
             self._x = x
-        return x @ self.w.T + self.b
+        out = x @ self.w.T
+        out += self.b  # in place on the fresh product: one (B, out) array, not two
+        return out
 
     def backward(self, dout: Array) -> Array:
         if self._x is None:

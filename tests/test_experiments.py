@@ -55,6 +55,28 @@ class TestShift:
         assert len(result.rows) == 4
         assert len(result.run_rows) == 4  # x 1 repetition
 
+    def test_vanilla_and_mc_dropout_share_one_fit(self, monkeypatch):
+        from uqcurate import experiments
+        from uqcurate.models import fit_method
+
+        methods = ("vanilla", "mc-dropout", "ensemble")
+        fits = []
+
+        def recording_fit(method, *args):
+            fits.append(method)
+            return fit_method(method, *args)
+
+        monkeypatch.setattr(experiments, "fit_method", recording_fit)
+        spec = smoke_spec(SHIFT, intensities=(0.0, 0.3), uq_methods=methods)
+        combined = run_shift_experiment(spec).run_rows
+        assert fits == ["vanilla", "ensemble"] * 2
+        # each method's rows are those it gives when it runs alone
+        monkeypatch.undo()
+        for method in methods:
+            alone = run_shift_experiment(smoke_spec(
+                SHIFT, intensities=(0.0, 0.3), uq_methods=(method,))).run_rows
+            assert [r for r in combined if r["method"] == method] == alone
+
     def test_outputs_and_determinism(self, tmp_path):
         spec = smoke_spec(SHIFT, intensities=(0.0,), uq_methods=("vanilla",))
         r1 = run_shift_experiment(spec, out_dir=tmp_path / "a")
@@ -186,13 +208,19 @@ class TestManifest:
 
 
 class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    work in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the start
+    method of the context and the BLAS thread variables that workers would
+    inherit, and runs the work in this process, so no worker is ever
+    started."""
 
     created: list = []
+    contexts: list = []
+    environments: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.created.append(max_workers)
+        self.contexts.append(mp_context and mp_context.get_start_method())
+        self.environments.append({var: os.environ.get(var) for var in _BLAS_VARS})
 
     def __enter__(self):
         return self
@@ -204,12 +232,17 @@ class _RecordingExecutor:
         return map(fn, args)
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestWorkerCap:
     @pytest.fixture
     def executor(self, monkeypatch):
         import uqcurate.experiments as experiments
 
         _RecordingExecutor.created = []
+        _RecordingExecutor.contexts = []
+        _RecordingExecutor.environments = []
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("UQCURATE_JOBS", "100000")
@@ -222,6 +255,18 @@ class TestWorkerCap:
         assert _map_reps(abs, list(range(-n_tasks, 0))) == list(range(n_tasks, 0, -1))
         assert executor.created == [expected]
 
+    def test_workers_are_spawned_with_blas_on_one_thread(self, executor, monkeypatch):
+        from uqcurate.experiments import _map_reps
+
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert _map_reps(abs, [-1, -2]) == [1, 2]
+        assert executor.contexts == ["spawn"]
+        assert executor.environments == [dict.fromkeys(_BLAS_VARS, "1")]
+        # this process's own values come back once the pool is done
+        assert os.environ["OMP_NUM_THREADS"] == "4"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
     def test_single_task_starts_no_pool(self, executor):
         from uqcurate.experiments import _map_reps
 
@@ -233,7 +278,8 @@ class TestWorkerCap:
                           repetitions=2)
         result = run_shift_experiment(spec, out_dir=tmp_path)
         assert executor.created == [2]
-        assert json.load(open(result.outputs["manifest_json"]))["jobs"] == 2
+        manifest = json.load(open(result.outputs["manifest_json"]))
+        assert manifest["jobs"] == 2 and manifest["worker_blas_threads"] == 1
 
 
 class TestTraining:

@@ -186,6 +186,33 @@ def test_probs_agree_with_nll():
         np.testing.assert_allclose(sharp, e / e.sum(axis=1, keepdims=True), rtol=1e-12)
 
 
+def _probs_reference(mu, sigma):
+    """``gaussian_logit_probs`` as plain expressions, one fresh array each."""
+    x, w, _ = kernels._gauss_hermite()
+    margin = (mu[:, 1] - mu[:, 0])[:, None] + np.hypot(sigma[:, 0], sigma[:, 1])[:, None] * x
+    e = np.exp(-np.abs(margin))
+    near = 1.0 / (1.0 + e)
+    far = e * near
+    pos = margin >= 0.0
+    return np.stack((np.where(pos, far, near) @ w, np.where(pos, near, far) @ w), axis=1)
+
+
+@pytest.mark.parametrize("case", ["random", "zero-sigma", "margins-40"])
+def test_probs_bit_identical_to_plain_expressions(case):
+    rng = np.random.default_rng(17)
+    mu = rng.standard_normal((500, 2)) * 4
+    sigma = rng.uniform(0.0, 3.0, (500, 2))
+    if case == "zero-sigma":
+        sigma[:] = 0.0
+    if case == "margins-40":
+        mu[:, 1] = mu[:, 0] + rng.choice([-40.0, 40.0], 500)
+    mu_before, sigma_before = mu.copy(), sigma.copy()
+    tables_before = [a.copy() for a in kernels._gauss_hermite()]
+    assert np.array_equal(kernels.gaussian_logit_probs(mu, sigma), _probs_reference(mu, sigma))
+    assert np.array_equal(mu, mu_before) and np.array_equal(sigma, sigma_before)
+    assert all(np.array_equal(a, b) for a, b in zip(kernels._gauss_hermite(), tables_before))
+
+
 def test_node_table_built_on_first_use():
     code = ("import uqcurate, uqcurate.cli; from uqcurate import kernels; "
             "assert kernels._gauss_hermite.cache_info().currsize == 0")

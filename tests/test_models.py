@@ -6,6 +6,7 @@ import pytest
 from uqcurate.data import SplitSpec, split, undersample_balance
 from uqcurate.errors import ConfigError, DataFormatError, ModelStateError
 from uqcurate.models import (
+    SIGMA_FLOOR,
     Ensemble,
     MlpModel,
     ModelConfig,
@@ -19,7 +20,7 @@ from uqcurate.models import (
     train_ensemble,
     train_model,
 )
-from uqcurate.nncore import make_rng, softmax
+from uqcurate.nncore import make_rng, relu, softmax, softplus
 
 
 def small_config(head="homo", **overrides):
@@ -143,6 +144,29 @@ class TestPrediction:
         mu, _ = model.raw_outputs(X)
         probs = predict_vanilla(model, X)
         np.testing.assert_allclose(probs, softmax(mu), atol=1e-6)
+
+
+    @pytest.mark.parametrize("head", ["homo", "hetero"])
+    def test_eval_forward_matches_plain_expressions_and_keeps_input(self, small_splits, head):
+        # the eval forward writes its bias and relu in place; its outputs
+        # stay the bytes of the plain expressions, and prediction leaves the
+        # caller's X and the weights as they were
+        model = fit_small(head, splits=small_splits, max_epochs=3)
+        X = small_splits[2].X
+        X_before, params_before = X.copy(), model.flat_params.copy()
+        h = X
+        for lin in model.hidden:
+            h = relu(h @ lin.w.T + lin.b)
+        outs = [h @ layer.w.T + layer.b for layer in model.heads]
+        if head == "homo":
+            assert np.array_equal(model.raw_outputs(X), outs[0])
+        else:
+            mu, sigma = model.raw_outputs(X)
+            assert np.array_equal(mu, relu(outs[0]))
+            assert np.array_equal(sigma, softplus(outs[1]) + SIGMA_FLOOR)
+        predict_samples(model, X, 2, make_rng(0))
+        assert np.array_equal(X, X_before)
+        assert np.array_equal(model.flat_params, params_before)
 
 
 class TestMcDropout:
@@ -444,8 +468,13 @@ class TestSerialization:
         (lambda member: member.update(history=[[1, 2]]), "history"),
         (lambda member: member.update(trained="yes"), "trained"),
         (lambda member: member.update(best_val_loss="x"), "best_val_loss"),
+        (lambda member: member["config"].update(input_dim=3.0), "input_dim"),
+        (lambda member: member["config"].update(hidden_width=4.0), "hidden_width"),
+        (lambda member: member["config"].update(head=1), "head"),
+        (lambda member: member["config"].update(batch_size=2.5), "batch_size"),
     ], ids=["unknown-config-key", "no-config", "no-seed", "seed-not-int",
-            "history-row-too-short", "trained-not-bool", "best-val-loss-not-number"])
+            "history-row-too-short", "trained-not-bool", "best-val-loss-not-number",
+            "input-dim-float", "hidden-width-float", "head-not-str", "batch-size-float"])
     def test_bad_member_meta_rejected(self, fitted, tmp_path, edit, key):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
         save_checkpoint(fitted["ensemble"], good)

@@ -39,6 +39,18 @@ class TestLinearLayer:
         expected = naive_matmul_bias(x, layer.w, layer.b)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("train", [False, True])
+    def test_equals_matmul_plus_bias_bit_for_bit(self, rng, train):
+        # the bias is added in place on the product; the bytes stay those of
+        # the plain expression, and the input is left as it was
+        layer = LinearLayer(64, 32, rng)
+        layer.b[:] = rng.standard_normal(32)
+        x = rng.standard_normal((300, 64))
+        x_before = x.copy()
+        out = layer.forward(x, train=train)
+        assert np.array_equal(out, x @ layer.w.T + layer.b)
+        assert np.array_equal(x, x_before)
+
     def test_shape_mismatch_raises(self, rng):
         layer = LinearLayer(5, 3, rng)
         with pytest.raises(DimensionError):

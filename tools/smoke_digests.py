@@ -6,10 +6,11 @@ each in a fresh interpreter with ``UQCURATE_JOBS=1``, and prints one
 path.  Run manifests are left out because they hold a timestamp.
 
 The set is gen-data (the profile, and ``--seed 3``), shift (default,
-``--uq mc-dropout``, ``--head homo --uq mc-dropout``), growth, compare
-(``--selector`` ehal, elah and random; ``--uq mc-dropout``;
+``--uq mc-dropout``, ``--head homo --uq mc-dropout``, and ``--head homo`` with
+``uq = vanilla,mc-dropout,ensemble``, whose first two methods share one fit),
+growth, compare (``--selector`` ehal, elah and random; ``--uq mc-dropout``;
 ``--uq mc-dropout --head homo``; ``uncertainty_source = sample``) and train
-(default and ``--uq mc-dropout``): 14 commands and 32 files.
+(default and ``--uq mc-dropout``): 15 commands and 34 files.
 
 To check which result files a change moves, run it on the change and on a
 checkout of the parent commit, then diff the two outputs::
@@ -47,6 +48,7 @@ COMMANDS = [
     ("shift/default", ["shift", *PROFILE]),
     ("shift/mc-dropout", ["shift", *PROFILE, "--uq", "mc-dropout"]),
     ("shift/homo-mc-dropout", ["shift", *PROFILE, "--head", "homo", "--uq", "mc-dropout"]),
+    ("shift/homo-all-uq", ["shift", "--config", "{work}/smoke-all-uq.cfg", "--head", "homo"]),
     ("growth/default", ["growth", *PROFILE]),
     ("compare/ehal", ["compare", *PROFILE, "--selector", "ehal"]),
     ("compare/elah", ["compare", *PROFILE, "--selector", "elah"]),
@@ -59,12 +61,14 @@ COMMANDS = [
 ]
 
 
-def _write_sample_profile(src: Path, work: Path) -> None:
+def _write_profiles(src: Path, work: Path) -> None:
     """The smoke profile with ``uncertainty_source = sample`` (it scores with
-    the default ``entropy`` source)."""
+    the default ``entropy`` source), and with all three uq methods (``--uq``
+    takes one); a later key overrides an earlier one."""
     smoke = (src / "uqcurate" / "profiles" / "smoke.cfg").read_text(encoding="utf-8")
-    text = f"{smoke}\nuncertainty_source = sample\n"
-    (work / "smoke-sample.cfg").write_text(text, encoding="utf-8")
+    for name, extra in (("smoke-sample.cfg", "uncertainty_source = sample"),
+                        ("smoke-all-uq.cfg", "uq = vanilla,mc-dropout,ensemble")):
+        (work / name).write_text(f"{smoke}\n{extra}\n", encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -72,7 +76,7 @@ def _sha256(path: Path) -> str:
 
 
 def digests(src: Path, work: Path) -> list[str]:
-    _write_sample_profile(src, work)
+    _write_profiles(src, work)
     env = dict(os.environ, PYTHONPATH=str(src), UQCURATE_JOBS="1")
     for out, args in COMMANDS:
         argv = [a.format(work=work) for a in args] + ["--out", str(work / out)]
