@@ -19,11 +19,13 @@ runs reproducible across platforms.
 ``curation_loop`` drives the iterative retrain-and-select study: train an
 uncertainty model on a seed partition, score the candidate pool, move one
 tranche into the training set, retrain from scratch, and record the test F1
-after every round.
+after every round.  ``curation_loops`` runs it for several selectors, which
+share round 0.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -233,12 +235,26 @@ def curation_loop(dataset: Dataset, selector: str, spec: ExperimentSpec,
     model on the current training set, score the remaining pool, select one
     tranche (10% of the original pool by default) with the selector, and
     repeat until the pool is exhausted.  Each round retrains from scratch and
-    appends a learning-curve row; row 0 is the seed-only baseline.
+    appends a learning-curve row; row 0 is the seed-only baseline.  This is
+    ``curation_loops`` with one selector.
     """
-    if selector not in SELECTORS:
-        raise ConfigError(f"selector must be one of {SELECTORS}, got {selector!r}")
+    return curation_loops(dataset, (selector,), spec, seed)[0]
+
+
+def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
+                   seed: int) -> list[CurationResult]:
+    """``curation_loop`` for each of ``selectors`` under one ``seed``, in
+    selector order.
+
+    Round 0 (the seed-only fit, its test F1 and the pool scores) reads no
+    selector, so it runs once and every selector's loop continues from it,
+    each from its own copy of the round-seed stream; every result equals
+    ``curation_loop`` run alone.
+    """
+    for selector in selectors:
+        if selector not in SELECTORS:
+            raise ConfigError(f"selector must be one of {SELECTORS}, got {selector!r}")
     split_seed, selector_seed, eval_seed, round_seed = spawn_seeds(seed, 4)
-    selector_rng = make_rng(selector_seed)
     round_seed_rng = make_rng(round_seed)
 
     n = len(dataset)
@@ -247,56 +263,66 @@ def curation_loop(dataset: Dataset, selector: str, spec: ExperimentSpec,
     n_pool = int(round(spec.pool_fraction * n))
     if n_seed < 4 or n_pool < 1 or n - n_seed - n_pool < 1:
         raise ConfigError(f"dataset of {n} instances does not support the loop split")
-    train_idx = list(perm[:n_seed])
-    pool_idx = list(perm[n_seed : n_seed + n_pool])
+    seed_idx = list(perm[:n_seed])
+    pool0_idx = list(perm[n_seed : n_seed + n_pool])
     test_ds = dataset.subset(perm[n_seed + n_pool :])
-    if len(set(dataset.y[train_idx].tolist())) < 2:
+    if len(set(dataset.y[seed_idx].tolist())) < 2:
         raise ConfigError("seed partition is single-class; reshuffle or enlarge it")
 
-    pool0 = len(pool_idx)
+    pool0 = len(pool0_idx)
     tranche = max(1, int(round(spec.tranche_fraction * pool0)))
-    id_to_index = {str(dataset.ids[i]): i for i in pool_idx}
+    id_to_index = {str(dataset.ids[i]): i for i in pool0_idx}
     model = spec.model_config(dataset.feature_dim)
     n_passes = method_passes(spec.uq_methods[0], spec.mc_passes)
 
-    selected: list[str] = []
-    rows: list[CurveRow] = []
-    rounds = 0
-    while True:
-        fit_seed = int(round_seed_rng.integers(0, 2**63))
+    def fit_and_score(rounds, train_idx, pool_idx, seed_rng):
+        """Round ``rounds``: fit on ``train_idx`` with the next seed of
+        ``seed_rng``, then (test F1, pool records, mean epistemic, mean
+        aleatoric)."""
+        fit_seed = int(seed_rng.integers(0, 2**63))
         test_seed, score_seed = spawn_seeds(child_seed(eval_seed, rounds), 2)
         fitted = _fit_uq_model(spec, model, dataset.subset(train_idx), fit_seed)
         probs = mean_predictive(
             predict_samples(fitted, test_ds.X, n_passes, make_rng(test_seed))[1])
         f1 = classification_report(probs, test_ds.y).f1
-
-        if pool_idx:
-            records = pool_uncertainty_records(fitted, dataset.subset(pool_idx), spec, score_seed)
-            mean_epi = float(np.mean([r.epistemic for r in records]))
-            mean_ale = float(np.mean([r.aleatoric for r in records]))
-        else:
-            records = []
-            mean_epi = float("nan")
-            mean_ale = float("nan")
-
-        # the picks were appended to the training indices in selection order
-        picks = train_idx[n_seed:]
-        noisy = (float(np.mean(dataset.noise_tags[picks]))
-                 if picks and dataset.noise_tags is not None else float("nan"))
-        rows.append(CurveRow(rounds, len(selected) / pool0, f1, mean_epi, mean_ale, noisy))
         if not pool_idx:
-            break
+            return f1, [], float("nan"), float("nan")
+        records = pool_uncertainty_records(fitted, dataset.subset(pool_idx), spec, score_seed)
+        return (f1, records, float(np.mean([r.epistemic for r in records])),
+                float(np.mean([r.aleatoric for r in records])))
 
-        pick_cfg = CurationConfig(
-            n_to_select=min(tranche, len(pool_idx)),
-            n_ale_fraction=spec.n_ale_fraction,
-            selector=selector,
-        )
-        picked = curate(records, pick_cfg, rng=selector_rng)
-        selected.extend(picked)
-        for pid in picked:
-            idx = id_to_index[pid]
-            train_idx.append(idx)
-            pool_idx.remove(idx)
-        rounds += 1
-    return CurationResult(selected_ids=selected, rows=rows)
+    first = fit_and_score(0, seed_idx, pool0_idx, round_seed_rng)
+    results = []
+    for selector in selectors:
+        selector_rng = make_rng(selector_seed)
+        rounds_rng = copy.deepcopy(round_seed_rng)  # past the round-0 draw
+        train_idx, pool_idx = list(seed_idx), list(pool0_idx)
+        selected: list[str] = []
+        rows: list[CurveRow] = []
+        rounds = 0
+        f1, records, mean_epi, mean_ale = first
+        while True:
+            # the picks were appended to the training indices in selection order
+            picks = train_idx[n_seed:]
+            noisy = (float(np.mean(dataset.noise_tags[picks]))
+                     if picks and dataset.noise_tags is not None else float("nan"))
+            rows.append(CurveRow(rounds, len(selected) / pool0, f1, mean_epi, mean_ale, noisy))
+            if not pool_idx:
+                break
+
+            pick_cfg = CurationConfig(
+                n_to_select=min(tranche, len(pool_idx)),
+                n_ale_fraction=spec.n_ale_fraction,
+                selector=selector,
+            )
+            picked = curate(records, pick_cfg, rng=selector_rng)
+            selected.extend(picked)
+            for pid in picked:
+                idx = id_to_index[pid]
+                train_idx.append(idx)
+                pool_idx.remove(idx)
+            rounds += 1
+            f1, records, mean_epi, mean_ale = fit_and_score(rounds, train_idx, pool_idx,
+                                                            rounds_rng)
+        results.append(CurationResult(selected_ids=selected, rows=rows))
+    return results

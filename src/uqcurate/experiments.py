@@ -25,16 +25,14 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__ as _version
-from .curation import UNCERTAINTY_SOURCES, CurationConfig, curation_loop
+from .curation import UNCERTAINTY_SOURCES, CurationConfig, curation_loops
 from .data import (
     Dataset,
     SplitSpec,
@@ -237,6 +235,10 @@ def _map_reps(fn, args_list):
     workers = _workers(len(args_list))
     if workers <= 1:
         return [fn(a) for a in args_list]
+    # imported here, so a run in this process never loads them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # the pool spawns its workers inside map, so the environment is set until
     # the pool has shut down
     with _worker_blas_env(), ProcessPoolExecutor(
@@ -430,9 +432,11 @@ def _compare_one_rep(args):
     spec, rep, csv_data = args
     data_seed, loop_seed = _rep_seeds(spec, rep, 2)
     base = _base_dataset(spec, csv_data, data_seed)
+    # the selectors share one round 0 (the seed-only fit and pool scores)
+    results = curation_loops(base, spec.selectors, spec, seed=loop_seed)
     return [{"selector": selector, "rep": rep, **dataclasses.asdict(row)}
-            for selector in spec.selectors
-            for row in curation_loop(base, selector, spec, seed=loop_seed).rows]
+            for selector, result in zip(spec.selectors, results)
+            for row in result.rows]
 
 
 def _compare_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:

@@ -100,12 +100,16 @@ def _check_gaussian(mu, sigma):
     return mu, sigma
 
 
+def _margin_scale(sigma):
+    """The margin's standard deviation S, (B, 1)."""
+    return np.hypot(sigma[:, 0], sigma[:, 1])[:, None]
+
+
 def _margin_nodes(mu, sigma, x):
-    """The margin d = m + S*x_k at every node x_k, (B, K), and S, (B, 1)."""
-    scale = np.hypot(sigma[:, 0], sigma[:, 1])[:, None]
-    margin = scale * x
+    """The margin d = m + S*x_k at every node x_k, (B, K)."""
+    margin = _margin_scale(sigma) * x
     margin += (mu[:, 1] - mu[:, 0])[:, None]
-    return margin, scale
+    return margin
 
 
 def gaussian_logit_nll(mu, sigma, labels):
@@ -129,21 +133,32 @@ def gaussian_logit_nll(mu, sigma, labels):
     x, _, log_w = _gauss_hermite()
     n = mu.shape[0]
     sign = (2 * labels - 1).astype(np.float64)[:, None]
-    margin, scale = _margin_nodes(mu, sigma, x)
-    # log p_k = -logaddexp(0, t) with t = -s*d, spelled out as numpy's ufunc
-    # does it, which runs several times faster than the ufunc itself
-    t = -sign * margin
-    logp = -(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
-    a = logp + log_w
+    scale = _margin_scale(sigma)
+    # t = -s*d_k = (-s*S)*x_k + (-s*m): the sign folds into the (B, 1)
+    # columns exactly, because negation is exact and rounding is symmetric
+    neg_sign = -sign
+    t = np.multiply(neg_sign * scale, x)
+    t += neg_sign * (mu[:, 1] - mu[:, 0])[:, None]
+    # two (B, K) buffers, t's and b's; every ufunc below writes into one.
+    # log p_k = -logaddexp(0, t), spelled out as numpy's ufunc does it,
+    # which runs several times faster than the ufunc itself
+    b = np.abs(t)
+    np.log1p(np.exp(np.negative(b, out=b), out=b), out=b)
+    logp = np.negative(np.add(np.maximum(t, 0.0, out=t), b, out=t), out=t)
+    a = np.add(logp, log_w, out=b)
     amax = a.max(axis=1, keepdims=True)
-    e = np.exp(a - amax)
+    e = np.exp(np.subtract(a, amax, out=a), out=a)
     total = e.sum(axis=1, keepdims=True)
     loss = float(-np.mean(amax + np.log(total)))
-    # expm1(log p_k) = p_k - 1 keeps its precision when p_k is near 1
-    g = (sign / n) * (e / total) * np.expm1(logp)
+    # g = (s/B) * r_k * (p_k - 1); expm1(log p_k) = p_k - 1 keeps its
+    # precision when p_k is near 1
+    g = np.multiply(np.divide(e, total, out=e), sign / n, out=e)
+    g *= np.expm1(logp, out=logp)
     dm = g.sum(axis=1)
+    dmu = np.empty_like(mu)
+    dmu[:, 1] = dm
+    np.negative(dm, out=dmu[:, 0])
     dscale = g @ x
-    dmu = np.stack((-dm, dm), axis=1)
     dsigma = sigma * (dscale / scale[:, 0])[:, None]
     return loss, dmu, dsigma
 
@@ -160,7 +175,7 @@ def gaussian_logit_probs(mu, sigma):
     x, w, _ = _gauss_hermite()
     # three (B, K) buffers: the margin's, and two more; every ufunc writes
     # into one of them
-    d, _ = _margin_nodes(mu, sigma, x)
+    d = _margin_nodes(mu, sigma, x)
     pos = d >= 0.0
     e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)  # exp(-|d|)
     near = np.add(1.0, e)

@@ -176,9 +176,13 @@ class MlpModel:
             loss, dmu, dsigma = gaussian_logit_nll(*_dual_head(mu_pre, sigma_pre), y)
             dh = (self.heads[0].backward(dmu * (mu_pre > 0.0))
                   + self.heads[1].backward(dsigma * sigmoid(sigma_pre)))
-        for lin, drop, z in zip(reversed(self.hidden), reversed(self.dropouts),
-                                reversed(pre_acts)):
-            dh = lin.backward(drop.backward(dh) * (z > 0.0))
+        for k in reversed(range(len(self.hidden))):
+            # dh times the mask, or dh itself without dropout: either way a
+            # fresh array that nothing else holds, so the relu gate goes in place
+            dz = self.dropouts[k].backward(dh)
+            dz *= pre_acts[k] > 0.0
+            # the first layer's input is the batch, whose gradient nothing reads
+            dh = self.hidden[k].backward(dz, input_grad=k > 0)
         return float(loss)
 
     def evaluate_loss(self, X: Array, y: Array) -> float:

@@ -82,8 +82,9 @@ class LinearLayer:
 
     ``forward(..., train=True)`` caches the input; ``backward`` consumes the
     cache, fills ``dw``/``db`` in place and returns the gradient w.r.t. the
-    input.  ``bind`` moves the four arrays into views of caller-owned flat
-    buffers, so a model can keep all its layers in one parameter vector.
+    input unless told it is not needed.  ``bind`` moves the four arrays into
+    views of caller-owned flat buffers, so a model can keep all its layers in
+    one parameter vector.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -127,7 +128,10 @@ class LinearLayer:
         out += self.b  # in place on the fresh product: one (B, out) array, not two
         return out
 
-    def backward(self, dout: Array) -> Array:
+    def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
+        """Fill dw and db from ``dout`` and return the gradient w.r.t. the
+        input, or None without ``input_grad`` (a first layer's input is the
+        data, which nothing differentiates)."""
         if self._x is None:
             raise ModelStateError("backward called without a cached training forward")
         if dout.shape != (self._x.shape[0], self.out_dim):
@@ -136,10 +140,9 @@ class LinearLayer:
                 f"({self._x.shape[0]}, {self.out_dim})"
             )
         np.matmul(dout.T, self._x, out=self.dw)
-        np.sum(dout, axis=0, out=self.db)
-        dx = dout @ self.w
+        np.add.reduce(dout, axis=0, out=self.db)
         self._x = None
-        return dx
+        return dout @ self.w if input_grad else None
 
 
 class DropoutLayer:
@@ -159,7 +162,8 @@ class DropoutLayer:
         if rng is None:
             raise ModelStateError("dropout in train mode needs an rng")
         keep = 1.0 - self.p
-        self._mask = (rng.random(x.shape) < keep) / keep
+        # exactly 0 or the rounded 1/keep, as dividing by keep gives
+        self._mask = (rng.random(x.shape) < keep) * (1.0 / keep)
         return x * self._mask
 
     def backward(self, dout: Array) -> Array:

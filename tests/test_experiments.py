@@ -1,9 +1,14 @@
+import concurrent.futures
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from uqcurate.curation import curation_loop
 from uqcurate.data import SyntheticSpec, load_csv
 from uqcurate.errors import ConfigError
 from uqcurate.experiments import (
@@ -12,6 +17,8 @@ from uqcurate.experiments import (
     SHIFT,
     TRAIN,
     ExperimentSpec,
+    _base_dataset,
+    _rep_seeds,
     load_profile,
     nested_fractions,
     run_data_growth_experiment,
@@ -165,6 +172,27 @@ class TestCompare:
         assert wide[0] == "round,fraction_added,rep,ehal,random"
         assert len(wide) == 1 + 3  # header + 3 rounds x 1 rep
 
+    def test_round_zero_fit_once_per_repetition(self, monkeypatch):
+        # the seed-only fit is the same for every selector, so a repetition
+        # fits 1 + S*(R-1) times for S selectors and R rounds, not S*R
+        import uqcurate.curation as curation
+
+        fits = []
+        fit = curation._fit_uq_model
+
+        def recording_fit(*args):
+            fits.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(curation, "_fit_uq_model", recording_fit)
+        monkeypatch.setenv("UQCURATE_JOBS", "1")
+        spec = smoke_spec(COMPARE, selectors=("ehal", "elah", "random"),
+                          tranche_fraction=0.5, repetitions=2)
+        result = run_selector_comparison(spec)
+        n_rounds = len({r["round"] for r in result.run_rows})
+        assert n_rounds == 3
+        assert len(fits) == spec.repetitions * (1 + 3 * (n_rounds - 1))
+
     def test_rerun_byte_identical(self, tmp_path):
         spec = smoke_spec(COMPARE, selectors=("ehal",), tranche_fraction=0.5)
         r1 = run_selector_comparison(spec, out_dir=tmp_path / "x")
@@ -191,6 +219,29 @@ class TestParallelism:
         assert "runs_csv" in csvs
         for key in csvs:
             assert open(seq.outputs[key], "rb").read() == open(par.outputs[key], "rb").read()
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compare_rows_equal_each_selector_run_alone(self, monkeypatch, jobs):
+        # every selector continues from the shared round 0; its rows must be
+        # those of its own curation loop, in this process or in a worker
+        spec = smoke_spec(COMPARE, selectors=("ehal", "elah", "random"),
+                          tranche_fraction=0.5, repetitions=2)
+        monkeypatch.setenv("UQCURATE_JOBS", jobs)
+        shared = run_selector_comparison(spec).run_rows
+        alone = []
+        for rep in range(spec.repetitions):
+            data_seed, loop_seed = _rep_seeds(spec, rep, 2)
+            base = _base_dataset(spec, None, data_seed)
+            alone += [{"selector": selector, "rep": rep, **dataclasses.asdict(row)}
+                      for selector in spec.selectors
+                      for row in curation_loop(base, selector, spec, seed=loop_seed).rows]
+        assert len(shared) == len(alone) == 2 * 3 * 3
+
+        def cells(rows):  # repr, so that NaN cells compare equal
+            return [[(k, repr(v)) for k, v in row.items()] for row in rows]
+
+        assert cells(shared) == cells(alone)
 
 
 class TestManifest:
@@ -238,12 +289,11 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 class TestWorkerCap:
     @pytest.fixture
     def executor(self, monkeypatch):
-        import uqcurate.experiments as experiments
-
         _RecordingExecutor.created = []
         _RecordingExecutor.contexts = []
         _RecordingExecutor.environments = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingExecutor)
+        # _map_reps imports the pool class only when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("UQCURATE_JOBS", "100000")
         return _RecordingExecutor
@@ -272,6 +322,12 @@ class TestWorkerCap:
 
         assert _map_reps(abs, [-1]) == [1]
         assert executor.created == []
+
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, uqcurate.experiments; "
+                "assert 'multiprocessing' not in sys.modules, 'multiprocessing'; "
+                "assert 'concurrent.futures.process' not in sys.modules, 'process'")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_manifest_records_workers_used(self, executor, tmp_path):
         spec = smoke_spec(SHIFT, intensities=(0.0,), uq_methods=("vanilla",),

@@ -11,6 +11,7 @@ import pytest
 from helpers import gaussian_logit_nll_loop, margin_probability_quad, sampled_gaussian_logit_nll
 from uqcurate import kernels
 from uqcurate.errors import DimensionError, DomainError
+from uqcurate.models import SIGMA_FLOOR
 
 
 def _random_case(seed, n=32, n_draws=12, n_classes=2):
@@ -211,6 +212,48 @@ def test_probs_bit_identical_to_plain_expressions(case):
     assert np.array_equal(kernels.gaussian_logit_probs(mu, sigma), _probs_reference(mu, sigma))
     assert np.array_equal(mu, mu_before) and np.array_equal(sigma, sigma_before)
     assert all(np.array_equal(a, b) for a, b in zip(kernels._gauss_hermite(), tables_before))
+
+
+def _nll_reference(mu, sigma, labels):
+    """``gaussian_logit_nll`` as plain expressions, one fresh array each."""
+    x, _, log_w = kernels._gauss_hermite()
+    n = mu.shape[0]
+    sign = (2 * labels - 1).astype(np.float64)[:, None]
+    scale = np.hypot(sigma[:, 0], sigma[:, 1])[:, None]
+    margin = scale * x
+    margin += (mu[:, 1] - mu[:, 0])[:, None]
+    t = -sign * margin
+    logp = -(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
+    a = logp + log_w
+    amax = a.max(axis=1, keepdims=True)
+    e = np.exp(a - amax)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(amax + np.log(total)))
+    g = (sign / n) * (e / total) * np.expm1(logp)
+    dm = g.sum(axis=1)
+    dsigma = sigma * ((g @ x) / scale[:, 0])[:, None]
+    return loss, np.stack((-dm, dm), axis=1), dsigma
+
+
+@pytest.mark.parametrize("case", ["random", "margins-over-745", "sigma-near-floor", "one-row"])
+def test_nll_bit_identical_to_plain_expressions(case):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = 1 if case == "one-row" else int(rng.integers(2, 200))
+        mu = rng.standard_normal((n, 2)) * 4
+        sigma = rng.uniform(0.01, 3.0, (n, 2))
+        if case == "margins-over-745":
+            mu[:, 1] = mu[:, 0] + rng.choice([-1.0, 1.0], n) * rng.uniform(746.0, 2000.0, n)
+        if case == "sigma-near-floor":
+            sigma = SIGMA_FLOOR * rng.uniform(1.0, 2.0, (n, 2))
+        labels = rng.integers(0, 2, n)
+        before = [a.copy() for a in (mu, sigma, labels, *kernels._gauss_hermite())]
+        loss, dmu, dsigma = kernels.gaussian_logit_nll(mu, sigma, labels)
+        ref_loss, ref_dmu, ref_dsigma = _nll_reference(mu, sigma, labels)
+        assert loss == ref_loss
+        assert dmu.tobytes() == ref_dmu.tobytes() and dsigma.tobytes() == ref_dsigma.tobytes()
+        after = (mu, sigma, labels, *kernels._gauss_hermite())
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_node_table_built_on_first_use():

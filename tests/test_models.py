@@ -20,7 +20,8 @@ from uqcurate.models import (
     train_ensemble,
     train_model,
 )
-from uqcurate.nncore import make_rng, relu, softmax, softplus
+from uqcurate.kernels import gaussian_logit_nll, softmax_xent
+from uqcurate.nncore import make_rng, relu, sigmoid, softmax, softplus
 
 
 def small_config(head="homo", **overrides):
@@ -114,6 +115,44 @@ class TestTraining:
         assert len(model.history) < 200
         best_epoch = int(np.argmin([r.val_loss for r in model.history]))
         assert len(model.history) - 1 - best_epoch >= 3
+
+
+def _full_backward_step(model, X, y, rng):
+    """``MlpModel._train_batch`` with every layer's input gradient computed
+    and the relu gate applied out of place; returns the loss and the
+    gradient w.r.t. the input batch."""
+    outs, pre_acts = model._forward(X, stochastic=True, train=True, rng=rng)
+    if model.config.head == "homo":
+        loss, dlogits, _ = softmax_xent(outs[0], y)
+        dh = model.heads[0].backward(dlogits)
+    else:
+        mu_pre, sigma_pre = outs
+        loss, dmu, dsigma = gaussian_logit_nll(relu(mu_pre), softplus(sigma_pre) + SIGMA_FLOOR, y)
+        dh = (model.heads[0].backward(dmu * (mu_pre > 0.0))
+              + model.heads[1].backward(dsigma * sigmoid(sigma_pre)))
+    for lin, drop, z in zip(reversed(model.hidden), reversed(model.dropouts),
+                            reversed(pre_acts)):
+        dh = lin.backward(drop.backward(dh) * (z > 0.0))
+    return float(loss), dh
+
+
+class TestTrainBatch:
+    @pytest.mark.parametrize("head", ["homo", "hetero"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_gradients_equal_the_full_backward_bit_for_bit(self, small_splits, head, dropout):
+        # the step skips the first layer's input gradient and gates the relu
+        # in place; every gradient, the first layer's dw and db included,
+        # keeps the bytes of the full backward
+        balanced, _, _ = small_splits
+        X, y = balanced.X[:37], balanced.y[:37]
+        step, full = (MlpModel(small_config(head, dropout=dropout), seed=4) for _ in range(2))
+        loss = step._train_batch(X, y, make_rng(9))
+        ref_loss, dx = _full_backward_step(full, X, y, make_rng(9))
+        assert loss == ref_loss and dx.shape == X.shape
+        assert step.flat_grads.tobytes() == full.flat_grads.tobytes()
+        first = step.hidden[0]
+        assert first.dw.tobytes() == full.hidden[0].dw.tobytes()
+        assert first.db.tobytes() == full.hidden[0].db.tobytes()
 
 
 class TestPrediction:

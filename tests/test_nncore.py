@@ -56,6 +56,16 @@ class TestLinearLayer:
         with pytest.raises(DimensionError):
             layer.forward(rng.standard_normal((4, 6)))
 
+    def test_backward_without_input_grad_fills_the_same_gradients(self, rng):
+        full, first = LinearLayer(6, 4, make_rng(1)), LinearLayer(6, 4, make_rng(1))
+        x, dout = rng.standard_normal((9, 6)), rng.standard_normal((9, 4))
+        full.forward(x, train=True)
+        first.forward(x, train=True)
+        dx = full.backward(dout)
+        assert first.backward(dout, input_grad=False) is None
+        assert np.array_equal(dx, dout @ full.w)
+        assert np.array_equal(first.dw, full.dw) and np.array_equal(first.db, full.db)
+
     def test_backward_without_cache_raises(self, rng):
         layer = LinearLayer(2, 2, rng)
         layer.forward(np.zeros((1, 2)), train=False)
@@ -116,6 +126,15 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(DomainError):
             DropoutLayer(1.0)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_mask_is_kept_draws_over_keep(self, p):
+        # the mask multiplies by 1/keep; it must equal dividing by keep
+        layer, keep = DropoutLayer(p), 1.0 - p
+        x = np.ones((64, 300))
+        layer.forward(x, train=True, rng=make_rng(5))
+        u = make_rng(5).random(x.shape)
+        assert layer._mask.tobytes() == ((u < keep) / keep).tobytes()
 
 
 # the two training losses, from ``uqcurate.kernels``
