@@ -166,7 +166,7 @@ def _cmd_report(args) -> int:
     group_a: list[float] = []
     group_b: list[float] = []
     for path in args.results_csv:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(utf8_lines(fh, DataFormatError))
             header = reader.fieldnames or []
             for col in (args.col_a, args.col_b):
@@ -185,7 +185,7 @@ def _cmd_report(args) -> int:
                             f"{path}: non-numeric score in columns "
                             f"{args.col_a!r}/{args.col_b!r}"
                         ) from None
-    u, p = mann_whitney_u(group_a, group_b, alternative="greater")
+    u, p = mann_whitney_u(group_a, group_b)
     summary = {
         "n_a": len(group_a),
         "n_b": len(group_b),

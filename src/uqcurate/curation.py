@@ -25,20 +25,18 @@ share round 0.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, undersample_balance
+from .data import Dataset
 from .errors import ConfigError, DomainError
-from .metrics import classification_report
 from .models import (HETEROSCEDASTIC, ModelConfig, fit_method, hetero_raw_outputs,
-                     method_passes, predict_samples)
+                     method_passes, method_report, predict_samples)
 from .nncore import child_seed, make_rng, spawn_seeds
-from .uq import expected_entropy, hetero_decompose, mean_predictive, mutual_information
+from .uq import expected_entropy, hetero_decompose, mutual_information
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import ExperimentSpec
@@ -178,7 +176,7 @@ class CurationResult:
 
 
 def _fit_uq_model(spec: ExperimentSpec, model: ModelConfig, train_ds: Dataset, seed: int):
-    """Standard protocol: carve validation, balance the train share, fit;
+    """Carve validation, then balance the rest and fit (``fit_method``);
     each step draws from its own child of ``seed``."""
     carve_seed, balance_seed, fit_seed = spawn_seeds(seed, 3)
     n = len(train_ds)
@@ -186,10 +184,9 @@ def _fit_uq_model(spec: ExperimentSpec, model: ModelConfig, train_ds: Dataset, s
     n_val = max(1, int(round(spec.val_fraction * n)))
     if n - n_val < 2:
         raise ConfigError("training partition too small for a validation carve")
-    val_ds = train_ds.subset(perm[:n_val])
-    fit_ds = undersample_balance(train_ds.subset(perm[n_val:]), make_rng(balance_seed))
     return fit_method(spec.uq_methods[0], model, spec.ensemble_size,
-                      fit_ds.X, fit_ds.y, val_ds.X, val_ds.y, fit_seed)
+                      train_ds.subset(perm[n_val:]), train_ds.subset(perm[:n_val]),
+                      balance_seed, fit_seed)
 
 
 def pool_uncertainty_records(fitted, pool: Dataset, spec: ExperimentSpec,
@@ -246,16 +243,16 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
     """``curation_loop`` for each of ``selectors`` under one ``seed``, in
     selector order.
 
-    Round 0 (the seed-only fit, its test F1 and the pool scores) reads no
-    selector, so it runs once and every selector's loop continues from it,
-    each from its own copy of the round-seed stream; every result equals
-    ``curation_loop`` run alone.
+    Every round moves min(tranche, pool left) instances, so each selector
+    fits the same rounds, and round r fits with the r-th draw of the round
+    stream.  Round 0 (the seed-only fit, its test F1 and the pool scores)
+    reads no selector, so it runs once and every selector's loop continues
+    from it; every result equals ``curation_loop`` run alone.
     """
     for selector in selectors:
         if selector not in SELECTORS:
             raise ConfigError(f"selector must be one of {SELECTORS}, got {selector!r}")
     split_seed, selector_seed, eval_seed, round_seed = spawn_seeds(seed, 4)
-    round_seed_rng = make_rng(round_seed)
 
     n = len(dataset)
     perm = make_rng(split_seed).permutation(n)
@@ -264,65 +261,57 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
     if n_seed < 4 or n_pool < 1 or n - n_seed - n_pool < 1:
         raise ConfigError(f"dataset of {n} instances does not support the loop split")
     seed_idx = list(perm[:n_seed])
-    pool0_idx = list(perm[n_seed : n_seed + n_pool])
+    pool0_idx = perm[n_seed : n_seed + n_pool]
     test_ds = dataset.subset(perm[n_seed + n_pool :])
     if len(set(dataset.y[seed_idx].tolist())) < 2:
         raise ConfigError("seed partition is single-class; reshuffle or enlarge it")
 
     pool0 = len(pool0_idx)
     tranche = max(1, int(round(spec.tranche_fraction * pool0)))
-    id_to_index = {str(dataset.ids[i]): i for i in pool0_idx}
+    round_rng = make_rng(round_seed)
+    fit_seeds = [int(round_rng.integers(0, 2**63))
+                 for _ in range(1 + math.ceil(pool0 / tranche))]
+    pool_pos = {str(dataset.ids[i]): k for k, i in enumerate(pool0_idx)}
     model = spec.model_config(dataset.feature_dim)
-    n_passes = method_passes(spec.uq_methods[0], spec.mc_passes)
+    method = spec.uq_methods[0]
 
-    def fit_and_score(rounds, train_idx, pool_idx, seed_rng):
-        """Round ``rounds``: fit on ``train_idx`` with the next seed of
-        ``seed_rng``, then (test F1, pool records, mean epistemic, mean
-        aleatoric)."""
-        fit_seed = int(seed_rng.integers(0, 2**63))
+    def fit_and_score(rounds, train_idx, pool_idx):
+        """Round ``rounds``: fit on ``train_idx``, then its test F1 and the
+        records of ``pool_idx``."""
         test_seed, score_seed = spawn_seeds(child_seed(eval_seed, rounds), 2)
-        fitted = _fit_uq_model(spec, model, dataset.subset(train_idx), fit_seed)
-        probs = mean_predictive(
-            predict_samples(fitted, test_ds.X, n_passes, make_rng(test_seed))[1])
-        f1 = classification_report(probs, test_ds.y).f1
-        if not pool_idx:
-            return f1, [], float("nan"), float("nan")
-        records = pool_uncertainty_records(fitted, dataset.subset(pool_idx), spec, score_seed)
-        return (f1, records, float(np.mean([r.epistemic for r in records])),
-                float(np.mean([r.aleatoric for r in records])))
+        fitted = _fit_uq_model(spec, model, dataset.subset(train_idx), fit_seeds[rounds])
+        f1 = method_report(method, fitted, test_ds, spec.mc_passes, test_seed).f1
+        if not len(pool_idx):
+            return f1, []
+        return f1, pool_uncertainty_records(fitted, dataset.subset(pool_idx), spec, score_seed)
 
-    first = fit_and_score(0, seed_idx, pool0_idx, round_seed_rng)
+    def mean(values):
+        return float(np.mean(values)) if len(values) else float("nan")
+
+    first = fit_and_score(0, seed_idx, pool0_idx)
     results = []
     for selector in selectors:
         selector_rng = make_rng(selector_seed)
-        rounds_rng = copy.deepcopy(round_seed_rng)  # past the round-0 draw
-        train_idx, pool_idx = list(seed_idx), list(pool0_idx)
-        selected: list[str] = []
+        alive = np.ones(pool0, dtype=bool)  # pool membership, in pool0_idx order
+        picks: list = []  # dataset indices, in selection order
         rows: list[CurveRow] = []
-        rounds = 0
-        f1, records, mean_epi, mean_ale = first
-        while True:
-            # the picks were appended to the training indices in selection order
-            picks = train_idx[n_seed:]
-            noisy = (float(np.mean(dataset.noise_tags[picks]))
-                     if picks and dataset.noise_tags is not None else float("nan"))
-            rows.append(CurveRow(rounds, len(selected) / pool0, f1, mean_epi, mean_ale, noisy))
-            if not pool_idx:
-                break
-
-            pick_cfg = CurationConfig(
-                n_to_select=min(tranche, len(pool_idx)),
-                n_ale_fraction=spec.n_ale_fraction,
-                selector=selector,
-            )
-            picked = curate(records, pick_cfg, rng=selector_rng)
-            selected.extend(picked)
-            for pid in picked:
-                idx = id_to_index[pid]
-                train_idx.append(idx)
-                pool_idx.remove(idx)
-            rounds += 1
-            f1, records, mean_epi, mean_ale = fit_and_score(rounds, train_idx, pool_idx,
-                                                            rounds_rng)
+        f1, records = first
+        for rounds in range(len(fit_seeds)):
+            if rounds:  # move one tranche from the pool, then refit
+                pick_cfg = CurationConfig(
+                    n_to_select=min(tranche, int(alive.sum())),
+                    n_ale_fraction=spec.n_ale_fraction,
+                    selector=selector,
+                )
+                pos = [pool_pos[pid] for pid in curate(records, pick_cfg, rng=selector_rng)]
+                alive[pos] = False
+                picks.extend(pool0_idx[pos])
+                f1, records = fit_and_score(rounds, seed_idx + picks, pool0_idx[alive])
+            noisy = (mean(dataset.noise_tags[picks])
+                     if dataset.noise_tags is not None else float("nan"))
+            rows.append(CurveRow(rounds, len(picks) / pool0, f1,
+                                 mean([r.epistemic for r in records]),
+                                 mean([r.aleatoric for r in records]), noisy))
+        selected = [str(i) for i in dataset.ids[picks]]
         results.append(CurationResult(selected_ids=selected, rows=rows))
     return results

@@ -86,7 +86,7 @@ def _expected_header(d: int, with_tag: bool) -> list[str]:
 
 def load_csv(path) -> Dataset:
     """Parse the documented CSV format; row order is preserved."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(utf8_lines(fh, DataFormatError))
         try:
             header = next(reader)
@@ -310,7 +310,7 @@ def parse_kv_file(path) -> dict[str, str]:
     """Plain-text config: one ``key = value`` per line, '#' comments, blank
     lines ignored.  Later duplicates override earlier ones."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(utf8_lines(fh, ConfigError), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

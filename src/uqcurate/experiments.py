@@ -41,23 +41,19 @@ from .data import (
     inject_shift,
     load_csv,
     split,
-    undersample_balance,
 )
 from .errors import ConfigError
-from .metrics import classification_report
 from .models import (
     HETEROSCEDASTIC,
     UQ_METHODS,
     ModelConfig,
     fit_method,
     hetero_raw_outputs,
-    method_passes,
-    predict_samples,
+    method_report,
     save_checkpoint,
-    train_ensemble,
 )
 from .nncore import child_seed, make_rng, spawn_seeds
-from .uq import hetero_decompose, mean_predictive
+from .uq import hetero_decompose
 
 SHIFT = "shift"
 GROWTH = "data-growth"
@@ -177,10 +173,7 @@ class ExperimentSpec:
             for f in dataclasses.fields(ModelConfig) if f.name in own})
 
     def resolved(self) -> dict:
-        out = dataclasses.asdict(self)
-        if self.synthetic is not None:
-            out["synthetic"] = dataclasses.asdict(self.synthetic)
-        return out
+        return dataclasses.asdict(self)  # recurses into ``synthetic``
 
     def digest(self) -> str:
         payload = json.dumps(self.resolved(), sort_keys=True)
@@ -264,6 +257,13 @@ def _base_dataset(spec: ExperimentSpec, csv_data: Dataset | None, data_seed: int
     return generate_synthetic(spec.synthetic, make_rng(data_seed))
 
 
+def _partitions(spec: ExperimentSpec, csv_data: Dataset | None, data_seed: int,
+                split_seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """The (train, val, test) split of the dataset drawn from ``data_seed``."""
+    return split(_base_dataset(spec, csv_data, data_seed),
+                 SplitSpec(spec.train_fraction, spec.val_fraction, seed=split_seed))
+
+
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
@@ -293,20 +293,11 @@ def _run_study(spec: ExperimentSpec, kind: str, one_rep, summarize, name: str,
 # ---------------------------------------------------------------------------
 
 
-def _score(spec: ExperimentSpec, method: str, fitted, test: Dataset, eval_seed: int):
-    """The classification report of ``method``'s mean predictive on ``test``."""
-    n_passes = method_passes(method, spec.mc_passes)
-    samples = predict_samples(fitted, test.X, n_passes, make_rng(eval_seed))
-    return classification_report(mean_predictive(samples[1]), test.y)
-
-
 def _shift_one_rep(args):
     spec, rep, csv_data = args
     data_seed, split_seed, balance_seed, shift_seed, fit_seed, eval_seed = _rep_seeds(spec, rep, 6)
-    base = _base_dataset(spec, csv_data, data_seed)
-    train_ds, val_ds, test_ds = split(base, SplitSpec(
-        spec.train_fraction, spec.val_fraction, seed=split_seed))
-    cfg = spec.model_config(base.feature_dim)
+    train_ds, val_ds, test_ds = _partitions(spec, csv_data, data_seed, split_seed)
+    cfg = spec.model_config(train_ds.feature_dim)
 
     cells = []
     intensity_seeds = spawn_seeds(shift_seed, len(spec.intensities))
@@ -315,16 +306,15 @@ def _shift_one_rep(args):
         tr = inject_shift(train_ds, intensity, irng)
         va = inject_shift(val_ds, intensity, irng)
         te = inject_shift(test_ds, intensity, irng)
-        fit = undersample_balance(tr, make_rng(balance_seed))
         # vanilla and mc-dropout differ only at prediction time, so they
         # share one fit: one single model and one ensemble per intensity
         fits = {}
         for method in spec.uq_methods:
             is_ensemble = method == "ensemble"
             if is_ensemble not in fits:
-                fits[is_ensemble] = fit_method(method, cfg, spec.ensemble_size,
-                                               fit.X, fit.y, va.X, va.y, fit_seed)
-            report = _score(spec, method, fits[is_ensemble], te, eval_seed)
+                fits[is_ensemble] = fit_method(method, cfg, spec.ensemble_size, tr, va,
+                                               balance_seed, fit_seed)
+            report = method_report(method, fits[is_ensemble], te, spec.mc_passes, eval_seed)
             cells.append({
                 "method": method,
                 "intensity": intensity,
@@ -373,18 +363,14 @@ def _growth_one_rep(args):
     spec, rep, csv_data = args
     # six slots with the last unused, so every other seed keeps its value
     data_seed, split_seed, subset_seed, balance_seed, fit_seed, _ = _rep_seeds(spec, rep, 6)
-    base = _base_dataset(spec, csv_data, data_seed)
-    train_ds, val_ds, test_ds = split(base, SplitSpec(
-        spec.train_fraction, spec.val_fraction, seed=split_seed))
-    cfg = spec.model_config(base.feature_dim)
+    train_ds, val_ds, test_ds = _partitions(spec, csv_data, data_seed, split_seed)
+    cfg = spec.model_config(train_ds.feature_dim)
 
     subsets = nested_fractions(len(train_ds), spec.growth_fractions, make_rng(subset_seed))
     cells = []
     for fraction, idx in zip(spec.growth_fractions, subsets):
-        fit = undersample_balance(train_ds.subset(idx), make_rng(balance_seed))
-        ensemble = train_ensemble(
-            cfg, spec.ensemble_size, fit.X, fit.y, val_ds.X, val_ds.y, seed=fit_seed
-        )
+        ensemble = fit_method("ensemble", cfg, spec.ensemble_size, train_ds.subset(idx),
+                              val_ds, balance_seed, fit_seed)
         mu, sigma = hetero_raw_outputs(ensemble, test_ds.X)
         dec = hetero_decompose(mu, sigma)
         cells.append({
@@ -634,28 +620,25 @@ def load_profile(name: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def run_training(spec: ExperimentSpec, out_dir=None, checkpoint_name: str = "model"):
+def run_training(spec: ExperimentSpec, out_dir=None):
     """Standard protocol on one dataset: split, balance, fit the configured
     method, evaluate on the test partition.  Returns (fitted, report, paths);
     with ``out_dir`` set, writes the checkpoint and an EvalReport JSON."""
     if spec.kind != TRAIN:
         raise ConfigError(f"spec kind is {spec.kind!r}, expected {TRAIN!r}")
     method = spec.uq_methods[0]
-    data_seed, split_seed, balance_seed, fit_seed, eval_seed = spawn_seeds(spec.seed, 5)
-    base = _base_dataset(spec, _csv_dataset(spec), data_seed)
-    train_ds, val_ds, test_ds = split(base, SplitSpec(
-        spec.train_fraction, spec.val_fraction, seed=split_seed))
-    fit = undersample_balance(train_ds, make_rng(balance_seed))
-    fitted = fit_method(method, spec.model_config(base.feature_dim), spec.ensemble_size,
-                        fit.X, fit.y, val_ds.X, val_ds.y, fit_seed)
-    report = _score(spec, method, fitted, test_ds, eval_seed)
+    data_seed, split_seed, balance_seed, fit_seed, eval_seed = _rep_seeds(spec, 0, 5)
+    train_ds, val_ds, test_ds = _partitions(spec, _csv_dataset(spec), data_seed, split_seed)
+    fitted = fit_method(method, spec.model_config(train_ds.feature_dim), spec.ensemble_size,
+                        train_ds, val_ds, balance_seed, fit_seed)
+    report = method_report(method, fitted, test_ds, spec.mc_passes, eval_seed)
     outputs: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         tag = spec.digest()
-        ckpt = os.path.join(out_dir, f"{checkpoint_name}_{tag}.npz")
+        ckpt = os.path.join(out_dir, f"model_{tag}.npz")
         save_checkpoint(fitted, ckpt)
-        report_path = os.path.join(out_dir, f"{checkpoint_name}_report_{tag}.json")
+        report_path = os.path.join(out_dir, f"model_report_{tag}.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump({"spec": spec.resolved(), "method": method,
                        "report": dataclasses.asdict(report)}, fh, indent=2, sort_keys=True)

@@ -3,8 +3,8 @@ predictive distribution.
 
 Matrix products stay on numpy/BLAS; the kernels here cover the elementwise
 loss passes.  Each kernel checks its inputs (float64 contiguous arrays, one
-label per row, matching shapes, sigma >= 0, and sigma > 0 for the loss,
-which divides by it) and is what the models call.
+label, 0 or 1, per row, matching shapes, sigma >= 0, and sigma > 0 for the
+loss, which divides by it) and is what the models call.
 
 Models have exactly two classes, so the Gaussian logits z ~ N(mu, sigma^2)
 of the dual head enter only through the margin d = z1 - z0 ~ N(m, S^2), with
@@ -44,10 +44,19 @@ def backend() -> str:
 
 
 def _check_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as int64, each 0 or 1.  Training steps pass int64 labels,
+    whose check is the max of their unsigned view (a negative label is huge
+    there); other dtypes are compared with 0 and 1."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionError(f"expected {n} labels, got shape {labels.shape}")
-    return labels.astype(np.int64)
+    if labels.dtype == np.int64:
+        bad = n > 0 and labels.view(np.uint64).max() > 1
+    else:
+        bad = np.any((labels != 0) & (labels != 1))
+    if bad:
+        raise DomainError("labels must be 0 or 1")
+    return labels.astype(np.int64, copy=False)
 
 
 def softmax_xent(logits, labels):

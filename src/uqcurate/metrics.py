@@ -94,19 +94,16 @@ def rankdata(values) -> Array:
     return ranks
 
 
-def mann_whitney_u(a, b, alternative: str = "greater"):
+def mann_whitney_u(a, b):
     """Mann-Whitney U test via the tie-corrected normal approximation.
 
     Returns ``(u_a, p)`` where ``u_a`` is the U statistic of the first group
     and ``p`` the one-sided p-value for the alternative that ``a`` is
-    stochastically greater ('greater', default) or smaller ('less') than
-    ``b``.  No continuity correction is applied, so identical groups give
-    p = 0.5 exactly.
+    stochastically greater than ``b``.  No continuity correction is applied,
+    so identical groups give p = 0.5 exactly.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if alternative not in ("greater", "less"):
-        raise DomainError(f"alternative must be 'greater' or 'less', got {alternative!r}")
     n1, n2 = a.shape[0], b.shape[0]
     if n1 < 2 or n2 < 2:
         raise DomainError("each group needs at least 2 samples")
@@ -121,8 +118,6 @@ def mann_whitney_u(a, b, alternative: str = "greater"):
         return float(u_a), 0.5  # all values identical: no evidence either way
     mean_u = n1 * n2 / 2.0
     z = (u_a - mean_u) / math.sqrt(var_u)
-    if alternative == "less":
-        z = -z
     p = 0.5 * math.erfc(z / math.sqrt(2.0))
     return float(u_a), float(p)
 

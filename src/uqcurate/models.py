@@ -16,9 +16,10 @@ finite-difference check of acceptance criterion 1 differentiates it.
 Training uses Adam with early stopping on validation loss; the checkpoint
 with the lowest validation loss is restored before returning.
 
-``fit_method`` fits what a weight-sampling method (vanilla, mc-dropout,
-ensemble) predicts with, and ``predict_samples`` is the one prediction path
-for all three schemes.
+``fit_method`` balances a training set and fits what a weight-sampling
+method (vanilla, mc-dropout, ensemble) predicts with, ``predict_samples`` is
+the one prediction path for all three schemes, and ``method_report`` is the
+one test-set score.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .data import Dataset, undersample_balance
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -37,6 +39,7 @@ from .errors import (
     ModelStateError,
 )
 from .kernels import gaussian_logit_nll, gaussian_logit_probs, softmax_xent
+from .metrics import EvalReport, classification_report
 from .nncore import (
     AdamState,
     DropoutLayer,
@@ -48,6 +51,7 @@ from .nncore import (
     softplus,
     spawn_seeds,
 )
+from .uq import mean_predictive
 
 Array = np.ndarray
 
@@ -303,18 +307,28 @@ def method_passes(method: str, mc_passes: int) -> int | None:
     return mc_passes if method == "mc-dropout" else None
 
 
+def method_report(method: str, fitted, test: Dataset, mc_passes: int,
+                  seed: int) -> EvalReport:
+    """The study protocol's test score: the classification report of
+    ``method``'s mean predictive on ``test``, its dropout masks (if any)
+    drawn from ``seed``."""
+    samples = predict_samples(fitted, test.X, method_passes(method, mc_passes), make_rng(seed))
+    return classification_report(mean_predictive(samples[1]), test.y)
+
+
 def fit_method(method: str, config: ModelConfig, ensemble_size: int,
-               X_train: Array, y_train: Array, X_val: Array, y_val: Array,
-               seed: int):
-    """Fit what a weight-sampling method predicts with: an ``Ensemble`` of
-    ``ensemble_size`` members for 'ensemble', one ``MlpModel`` for 'vanilla'
-    and 'mc-dropout' (they differ only at prediction time)."""
+               train: Dataset, val: Dataset, balance_seed: int, seed: int):
+    """The study protocol's fit: undersample ``train`` to balance with
+    ``balance_seed``, then fit what a weight-sampling method predicts with,
+    an ``Ensemble`` of ``ensemble_size`` members for 'ensemble', one
+    ``MlpModel`` for 'vanilla' and 'mc-dropout' (they differ only at
+    prediction time), early-stopped on ``val``."""
     if method not in UQ_METHODS:
         raise ConfigError(f"uq method must be one of {UQ_METHODS}, got {method!r}")
+    fit = undersample_balance(train, make_rng(balance_seed))
     if method == "ensemble":
-        return train_ensemble(config, ensemble_size, X_train, y_train, X_val, y_val,
-                              seed=seed)
-    return train_model(MlpModel(config, seed=seed), X_train, y_train, X_val, y_val)
+        return train_ensemble(config, ensemble_size, fit.X, fit.y, val.X, val.y, seed=seed)
+    return train_model(MlpModel(config, seed=seed), fit.X, fit.y, val.X, val.y)
 
 
 # ---------------------------------------------------------------------------

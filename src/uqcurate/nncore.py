@@ -8,8 +8,6 @@ reproduces a run bit for bit.  The two training losses live in ``kernels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, DomainError, ModelStateError
@@ -23,9 +21,8 @@ Array = np.ndarray
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Deterministic generator for a 64-bit seed (or another Generator)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """Deterministic generator for a 64-bit seed (a Generator comes back
+    unaltered)."""
     return np.random.default_rng(seed)
 
 
@@ -177,18 +174,21 @@ class DropoutLayer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Adam with bias correction over one flat parameter vector; eps is added
-    under the square root."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8  # added under the square root
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: Array | None = None
-    v: Array | None = None
+
+class AdamState:
+    """Adam with bias correction over one flat parameter vector: the step
+    count ``t`` and the moment vectors ``m`` and ``v``, allocated on the
+    first step."""
+
+    def __init__(self, lr: float = 1e-3):
+        self.lr = lr
+        self.t = 0
+        self.m: Array | None = None
+        self.v: Array | None = None
 
     def step(self, param: Array, grad: Array) -> None:
         """Update the 1-D float64 vector ``param`` in place from ``grad``."""
@@ -202,11 +202,11 @@ class AdamState:
         if self.m.shape != param.shape:
             raise DimensionError("optimizer state does not match the parameter vector")
         self.t += 1
-        m, v, beta1, beta2 = self.m, self.v, self.beta1, self.beta2
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        c1 = 1.0 - beta1**self.t
-        c2 = 1.0 - beta2**self.t
-        param -= self.lr * ((m / c1) / np.sqrt(v / c2 + self.eps))
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
+        param -= self.lr * ((m / c1) / np.sqrt(v / c2 + ADAM_EPS))

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and gradient-check machinery.
+"""Shared test utilities: independent oracles, gradient-check machinery and
+a hook on the study protocol's one fit.
 
 Oracles here must stay independent of the implementation paths they check:
 matrix products use explicit loops, gradients come from central finite
@@ -14,11 +15,21 @@ import math
 
 import numpy as np
 
+from uqcurate import curation, experiments, models
 from uqcurate.curation import _record_arrays
 from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
 from uqcurate.nncore import make_rng, softmax
+
+
+def patch_fit_method(monkeypatch, replacement) -> None:
+    """Bind ``replacement`` in place of ``models.fit_method`` at every module
+    that calls it, so it sees the fit of every study and of the training run."""
+    original = models.fit_method
+    for module in (models, experiments, curation):
+        assert module.fit_method is original
+        monkeypatch.setattr(module, "fit_method", replacement)
 
 
 def naive_matmul_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

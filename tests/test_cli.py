@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import patch_fit_method
 from uqcurate.cli import main
 from uqcurate.data import load_csv
 
@@ -194,6 +195,16 @@ class TestReport:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_a"] == 3 and summary["mean_a"] == pytest.approx(0.8)
 
+    def test_leading_byte_order_mark_ignored(self, tmp_path, capsys):
+        path = self.write_scores(tmp_path, [1, 2, 3], [4, 5, 6])
+        args = ["--col-a", "alpha", "--col-b", "beta"]
+        assert main(["report", path, *args]) == 0
+        plain = capsys.readouterr().out
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        assert main(["report", str(marked), *args]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_too_few_samples_exits_2(self, tmp_path):
         path = self.write_scores(tmp_path, [1], [2])
         assert main(["report", path, "--col-a", "alpha", "--col-b", "beta"]) == 2
@@ -295,7 +306,7 @@ class TestFailBeforeCompute:
             raise AssertionError("compute started although the input is bad")
 
         monkeypatch.setattr(experiments, "_base_dataset", never)
-        monkeypatch.setattr(experiments, "fit_method", never)
+        patch_fit_method(monkeypatch, never)
 
     @pytest.mark.parametrize("command, line", [
         ("shift", "mc_passes = 0"),           # ExperimentSpec
@@ -377,12 +388,10 @@ class TestFailBeforeCompute:
         assert "Traceback" not in err
 
     def test_bad_csv_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
-        from uqcurate import experiments
-
         def never(*args, **kwargs):
             raise AssertionError("a fit started although the CSV is bad")
 
-        monkeypatch.setattr(experiments, "fit_method", never)
+        patch_fit_method(monkeypatch, never)
         monkeypatch.setenv("UQCURATE_JOBS", "2")
         data = tmp_path / "bad.csv"
         data.write_text("id,f0,label\na,1.0,0\nb,oops,1\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import asdict
 
@@ -18,6 +19,7 @@ from uqcurate.curation import (
     UncertaintyRecord,
     curate,
     curation_loop,
+    curation_loops,
 )
 from uqcurate.data import SyntheticSpec, generate_synthetic
 from uqcurate.errors import ConfigError, DomainError
@@ -312,6 +314,29 @@ class TestCurationLoop:
             picks = result.selected_ids[: round(row.fraction_added * pool0)]
             assert row.selected_noisy_fraction == np.mean([noisy[i] for i in picks])
 
+    def test_round_r_fits_with_the_rth_round_draw(self, tiny_pool, tiny_cfg, monkeypatch):
+        # a 40% tranche moves 29, 29 and the last 14 of the 72 pool
+        # instances; each selector's round r trains on the seed partition
+        # plus its picks so far, with the r-th draw of the round stream
+        from uqcurate import curation
+
+        fits = []
+        fit = curation._fit_uq_model
+
+        def recording_fit(spec, model, train_ds, seed):
+            fits.append((len(train_ds), seed))
+            return fit(spec, model, train_ds, seed)
+
+        monkeypatch.setattr(curation, "_fit_uq_model", recording_fit)
+        spec = dataclasses.replace(tiny_cfg, tranche_fraction=0.4)
+        results = curation_loops(tiny_pool, ("ehal", "random"), spec, seed=4)
+        assert [len(r.rows) for r in results] == [4, 4]
+        round_rng = make_rng(spawn_seeds(4, 4)[3])
+        draws = [int(round_rng.integers(0, 2**63)) for _ in range(4)]
+        sizes = [24, 24 + 29, 24 + 58, 24 + 72]
+        expected = list(zip(sizes, draws))
+        assert fits == expected + expected[1:]  # round 0 is shared
+
     def test_vanilla_uq_rejected(self):
         with pytest.raises(ConfigError):
             compare_spec(uq_methods=("vanilla",))
@@ -394,21 +419,17 @@ class TestFitUqModel:
 
         seen = {}
 
-        def balance(ds, rng):
-            seen["balance_state"] = rng.bit_generator.state
-            return ds
-
-        def fit(method, config, size, X, y, X_val, y_val, seed):
-            seen.update(X_val=X_val, seed=seed)
+        def fit(method, config, size, train, val, balance_seed, seed):
+            seen.update(train=train, val=val, balance_seed=balance_seed, seed=seed)
             return "fitted"
 
-        monkeypatch.setattr(curation, "undersample_balance", balance)
         monkeypatch.setattr(curation, "fit_method", fit)
         train = tiny_pool.subset(range(60))
         assert curation._fit_uq_model(tiny_cfg, tiny_cfg.model_config(6), train, 3) == "fitted"
         carve_seed, balance_seed, fit_seed = spawn_seeds(3, 3)
         n_val = round(tiny_cfg.val_fraction * len(train))
-        carve = make_rng(carve_seed).permutation(len(train))[:n_val]
-        np.testing.assert_array_equal(seen["X_val"], train.subset(carve).X)
-        assert seen["balance_state"] == make_rng(balance_seed).bit_generator.state
+        perm = make_rng(carve_seed).permutation(len(train))
+        np.testing.assert_array_equal(seen["val"].ids, train.subset(perm[:n_val]).ids)
+        np.testing.assert_array_equal(seen["train"].ids, train.subset(perm[n_val:]).ids)
+        assert seen["balance_seed"] == balance_seed
         assert seen["seed"] == fit_seed

@@ -70,6 +70,16 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.noise_tags, back.noise_tags)
         assert list(ds.ids) == list(back.ids)
 
+    def test_leading_byte_order_mark_ignored(self, tmp_path, rng):
+        ds = generate_synthetic(SyntheticSpec(n_instances=20, feature_dim=3), rng)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        save_csv(ds, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(marked)
+        assert list(a.ids) == list(b.ids)
+        for name in ("X", "y", "noise_tags"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataFormatError):
             Dataset(ids=["a", "a"], X=np.zeros((2, 1)), y=np.zeros(2, dtype=int))
@@ -223,6 +233,12 @@ class TestKvFile:
         p = tmp_path / "c.cfg"
         write_lines(p, ["# comment", "", "a = 1", "b=two words ", "a = 3"])
         assert parse_kv_file(p) == {"a": "3", "b": "two words"}
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        write_lines(plain, ["seed = 3", "# comment", "uq = ensemble"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_kv_file(marked) == parse_kv_file(plain) == {"seed": "3", "uq": "ensemble"}
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "c.cfg"

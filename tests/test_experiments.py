@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import patch_fit_method
 from uqcurate.curation import curation_loop
-from uqcurate.data import SyntheticSpec, load_csv
+from uqcurate.data import SplitSpec, SyntheticSpec, inject_shift, load_csv, split
 from uqcurate.errors import ConfigError
 from uqcurate.experiments import (
     COMPARE,
@@ -27,7 +28,8 @@ from uqcurate.experiments import (
     run_training,
     spec_from_mapping,
 )
-from uqcurate.nncore import make_rng
+from uqcurate.models import MlpModel
+from uqcurate.nncore import make_rng, spawn_seeds
 
 SMOKE_DATA = dict(n_instances=160, feature_dim=6, noisy_fraction=0.25)
 SMOKE_MODEL = dict(
@@ -63,7 +65,6 @@ class TestShift:
         assert len(result.run_rows) == 4  # x 1 repetition
 
     def test_vanilla_and_mc_dropout_share_one_fit(self, monkeypatch):
-        from uqcurate import experiments
         from uqcurate.models import fit_method
 
         methods = ("vanilla", "mc-dropout", "ensemble")
@@ -73,7 +74,7 @@ class TestShift:
             fits.append(method)
             return fit_method(method, *args)
 
-        monkeypatch.setattr(experiments, "fit_method", recording_fit)
+        patch_fit_method(monkeypatch, recording_fit)
         spec = smoke_spec(SHIFT, intensities=(0.0, 0.3), uq_methods=methods)
         combined = run_shift_experiment(spec).run_rows
         assert fits == ["vanilla", "ensemble"] * 2
@@ -83,6 +84,31 @@ class TestShift:
             alone = run_shift_experiment(smoke_spec(
                 SHIFT, intensities=(0.0, 0.3), uq_methods=(method,))).run_rows
             assert [r for r in combined if r["method"] == method] == alone
+
+    def test_scored_test_rows_carry_the_shift_noise(self, monkeypatch):
+        # at a nonzero intensity the model is scored on the shifted test
+        # partition, whose noise the intensity stream draws after the train
+        # and validation noise; the clean test rows are never predicted
+        spec = smoke_spec(SHIFT, intensities=(0.3,), uq_methods=("vanilla",))
+        data_seed, split_seed, _, shift_seed, _, _ = _rep_seeds(spec, 0, 6)
+        train, val, test = split(_base_dataset(spec, None, data_seed), SplitSpec(
+            spec.train_fraction, spec.val_fraction, seed=split_seed))
+        irng = make_rng(spawn_seeds(shift_seed, 1)[0])
+        inject_shift(train, 0.3, irng)
+        inject_shift(val, 0.3, irng)
+        shifted = inject_shift(test, 0.3, irng)
+        inputs = []
+        raw_outputs = MlpModel.raw_outputs
+
+        def recording(self, X, **kwargs):
+            inputs.append(np.array(X, copy=True))
+            return raw_outputs(self, X, **kwargs)
+
+        monkeypatch.setattr(MlpModel, "raw_outputs", recording)
+        run_shift_experiment(spec)
+        assert not np.array_equal(shifted.X, test.X)
+        assert any(np.array_equal(X, shifted.X) for X in inputs)
+        assert not any(np.array_equal(X, test.X) for X in inputs)
 
     def test_outputs_and_determinism(self, tmp_path):
         spec = smoke_spec(SHIFT, intensities=(0.0,), uq_methods=("vanilla",))
@@ -137,12 +163,12 @@ class TestGrowth:
 
     def test_needs_no_predictive_distributions(self, monkeypatch):
         # the decomposition takes the raw (mu, sigma) stacks only
-        from uqcurate import experiments
+        from uqcurate import models
 
         def unused(*args, **kwargs):
             raise AssertionError("growth computed predictive distributions")
 
-        monkeypatch.setattr(experiments, "predict_samples", unused)
+        monkeypatch.setattr(models, "predict_samples", unused)
         result = run_data_growth_experiment(smoke_spec(GROWTH, growth_fractions=(1.0,)))
         assert len(result.run_rows) == 1
 

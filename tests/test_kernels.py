@@ -280,3 +280,29 @@ _MU, _LABELS = np.ones((4, 2)), np.array([0, 1, 0, 1])
 def test_bad_inputs_rejected(kernel, args, error):
     with pytest.raises(error):
         kernel(*args)
+
+
+_Z = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("kernel, args", [
+    (kernels.gaussian_logit_nll, (_Z, np.ones((2, 2)), [2, -1])),
+    (kernels.softmax_xent, (_Z, [0.5, 1])),
+    (kernels.softmax_xent, (_Z, [2, -1])),
+    (kernels.softmax_xent, (_Z, np.array([1, 2], dtype=np.int32))),
+    (kernels.gaussian_logit_nll, (_Z, np.ones((2, 2)), [np.nan, 1.0])),
+], ids=["nll-int64", "xent-fraction", "xent-int64", "xent-int32", "nll-nan"])
+def test_labels_outside_zero_one_rejected(kernel, args):
+    # the sign 2y - 1 of a label 2 or -1 gave a finite loss, a label 0.5 was
+    # truncated to 0, and softmax_xent indexed out of range
+    with pytest.raises(DomainError, match="labels must be 0 or 1"):
+        kernel(*args)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1], [0.0, 1.0], [False, True], np.array([0, 1], dtype=np.uint8),
+], ids=["int64", "float", "bool", "uint8"])
+def test_zero_one_labels_of_any_dtype_accepted(labels):
+    assert kernels.softmax_xent(_Z, labels)[0] == pytest.approx(math.log(2.0))
+    assert kernels.gaussian_logit_nll(_Z, np.ones((2, 2)), labels)[0] == pytest.approx(
+        math.log(2.0))

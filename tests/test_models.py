@@ -10,8 +10,10 @@ from uqcurate.models import (
     Ensemble,
     MlpModel,
     ModelConfig,
+    fit_method,
     hetero_raw_outputs,
     load_checkpoint,
+    method_report,
     predict_ensemble,
     predict_mc_dropout,
     predict_samples,
@@ -21,6 +23,7 @@ from uqcurate.models import (
     train_model,
 )
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
+from uqcurate.metrics import classification_report
 from uqcurate.nncore import make_rng, relu, sigmoid, softmax, softplus
 
 
@@ -109,6 +112,25 @@ class TestTraining:
         eval_now = model.evaluate_loss(val.X, val.y)
         assert eval_now == pytest.approx(model.best_val_loss, rel=1e-9)
 
+    def test_patience_stop_restores_the_best_epoch(self, small_splits):
+        # the best epoch is not the last, so the restored weights must be a
+        # snapshot taken at that epoch, and training stops exactly
+        # ``patience`` epochs after it
+        balanced, val, _ = small_splits
+        model = MlpModel(small_config("homo", max_epochs=200, patience=3), seed=11)
+        snapshots = []
+
+        def evaluate_loss(X, y):  # runs once per epoch, after its last step
+            snapshots.append(model.flat_params.copy())
+            return MlpModel.evaluate_loss(model, X, y)
+
+        model.evaluate_loss = evaluate_loss
+        train_model(model, balanced.X, balanced.y, val.X, val.y)
+        best = int(np.argmin([r.val_loss for r in model.history]))
+        assert len(model.history) == len(snapshots) == best + 1 + 3 < 200
+        np.testing.assert_array_equal(model.flat_params, snapshots[best])
+        assert not np.array_equal(model.flat_params, snapshots[-1])
+
     def test_early_stopping_bounds_epochs(self, small_splits):
         model = fit_small("homo", splits=small_splits, max_epochs=200, patience=3)
         # stopped well before max_epochs on this noisy pool
@@ -134,6 +156,38 @@ def _full_backward_step(model, X, y, rng):
                             reversed(pre_acts)):
         dh = lin.backward(drop.backward(dh) * (z > 0.0))
     return float(loss), dh
+
+
+class TestFitMethod:
+    @pytest.mark.parametrize("method", ["vanilla", "ensemble"])
+    def test_balances_with_the_balance_seed_then_fits(self, small_pool, method):
+        train, val, _ = split(small_pool, SplitSpec(seed=3))
+        cfg = small_config("homo", max_epochs=3)
+        fitted = fit_method(method, cfg, 2, train, val, 5, 11)
+        balanced = undersample_balance(train, make_rng(5))
+        X, y = balanced.X, balanced.y
+        if method == "ensemble":
+            ref = [m.flat_params for m in train_ensemble(cfg, 2, X, y, val.X, val.y, 11).members]
+            got = [m.flat_params for m in fitted.members]
+        else:
+            ref = [train_model(MlpModel(cfg, seed=11), X, y, val.X, val.y).flat_params]
+            got = [fitted.flat_params]
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+    def test_unknown_method_rejected(self, small_pool):
+        train, val, _ = split(small_pool, SplitSpec(seed=3))
+        with pytest.raises(ConfigError):
+            fit_method("bagging", small_config(), 2, train, val, 5, 11)
+
+    @pytest.mark.parametrize("method, passes", [("vanilla", None), ("mc-dropout", 4)])
+    def test_method_report_scores_the_mean_predictive(self, small_splits, method, passes):
+        model = fit_small("homo", splits=small_splits, max_epochs=3)
+        test = small_splits[2]
+        report = method_report(method, model, test, 4, seed=8)
+        probs = predict_samples(model, test.X, passes, make_rng(8))[1].mean(axis=1)
+        assert report == classification_report(probs, test.y)
 
 
 class TestTrainBatch:

@@ -7,6 +7,9 @@ from helpers import naive_matmul_bias
 from uqcurate.errors import DimensionError, DomainError, ModelStateError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.nncore import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     DropoutLayer,
     LinearLayer,
@@ -213,8 +216,9 @@ class TestStochasticNll:
 class TestAdam:
     def test_first_step_hand_evaluated(self):
         # t=1, grad=1: m_hat=1, v_hat=1, step = lr / sqrt(1 + eps)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
         param = np.zeros(1)
-        opt = AdamState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = AdamState(lr=1e-3)
         opt.step(param, np.ones(1))
         assert param[0] == pytest.approx(-0.000999999995, abs=1e-15)
 
