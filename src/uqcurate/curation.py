@@ -214,12 +214,8 @@ def pool_uncertainty_records(fitted, pool: Dataset, spec: ExperimentSpec,
         samples = predict_samples(fitted, pool.X, n_passes, rng)[1]
         epi, ale = mutual_information(samples), expected_entropy(samples)
     return [
-        UncertaintyRecord(
-            id=str(pool.ids[i]),
-            epistemic=float(epi[i]),
-            aleatoric=float(ale[i]),
-        )
-        for i in range(len(pool))
+        UncertaintyRecord(id=str(i), epistemic=e, aleatoric=a)
+        for i, e, a in zip(pool.ids.tolist(), epi.tolist(), ale.tolist())
     ]
 
 

@@ -11,6 +11,11 @@ of the dual head enter only through the margin d = z1 - z0 ~ N(m, S^2), with
 m = mu1 - mu0 and S^2 = sigma0^2 + sigma1^2.  Every expectation over the
 logits is then a 1-D integral over d, which a ``GH_NODES``-point
 Gauss-Hermite rule computes without random draws.
+
+A pool of more than ``ROW_BLOCK`` rows is scored in the row blocks of
+``row_blocks``, so ``gaussian_logit_probs`` holds its (rows, ``GH_NODES``)
+temporaries for one block at a time; the probabilities are the same to the
+bit as one pass over every row.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .errors import DimensionError, DomainError
 
 __all__ = [
     "GH_NODES",
+    "ROW_BLOCK",
     "backend",
+    "row_blocks",
     "softmax_xent",
     "gaussian_logit_nll",
     "gaussian_logit_probs",
@@ -36,6 +43,38 @@ LOG_FLOOR = 1e-12  # probabilities are clamped here before any log
 # below the 0.07 standard deviation of a 50-draw Monte Carlo estimate;
 # CHANGES.md holds the error table by node count.
 GH_NODES = 48
+
+# The most rows that an eval-mode prediction pass or a quadrature works on at
+# once: a (ROW_BLOCK, 64) hidden activation takes 1 MB and a
+# (ROW_BLOCK, GH_NODES) quadrature buffer 0.8 MB, however large the pool.
+ROW_BLOCK = 2048
+# Every block but the last starts and ends on a multiple of this many rows.
+_BLOCK_ALIGN = 64
+
+
+def row_blocks(n: int) -> list[slice]:
+    """``range(n)`` as balanced, consecutive slices of at most ``ROW_BLOCK``
+    rows; a single slice when ``n <= ROW_BLOCK``.
+
+    The blocks reproduce a single-threaded pass over all ``n`` rows bit for
+    bit because of two rules that the BLAS row kernels need.  Every slice
+    but the last is a multiple of 64 rows, so every row keeps its position
+    within a kernel's row group (gemv, for one, sums the rows past the last
+    multiple of 4 another way).  And no slice is shorter than
+    ``ROW_BLOCK // 2`` rows: on a few hundred rows or fewer, dgemm takes
+    another kernel, whose sums round differently.  A block is too small for
+    OpenBLAS to split among threads, so blocked results do not depend on the
+    BLAS thread count; one gemv over more than about 9000 rows is split, and
+    the rows at the end of each thread's share can round differently.
+    """
+    if n <= ROW_BLOCK:
+        return [slice(0, n)]
+    # the n // 64 whole units of 64 rows, shared out as evenly as they go;
+    # the last block also takes the n % 64 rows past them
+    n_blocks = -(-n // ROW_BLOCK)
+    units = n // _BLOCK_ALIGN
+    bounds = [-(-units * k // n_blocks) * _BLOCK_ALIGN for k in range(n_blocks)] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def backend() -> str:
@@ -182,14 +221,17 @@ def gaussian_logit_probs(mu, sigma):
     if np.any(sigma < 0.0):
         raise DomainError("sigma entries must be >= 0")
     x, w, _ = _gauss_hermite()
-    # three (B, K) buffers: the margin's, and two more; every ufunc writes
-    # into one of them
-    d = _margin_nodes(mu, sigma, x)
-    pos = d >= 0.0
-    e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)  # exp(-|d|)
-    near = np.add(1.0, e)
-    np.divide(1.0, near, out=near)      # sigmoid(|d|)
-    far = np.multiply(e, near, out=e)   # sigmoid(-|d|)
-    p1 = np.where(pos, near, far)
-    np.copyto(near, far, where=pos)     # p0 = where(pos, far, near)
-    return np.stack((near @ w, p1 @ w), axis=1)
+    out = np.empty_like(mu)
+    for rows in row_blocks(mu.shape[0]):
+        # three (block, K) buffers: the margin's, and two more; every ufunc
+        # writes into one of them
+        d = _margin_nodes(mu[rows], sigma[rows], x)
+        pos = d >= 0.0
+        e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)  # exp(-|d|)
+        near = np.add(1.0, e)
+        np.divide(1.0, near, out=near)      # sigmoid(|d|)
+        far = np.multiply(e, near, out=e)   # sigmoid(-|d|)
+        out[rows, 1] = np.where(pos, near, far) @ w
+        np.copyto(near, far, where=pos)     # p0 = where(pos, far, near)
+        out[rows, 0] = near @ w
+    return out

@@ -35,6 +35,10 @@ def _check_probs_labels(probs, labels):
         )
     if probs.shape[0] == 0:
         raise DomainError("need at least one instance")
+    # before any indexing: a label -1 would pick the last column, and 0.5
+    # would truncate to 0
+    if labels.dtype.kind not in "biuf" or not np.isin(labels, np.arange(probs.shape[1])).all():
+        raise DomainError(f"labels must be integers in [0, {probs.shape[1]})")
     return probs, labels.astype(np.int64)
 
 

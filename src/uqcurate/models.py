@@ -19,7 +19,9 @@ with the lowest validation loss is restored before returning.
 ``fit_method`` balances a training set and fits what a weight-sampling
 method (vanilla, mc-dropout, ensemble) predicts with, ``predict_samples`` is
 the one prediction path for all three schemes, and ``method_report`` is the
-one test-set score.
+one test-set score.  Eval-mode passes over more than ``kernels.ROW_BLOCK``
+rows run in row blocks, with the same bits as one pass; dropout passes run
+as one block, so their masks are drawn in the same order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     DivergenceError,
     ModelStateError,
 )
-from .kernels import gaussian_logit_nll, gaussian_logit_probs, softmax_xent
+from .kernels import gaussian_logit_nll, gaussian_logit_probs, row_blocks, softmax_xent
 from .metrics import EvalReport, classification_report
 from .nncore import (
     AdamState,
@@ -160,12 +162,25 @@ class MlpModel:
                     rng: np.random.Generator | None = None):
         """Head outputs: logits for single-head, (mu, sigma) for dual-head.
 
-        ``stochastic`` keeps dropout masks active (weight sampling).
+        ``stochastic`` keeps dropout masks active (weight sampling).  An
+        eval-mode pass runs in the row blocks of ``kernels.row_blocks``, so
+        its hidden activations take one block's memory, not the whole
+        input's; the outputs equal one pass over all rows bit for bit.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        outs, _ = self._forward(X, stochastic=stochastic, train=False, rng=rng)
+        blocks = row_blocks(X.shape[0])
+        if stochastic or len(blocks) == 1:
+            # dropout passes stay one block: blocks would draw the masks in
+            # another order, and so change every mc-dropout result
+            outs, _ = self._forward(X, stochastic=stochastic, train=False, rng=rng)
+        else:
+            outs = [np.empty((X.shape[0], head.out_dim)) for head in self.heads]
+            for rows in blocks:
+                parts, _ = self._forward(X[rows], stochastic=False, train=False, rng=None)
+                for out, part in zip(outs, parts):
+                    out[rows] = part
         return outs[0] if self.config.head == HOMOSCEDASTIC else _dual_head(*outs)
 
     def _train_batch(self, X: Array, y: Array, rng: np.random.Generator) -> float:

@@ -172,17 +172,9 @@ def summarize(samples) -> list[UqSummary]:
     h_exp = expected_entropy(a)
     mi = mutual_information(a)
     vt, ve, va = total_variance_decompose(a)
-    return [
-        UqSummary(
-            entropy_total=float(h_total[i]),
-            entropy_expected=float(h_exp[i]),
-            mutual_information=float(mi[i]),
-            var_total=float(vt[i]),
-            var_epistemic=float(ve[i]),
-            var_aleatoric=float(va[i]),
-        )
-        for i in range(a.shape[0])
-    ]
+    # one list of Python floats per measure, in UqSummary's field order
+    columns = [v.tolist() for v in (h_total, h_exp, mi, vt, ve, va)]
+    return [UqSummary(*row) for row in zip(*columns)]
 
 
 def summarize_hetero(mu_samples, sigma_samples, member_probs, n_draws=None,
@@ -197,7 +189,7 @@ def summarize_hetero(mu_samples, sigma_samples, member_probs, n_draws=None,
     h_epi = np.atleast_1d(dec.entropy_epistemic)
     if len(out) != h_ale.shape[0]:
         raise DimensionError("member_probs and mu/sigma samples disagree on instance count")
-    for i, s in enumerate(out):
-        s.entropy_aleatoric = float(h_ale[i])
-        s.entropy_epistemic = float(h_epi[i])
+    for s, ale, epi in zip(out, h_ale.tolist(), h_epi.tolist()):
+        s.entropy_aleatoric = ale
+        s.entropy_epistemic = epi
     return out

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_logit_nll_loop, margin_probability_quad, sampled_gaussian_logit_nll
 from uqcurate import kernels
@@ -198,20 +200,48 @@ def _probs_reference(mu, sigma):
     return np.stack((np.where(pos, far, near) @ w, np.where(pos, near, far) @ w), axis=1)
 
 
-@pytest.mark.parametrize("case", ["random", "zero-sigma", "margins-40"])
-def test_probs_bit_identical_to_plain_expressions(case):
+# one block, and more than one: row_blocks' smallest split, a tail past the
+# 64-row grid, and the benchmark's pool.  The one-pass oracle's gemv over
+# 20 000 rows is split among BLAS threads; with 1, 2, 4 or 8 of them each
+# share is a multiple of 4 rows, so it rounds as a single thread does.
+BLOCK_SIZES = (500, kernels.ROW_BLOCK + 1, 2 * kernels.ROW_BLOCK + 65, 20_000)
+
+
+@pytest.mark.parametrize("case, n", [
+    pytest.param(case, n, id=case if n == 500 else f"{case}-{n}")
+    for n in BLOCK_SIZES for case in ("random", "zero-sigma", "margins-40")
+])
+def test_probs_bit_identical_to_plain_expressions(case, n):
     rng = np.random.default_rng(17)
-    mu = rng.standard_normal((500, 2)) * 4
-    sigma = rng.uniform(0.0, 3.0, (500, 2))
+    mu = rng.standard_normal((n, 2)) * 4
+    sigma = rng.uniform(0.0, 3.0, (n, 2))
     if case == "zero-sigma":
         sigma[:] = 0.0
     if case == "margins-40":
-        mu[:, 1] = mu[:, 0] + rng.choice([-40.0, 40.0], 500)
+        mu[:, 1] = mu[:, 0] + rng.choice([-40.0, 40.0], n)
     mu_before, sigma_before = mu.copy(), sigma.copy()
     tables_before = [a.copy() for a in kernels._gauss_hermite()]
     assert np.array_equal(kernels.gaussian_logit_probs(mu, sigma), _probs_reference(mu, sigma))
     assert np.array_equal(mu, mu_before) and np.array_equal(sigma, sigma_before)
     assert all(np.array_equal(a, b) for a, b in zip(kernels._gauss_hermite(), tables_before))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(0, 5 * kernels.ROW_BLOCK), st.integers(0, 10**6)))
+def test_row_blocks_tile_the_rows(n):
+    # consecutive slices from 0 to n: each row once, in order
+    blocks = kernels.row_blocks(n)
+    assert all(b.step is None for b in blocks)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) <= kernels.ROW_BLOCK
+    assert all(size % 64 == 0 for size in sizes[:-1])
+    if n <= kernels.ROW_BLOCK:
+        assert blocks == [slice(0, n)]
+    else:
+        assert min(sizes) >= kernels.ROW_BLOCK // 2
+        assert len(blocks) == -(-n // kernels.ROW_BLOCK)
 
 
 def _nll_reference(mu, sigma, labels):

@@ -46,6 +46,24 @@ class TestBrier:
         with pytest.raises(DimensionError):
             brier([[0.5, 0.5]], [0, 1])
 
+    @pytest.mark.parametrize("score, labels", [
+        (brier, [-1, 1]),
+        (brier, [2, 1]),
+        (classification_report, [0.5, 1]),
+        (classification_report, [np.nan, 1]),
+    ], ids=["minus-one", "two", "fraction", "nan"])
+    def test_labels_outside_the_classes_rejected(self, score, labels):
+        # -1 indexed the last column (Brier 0.85), 2 raised a bare
+        # IndexError, and 0.5 was truncated to 0 (F1 1.0)
+        with pytest.raises(DomainError, match=r"labels must be integers in \[0, 2\)"):
+            score([[0.9, 0.1], [0.2, 0.8]], labels)
+
+    @pytest.mark.parametrize("labels", [
+        [0, 1], [0.0, 1.0], [False, True], np.array([0, 1], dtype=np.uint8),
+    ], ids=["int64", "float", "bool", "uint8"])
+    def test_class_labels_of_any_dtype_accepted(self, labels):
+        assert brier([[0.9, 0.1], [0.2, 0.8]], labels) == pytest.approx(0.05)
+
     def test_propriety_grid(self):
         # expected Brier for Bernoulli(q) labels when predicting p:
         #   q*2*(1-p)^2 + (1-q)*2*p^2, minimized exactly at p=q

@@ -5,7 +5,11 @@ import pytest
 
 from uqcurate.data import SplitSpec, split, undersample_balance
 from uqcurate.errors import ConfigError, DataFormatError, ModelStateError
+from uqcurate import kernels
+from uqcurate.kernels import ROW_BLOCK
 from uqcurate.models import (
+    HEADS,
+    HETEROSCEDASTIC,
     SIGMA_FLOOR,
     Ensemble,
     MlpModel,
@@ -25,6 +29,7 @@ from uqcurate.models import (
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.metrics import classification_report
 from uqcurate.nncore import make_rng, relu, sigmoid, softmax, softplus
+from uqcurate.uq import hetero_decompose
 
 
 def small_config(head="homo", **overrides):
@@ -432,6 +437,62 @@ class TestHeteroRawOutputs:
         np.testing.assert_array_equal(sigma, sigma_raw)
         assert r_pred.bit_generator.state == r_raw.bit_generator.state
         assert probs.shape == (20, 4, 2)
+
+
+class TestRowBlocks:
+    """An eval-mode pass over more than ``ROW_BLOCK`` rows runs in row
+    blocks; its results equal one block over every row bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def ensembles(self, small_splits):
+        # the profiles' 64-unit hidden layers, whose products the blocks split
+        balanced, val, _ = small_splits
+        return {head: train_ensemble(small_config(head, hidden_layers=3, hidden_width=64,
+                                                  max_epochs=3),
+                                     2, balanced.X, balanced.y, val.X, val.y, seed=2)
+                for head in HEADS}
+
+    @staticmethod
+    def _predictions(ens, X):
+        """Every array the eval-mode prediction paths return for ``X``."""
+        arrays = []
+        for fitted in (ens, ens.members[0]):
+            raw, probs = predict_samples(fitted, X)
+            arrays += [*(raw if isinstance(raw, tuple) else (raw,)), probs]
+        if ens.config.head == HETEROSCEDASTIC:
+            mu, sigma = hetero_raw_outputs(ens, X)
+            dec = hetero_decompose(mu, sigma)
+            arrays += [mu, sigma, dec.entropy_aleatoric, dec.entropy_epistemic]
+        return arrays
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 65, 20_000])
+    @pytest.mark.parametrize("head", HEADS)
+    def test_blocks_equal_one_pass(self, ensembles, head, n, monkeypatch):
+        # with 1, 2, 4 or 8 BLAS threads, the one pass's gemv over 20 000
+        # rows splits them into multiples of 4, which round as one thread does
+        X = make_rng(n).standard_normal((n, 10)) * 3
+        assert len(kernels.row_blocks(n)) > 1
+        blocked = self._predictions(ensembles[head], X)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", n)
+        assert kernels.row_blocks(n) == [slice(0, n)]
+        one_pass = self._predictions(ensembles[head], X)
+        assert len(blocked) == len(one_pass)
+        for a, b in zip(blocked, one_pass):
+            assert np.array_equal(a, b)
+
+    def test_dropout_passes_draw_each_layer_mask_over_all_rows(self, ensembles):
+        # blocks would draw the masks in another order, and so change every
+        # mc-dropout result: a dropout pass stays one block
+        model = ensembles[HETEROSCEDASTIC].members[0]
+        n = ROW_BLOCK + 1
+        X = make_rng(3).standard_normal((n, 10))
+        masks = make_rng(4)
+        keep = 1.0 - model.config.dropout
+        h = X
+        for lin in model.hidden:
+            h = relu(h @ lin.w.T + lin.b) * ((masks.random((n, lin.out_dim)) < keep) * (1.0 / keep))
+        mu, _ = model.raw_outputs(X, stochastic=True, rng=make_rng(4))
+        assert np.array_equal(mu, relu(h @ model.heads[0].w.T + model.heads[0].b))
 
 
 def assert_same_weights(a, b):

@@ -14,7 +14,7 @@ def test_smoke_digests_runs_every_command():
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     paths = [line.split("  ", 1)[1] for line in lines]
-    assert len(lines) == 37 and len(set(paths)) == 37
+    assert len(lines) == 40 and len(set(paths)) == 40
 
 
 def _load_bench_pairs():

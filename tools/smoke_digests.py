@@ -10,11 +10,12 @@ The set is gen-data (the profile, and ``--seed 3``), shift (default,
 ``--uq mc-dropout``, ``--head homo --uq mc-dropout``, and ``--head homo`` with
 ``uq = vanilla,mc-dropout,ensemble``, whose first two methods share one fit),
 growth, compare (``--selector`` ehal, elah and random; ``--uq mc-dropout``;
-``--uq mc-dropout --head homo``; ``uncertainty_source = sample``; and
+``--uq mc-dropout --head homo``; ``uncertainty_source = sample``;
 ``repetitions = 2``, so that ``--jobs 2`` runs its repetitions in two worker
-processes) and train (default and ``--uq mc-dropout``): 16 commands and 37
-files.  The profile has one repetition, so only the two-repetition compare
-starts workers.
+processes; and ``--selector ehal`` on 8000 instances, whose 4800-row pool
+and 2800-row test partition are scored in row blocks) and train (default and
+``--uq mc-dropout``): 17 commands and 40 files.  The profile has one
+repetition, so only the two-repetition compare starts workers.
 
 To check which result files a change moves, run it on the change and on a
 checkout of the parent commit, then diff the two outputs::
@@ -64,6 +65,8 @@ COMMANDS = [
     ("compare/homo-mc-dropout", ["compare", *PROFILE, "--uq", "mc-dropout", "--head", "homo"]),
     ("compare/source-sample", ["compare", "--config", "{work}/smoke-sample.cfg"]),
     ("compare/two-reps", ["compare", "--config", "{work}/smoke-two-reps.cfg"]),
+    ("compare/large-pool", ["compare", "--config", "{work}/smoke-large-pool.cfg",
+                            "--selector", "ehal"]),
     ("train/default", ["train", *PROFILE]),
     ("train/mc-dropout", ["train", *PROFILE, "--uq", "mc-dropout"]),
 ]
@@ -72,12 +75,16 @@ COMMANDS = [
 def _write_profiles(src: Path, work: Path) -> None:
     """The smoke profile with ``uncertainty_source = sample`` (it scores with
     the default ``entropy`` source), with all three uq methods (``--uq``
-    takes one) and with two repetitions; a later key overrides an earlier
+    takes one), with two repetitions, and with a 4800-row pool and a
+    2800-row test partition, which are scored in row blocks of at most
+    ``kernels.ROW_BLOCK`` = 2048 rows; a later key overrides an earlier
     one."""
     smoke = (src / "uqcurate" / "profiles" / "smoke.cfg").read_text(encoding="utf-8")
     for name, extra in (("smoke-sample.cfg", "uncertainty_source = sample"),
                         ("smoke-all-uq.cfg", "uq = vanilla,mc-dropout,ensemble"),
-                        ("smoke-two-reps.cfg", "repetitions = 2")):
+                        ("smoke-two-reps.cfg", "repetitions = 2"),
+                        ("smoke-large-pool.cfg", "n_instances = 8000\nseed_fraction = 0.05\n"
+                                                 "pool_fraction = 0.6\ntranche_fraction = 0.5")):
         (work / name).write_text(f"{smoke}\n{extra}\n", encoding="utf-8")
 
 
