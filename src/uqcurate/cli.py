@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -130,18 +131,6 @@ def _run_experiment(args, kind: str, runner) -> int:
     return 0
 
 
-def _cmd_shift(args) -> int:
-    return _run_experiment(args, SHIFT, run_shift_experiment)
-
-
-def _cmd_growth(args) -> int:
-    return _run_experiment(args, GROWTH, run_data_growth_experiment)
-
-
-def _cmd_compare(args) -> int:
-    return _run_experiment(args, COMPARE, run_selector_comparison)
-
-
 def _parse_filters(pairs: list[str]) -> list[tuple[str, str]]:
     out = []
     for pair in pairs:
@@ -238,17 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the resolved config and exit without writing files")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("shift", help="quality-shift study")
-    add_common(p)
-    p.set_defaults(func=_cmd_shift)
-
-    p = sub.add_parser("growth", help="data-growth uncertainty study")
-    add_common(p)
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("compare", help="selector-comparison study")
-    add_common(p, with_selector=True)
-    p.set_defaults(func=_cmd_compare)
+    for name, kind, runner, help_text in (
+        ("shift", SHIFT, run_shift_experiment, "quality-shift study"),
+        ("growth", GROWTH, run_data_growth_experiment, "data-growth uncertainty study"),
+        ("compare", COMPARE, run_selector_comparison, "selector-comparison study"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p, with_selector=kind == COMPARE)
+        p.set_defaults(func=functools.partial(_run_experiment, kind=kind, runner=runner))
 
     p = sub.add_parser("report", help="one-sided rank test between two score columns")
     p.add_argument("results_csv", nargs="+", help="results CSV file(s)")

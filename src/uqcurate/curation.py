@@ -1,6 +1,7 @@
 """Uncertainty-guided pool curation.
 
-Selectors over per-instance (epistemic, aleatoric) uncertainty records:
+A scored pool is two float arrays, its per-instance epistemic and aleatoric
+uncertainties (``pool_uncertainty_records``), and the selectors walk them:
 
 * ``ehal``   -- take the highest-epistemic candidate unless it sits in the
   current top-n_ale aleatoric (noisiest) set; on rejection the candidate is
@@ -14,13 +15,15 @@ is no larger than n_ale), the globally extreme-epistemic instance of the
 original view is returned, so selection is total and never loops.
 
 Ties anywhere break toward the lexicographically smallest id, which keeps
-runs reproducible across platforms.
+runs reproducible across platforms.  ``curate`` is the public entry: it
+takes a list of ``UncertaintyRecord`` and returns the picked ids.
 
 ``curation_loop`` drives the iterative retrain-and-select study: train an
 uncertainty model on a seed partition, score the candidate pool, move one
 tranche into the training set, retrain from scratch, and record the test F1
 after every round.  ``curation_loops`` runs it for several selectors, which
-share round 0.
+share round 0.  The loop keeps the pool's scores as arrays and maps the
+picked positions through its alive mask; it builds no records.
 """
 
 from __future__ import annotations
@@ -123,6 +126,26 @@ def _walk_select(epi_order: Array, ale_order: Array, alive: Array, n_ale: int) -
     return int(walk[kept[0]] if kept.shape[0] else walk[0])
 
 
+def _pick(ids: Array, epi: Array, ale: Array, config: CurationConfig,
+          rng: np.random.Generator | None) -> Array:
+    """``curate`` on arrays: the pool positions of the picks, in pick order."""
+    n = len(ids)
+    if config.selector == "random":
+        if rng is None:
+            raise ConfigError("the random selector needs an rng")
+        return rng.permutation(n)[: min(config.n_to_select, n)]
+    alive = np.ones(n, dtype=bool)
+    picked: list[int] = []
+    high = config.selector == "ehal"
+    epi_order, ale_order = _selection_orders(ids, epi, ale, high_epistemic=high)
+    while alive.any() and len(picked) < config.n_to_select:
+        n_ale = config.resolve_n_ale(int(alive.sum()))
+        idx = _walk_select(epi_order, ale_order, alive, n_ale)
+        alive[idx] = False
+        picked.append(idx)
+    return np.array(picked, dtype=np.int64)
+
+
 def curate(records, config: CurationConfig,
            rng: np.random.Generator | None = None) -> list[str]:
     """Repeatedly apply the selector, removing each pick, until
@@ -133,22 +156,7 @@ def curate(records, config: CurationConfig,
     n_ale=k))``.
     """
     ids, epi, ale = _record_arrays(records)
-    n = len(ids)
-    if config.selector == "random":
-        if rng is None:
-            raise ConfigError("the random selector needs an rng")
-        order = rng.permutation(n)[: min(config.n_to_select, n)]
-        return [str(i) for i in ids[order]]
-    alive = np.ones(n, dtype=bool)
-    picked: list[str] = []
-    high = config.selector == "ehal"
-    epi_order, ale_order = _selection_orders(ids, epi, ale, high_epistemic=high)
-    while alive.any() and len(picked) < config.n_to_select:
-        n_ale = config.resolve_n_ale(int(alive.sum()))
-        idx = _walk_select(epi_order, ale_order, alive, n_ale)
-        alive[idx] = False
-        picked.append(str(ids[idx]))
-    return picked
+    return [str(i) for i in ids[_pick(ids, epi, ale, config, rng)]]
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +197,12 @@ def _fit_uq_model(spec: ExperimentSpec, model: ModelConfig, train_ds: Dataset, s
                       balance_seed, fit_seed)
 
 
-def pool_uncertainty_records(fitted, pool: Dataset, spec: ExperimentSpec,
-                             seed: int) -> list[UncertaintyRecord]:
-    """Score every pool instance with the spec's uncertainty split.
+def pool_uncertainty_records(fitted, X: Array, n_passes: int | None,
+                             rng: np.random.Generator | None,
+                             source: str) -> tuple[Array, Array]:
+    """The ``(epistemic, aleatoric)`` uncertainty arrays of the rows of ``X``.
 
-    ``uncertainty_source`` picks the (epistemic, aleatoric) pair:
+    ``source`` picks the pair:
 
     * ``entropy`` -- dual-head models use the (mu, sigma)-derived entropy
       pair; single-head models use (mutual information, expected entropy).
@@ -201,22 +210,25 @@ def pool_uncertainty_records(fitted, pool: Dataset, spec: ExperimentSpec,
       predictive distributions, for either head.
 
     Both halves of the pair come from one set of weight samples, so each
-    member's forward pass runs once.  The weight samples (dropout masks) draw
-    from child 0 of ``seed``; the decomposition draws nothing.
+    member's forward pass runs once.  ``n_passes`` and ``rng`` are
+    ``predict_samples``'s: ``rng`` drives the dropout masks only, and the
+    decomposition draws nothing.  The curation loop scores round r's pool
+    with ``make_rng(child_seed(score_seed, 0))``, where ``score_seed`` is the
+    second of the two seeds spawned from child r of its eval seed.  Raises
+    ``DomainError`` unless every value is finite and >= 0.
     """
-    n_passes = method_passes(spec.uq_methods[0], spec.mc_passes)
-    rng = make_rng(child_seed(seed, 0))
-    if fitted.config.head == HETEROSCEDASTIC and spec.uncertainty_source == "entropy":
-        mu, sigma = hetero_raw_outputs(fitted, pool.X, n_passes, rng)
+    if fitted.config.head == HETEROSCEDASTIC and source == "entropy":
+        mu, sigma = hetero_raw_outputs(fitted, X, n_passes, rng)
         dec = hetero_decompose(mu, sigma)
         epi, ale = dec.entropy_epistemic, dec.entropy_aleatoric
     else:
-        samples = predict_samples(fitted, pool.X, n_passes, rng)[1]
+        samples = predict_samples(fitted, X, n_passes, rng)[1]
         epi, ale = mutual_information(samples), expected_entropy(samples)
-    return [
-        UncertaintyRecord(id=str(i), epistemic=e, aleatoric=a)
-        for i, e, a in zip(pool.ids.tolist(), epi.tolist(), ale.tolist())
-    ]
+    if not (np.isfinite(epi).all() and np.isfinite(ale).all()):
+        raise DomainError("pool uncertainties must be finite")
+    if (epi < 0.0).any() or (ale < 0.0).any():
+        raise DomainError("pool uncertainties must be >= 0")
+    return epi, ale
 
 
 def curation_loop(dataset: Dataset, selector: str, spec: ExperimentSpec,
@@ -245,9 +257,6 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
     reads no selector, so it runs once and every selector's loop continues
     from it; every result equals ``curation_loop`` run alone.
     """
-    for selector in selectors:
-        if selector not in SELECTORS:
-            raise ConfigError(f"selector must be one of {SELECTORS}, got {selector!r}")
     split_seed, selector_seed, eval_seed, round_seed = spawn_seeds(seed, 4)
 
     n = len(dataset)
@@ -264,50 +273,49 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
 
     pool0 = len(pool0_idx)
     tranche = max(1, int(round(spec.tranche_fraction * pool0)))
+    configs = [CurationConfig(n_to_select=tranche, n_ale_fraction=spec.n_ale_fraction,
+                              selector=selector) for selector in selectors]
     round_rng = make_rng(round_seed)
     fit_seeds = [int(round_rng.integers(0, 2**63))
                  for _ in range(1 + math.ceil(pool0 / tranche))]
-    pool_pos = {str(dataset.ids[i]): k for k, i in enumerate(pool0_idx)}
     model = spec.model_config(dataset.feature_dim)
     method = spec.uq_methods[0]
+    n_passes = method_passes(method, spec.mc_passes)
 
     def fit_and_score(rounds, train_idx, pool_idx):
         """Round ``rounds``: fit on ``train_idx``, then its test F1 and the
-        records of ``pool_idx``."""
+        (epistemic, aleatoric) arrays of ``pool_idx``."""
         test_seed, score_seed = spawn_seeds(child_seed(eval_seed, rounds), 2)
         fitted = _fit_uq_model(spec, model, dataset.subset(train_idx), fit_seeds[rounds])
         f1 = method_report(method, fitted, test_ds, spec.mc_passes, test_seed).f1
         if not len(pool_idx):
-            return f1, []
-        return f1, pool_uncertainty_records(fitted, dataset.subset(pool_idx), spec, score_seed)
+            return f1, np.empty(0), np.empty(0)
+        epi, ale = pool_uncertainty_records(fitted, dataset.X[pool_idx], n_passes,
+                                            make_rng(child_seed(score_seed, 0)),
+                                            spec.uncertainty_source)
+        return f1, epi, ale
 
     def mean(values):
         return float(np.mean(values)) if len(values) else float("nan")
 
     first = fit_and_score(0, seed_idx, pool0_idx)
     results = []
-    for selector in selectors:
+    for config in configs:
         selector_rng = make_rng(selector_seed)
         alive = np.ones(pool0, dtype=bool)  # pool membership, in pool0_idx order
         picks: list = []  # dataset indices, in selection order
         rows: list[CurveRow] = []
-        f1, records = first
+        f1, epi, ale = first
         for rounds in range(len(fit_seeds)):
             if rounds:  # move one tranche from the pool, then refit
-                pick_cfg = CurationConfig(
-                    n_to_select=min(tranche, int(alive.sum())),
-                    n_ale_fraction=spec.n_ale_fraction,
-                    selector=selector,
-                )
-                pos = [pool_pos[pid] for pid in curate(records, pick_cfg, rng=selector_rng)]
+                live = np.flatnonzero(alive)  # the positions epi and ale score
+                pos = live[_pick(dataset.ids[pool0_idx[live]], epi, ale, config, selector_rng)]
                 alive[pos] = False
                 picks.extend(pool0_idx[pos])
-                f1, records = fit_and_score(rounds, seed_idx + picks, pool0_idx[alive])
+                f1, epi, ale = fit_and_score(rounds, seed_idx + picks, pool0_idx[alive])
             noisy = (mean(dataset.noise_tags[picks])
                      if dataset.noise_tags is not None else float("nan"))
-            rows.append(CurveRow(rounds, len(picks) / pool0, f1,
-                                 mean([r.epistemic for r in records]),
-                                 mean([r.aleatoric for r in records]), noisy))
+            rows.append(CurveRow(rounds, len(picks) / pool0, f1, mean(epi), mean(ale), noisy))
         selected = [str(i) for i in dataset.ids[picks]]
         results.append(CurationResult(selected_ids=selected, rows=rows))
     return results

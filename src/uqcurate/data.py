@@ -61,11 +61,11 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            ids=self.ids[idx].copy(),
-            X=self.X[idx].copy(),
-            y=self.y[idx].copy(),
-            noise_tags=None if self.noise_tags is None else self.noise_tags[idx].copy(),
+        return Dataset(  # integer-array indexing already copies
+            ids=self.ids[idx],
+            X=self.X[idx],
+            y=self.y[idx],
+            noise_tags=None if self.noise_tags is None else self.noise_tags[idx],
         )
 
     def class_counts(self) -> tuple[int, int]:

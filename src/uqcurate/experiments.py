@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .curation import UNCERTAINTY_SOURCES, CurationConfig, curation_loops
+from .curation import (UNCERTAINTY_SOURCES, CurationConfig, curation_loops,
+                       pool_uncertainty_records)
 from .data import (
     Dataset,
     SplitSpec,
@@ -48,12 +49,10 @@ from .models import (
     UQ_METHODS,
     ModelConfig,
     fit_method,
-    hetero_raw_outputs,
     method_report,
     save_checkpoint,
 )
 from .nncore import child_seed, make_rng, spawn_seeds
-from .uq import hetero_decompose
 
 SHIFT = "shift"
 GROWTH = "data-growth"
@@ -371,13 +370,12 @@ def _growth_one_rep(args):
     for fraction, idx in zip(spec.growth_fractions, subsets):
         ensemble = fit_method("ensemble", cfg, spec.ensemble_size, train_ds.subset(idx),
                               val_ds, balance_seed, fit_seed)
-        mu, sigma = hetero_raw_outputs(ensemble, test_ds.X)
-        dec = hetero_decompose(mu, sigma)
+        epi, ale = pool_uncertainty_records(ensemble, test_ds.X, None, None, "entropy")
         cells.append({
             "fraction": fraction,
             "rep": rep,
-            "mean_epi": float(np.mean(dec.entropy_epistemic)),
-            "mean_ale": float(np.mean(dec.entropy_aleatoric)),
+            "mean_epi": float(np.mean(epi)),
+            "mean_ale": float(np.mean(ale)),
         })
     return cells
 

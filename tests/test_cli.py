@@ -405,14 +405,15 @@ class TestFailBeforeCompute:
 
 
 class TestInternalFailure:
-    def test_memory_error_is_one_error_line_exit_1(self, monkeypatch, capsys):
+    def test_memory_error_is_one_error_line_exit_1(self, monkeypatch, capsys, tmp_path):
         from uqcurate import cli
 
-        def out_of_memory(args):
+        def out_of_memory(spec, out_dir=None):
             raise MemoryError("Unable to allocate 596. GiB")
 
-        monkeypatch.setattr(cli, "_cmd_shift", out_of_memory)
-        assert cli.main(["shift", "--config", "profile:smoke"]) == 1
+        monkeypatch.setattr(cli, "run_shift_experiment", out_of_memory)
+        assert cli.main(["shift", "--config", "profile:smoke",
+                         "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "596. GiB" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1

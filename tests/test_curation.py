@@ -360,17 +360,15 @@ class TestUncertaintySources:
 
         cfg = replace(tiny_cfg, uncertainty_source=source)
         fitted = _fit_uq_model(cfg, cfg.model_config(6), tiny_pool.subset(range(60)), seed=3)
-        records = pool_uncertainty_records(fitted, tiny_pool.subset(range(60, 120)),
-                                           cfg, 5)
-        assert len(records) == 60
-        assert all(r.epistemic >= 0 and r.aleatoric >= 0 for r in records)
-        assert all(math.isfinite(r.epistemic) and math.isfinite(r.aleatoric)
-                   for r in records)
+        epi, ale = pool_uncertainty_records(fitted, tiny_pool.X[60:120], None, None, source)
+        assert len(epi) == len(ale) == 60
+        assert all(e >= 0 and a >= 0 for e, a in zip(epi, ale))
+        assert all(math.isfinite(e) and math.isfinite(a) for e, a in zip(epi, ale))
 
     def test_scoring_uses_one_set_of_weight_samples(self, tiny_pool, tiny_cfg):
         # mc-dropout draws fresh masks on every pass, so both halves of the
         # split match only the samples of one predict_samples call on the
-        # same stream: the first child of the scoring seed
+        # same stream
         from dataclasses import replace
 
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
@@ -381,16 +379,14 @@ class TestUncertaintySources:
                       uncertainty_source="sample")
         fitted = _fit_uq_model(cfg, cfg.model_config(6), tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
-        records = pool_uncertainty_records(fitted, pool, cfg, 5)
-        _, probs = predict_samples(fitted, pool.X, 6, make_rng(spawn_seeds(5, 2)[0]))
-        np.testing.assert_array_equal([r.epistemic for r in records],
-                                      mutual_information(probs))
-        np.testing.assert_array_equal([r.aleatoric for r in records],
-                                      expected_entropy(probs))
+        epi, ale = pool_uncertainty_records(fitted, pool.X, 6, make_rng(5), "sample")
+        _, probs = predict_samples(fitted, pool.X, 6, make_rng(5))
+        np.testing.assert_array_equal(epi, mutual_information(probs))
+        np.testing.assert_array_equal(ale, expected_entropy(probs))
 
     def test_entropy_source_is_the_exact_decomposition(self, tiny_pool, tiny_cfg):
         # the dual-head pair is the margin integral over the weight samples
-        # that the first child of the scoring seed draws, which draws nothing
+        # that the scoring rng draws; the decomposition draws nothing
         from dataclasses import replace
 
         from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
@@ -400,16 +396,66 @@ class TestUncertaintySources:
         cfg = replace(tiny_cfg, uq_methods=("mc-dropout",), mc_passes=6)
         fitted = _fit_uq_model(cfg, cfg.model_config(6), tiny_pool.subset(range(60)), seed=3)
         pool = tiny_pool.subset(range(60, 120))
-        records = pool_uncertainty_records(fitted, pool, cfg, 5)
-        mu, sigma = hetero_raw_outputs(fitted, pool.X, 6, make_rng(spawn_seeds(5, 2)[0]))
+        stream = spawn_seeds(5, 2)[0]  # the tolerance below is set on these masks
+        epi, ale = pool_uncertainty_records(fitted, pool.X, 6, make_rng(stream), "entropy")
+        mu, sigma = hetero_raw_outputs(fitted, pool.X, 6, make_rng(stream))
         dec = hetero_decompose(mu, sigma)
-        np.testing.assert_array_equal([r.epistemic for r in records], dec.entropy_epistemic)
-        np.testing.assert_array_equal([r.aleatoric for r in records], dec.entropy_aleatoric)
+        np.testing.assert_array_equal(epi, dec.entropy_epistemic)
+        np.testing.assert_array_equal(ale, dec.entropy_aleatoric)
         # the aleatoric margin scale reaches 6.7 on this 4-epoch head, where
         # the 48-node rule's entropy is within 3.1e-5 of adaptive quadrature
         h_ale, h_epi = hetero_entropies_quad(mu, sigma)
         np.testing.assert_allclose(dec.entropy_epistemic, h_epi, rtol=0, atol=1e-9)
         np.testing.assert_allclose(dec.entropy_aleatoric, h_ale, rtol=0, atol=1e-4)
+
+    def test_nan_uncertainty_is_a_domain_error(self, tiny_pool, tiny_cfg, monkeypatch):
+        from uqcurate import curation
+        from uqcurate.curation import pool_uncertainty_records, _fit_uq_model
+
+        decompose = curation.hetero_decompose
+
+        def nan_decompose(mu, sigma):
+            dec = decompose(mu, sigma)
+            dec.entropy_epistemic[3] = np.nan
+            return dec
+
+        monkeypatch.setattr(curation, "hetero_decompose", nan_decompose)
+        fitted = _fit_uq_model(tiny_cfg, tiny_cfg.model_config(6),
+                               tiny_pool.subset(range(60)), seed=3)
+        with pytest.raises(DomainError, match="finite"):
+            pool_uncertainty_records(fitted, tiny_pool.X[60:120], None, None, "entropy")
+
+    def test_loop_scores_each_round_on_its_own_stream(self, tiny_pool, tiny_cfg,
+                                                      monkeypatch):
+        # round r's dropout masks draw from child 0 of the second seed that
+        # child r of the eval seed spawns
+        from uqcurate import curation
+        from uqcurate.nncore import child_seed
+
+        streams = []
+        score = curation.pool_uncertainty_records
+
+        def recording_score(fitted, X, n_passes, rng, source):
+            streams.append(rng.bit_generator.state)
+            return score(fitted, X, n_passes, rng, source)
+
+        monkeypatch.setattr(curation, "pool_uncertainty_records", recording_score)
+        spec = dataclasses.replace(tiny_cfg, uq_methods=("mc-dropout",), mc_passes=3)
+        result = curation_loop(tiny_pool, "ehal", spec, seed=6)
+        eval_seed = spawn_seeds(6, 4)[2]
+        expected = [make_rng(child_seed(spawn_seeds(child_seed(eval_seed, r), 2)[1], 0))
+                    .bit_generator.state for r in range(len(result.rows) - 1)]
+        assert streams == expected  # the last round has no pool left to score
+
+    def test_loop_builds_no_records(self, tiny_pool, tiny_cfg, monkeypatch):
+        from uqcurate import curation
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("the curation loop built an UncertaintyRecord")
+
+        monkeypatch.setattr(curation, "UncertaintyRecord", no_records)
+        results = curation_loops(tiny_pool, ("ehal", "elah", "random"), tiny_cfg, seed=2)
+        assert [len(r.rows) for r in results] == [3, 3, 3]
 
 
 class TestFitUqModel:

@@ -143,6 +143,15 @@ class TestBalance:
             undersample_balance(ds, make_rng(0))
 
 
+class TestSubset:
+    def test_subset_shares_no_memory_with_its_parent(self, rng):
+        ds = generate_synthetic(SyntheticSpec(n_instances=30, feature_dim=3), rng)
+        sub = ds.subset([4, 0, 17])
+        for name in ("ids", "X", "y", "noise_tags"):
+            assert not np.shares_memory(getattr(sub, name), getattr(ds, name)), name
+        np.testing.assert_array_equal(sub.X, ds.X[[4, 0, 17]])
+
+
 class TestInjectShift:
     def test_zero_intensity_identical(self, rng):
         ds = generate_synthetic(SyntheticSpec(n_instances=30, feature_dim=3), rng)

@@ -163,12 +163,13 @@ class TestGrowth:
 
     def test_needs_no_predictive_distributions(self, monkeypatch):
         # the decomposition takes the raw (mu, sigma) stacks only
-        from uqcurate import models
+        from uqcurate import curation, models
 
         def unused(*args, **kwargs):
             raise AssertionError("growth computed predictive distributions")
 
         monkeypatch.setattr(models, "predict_samples", unused)
+        monkeypatch.setattr(curation, "predict_samples", unused)
         result = run_data_growth_experiment(smoke_spec(GROWTH, growth_fractions=(1.0,)))
         assert len(result.run_rows) == 1
 
