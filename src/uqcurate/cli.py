@@ -26,6 +26,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -38,6 +39,7 @@ from .experiments import (
     GROWTH,
     SHIFT,
     TRAIN,
+    _SYNTHETIC_KEYS,
     _jobs,
     load_profile,
     run_data_growth_experiment,
@@ -79,16 +81,15 @@ def _check_results_dir(out: str) -> str:
 
 
 def _apply_overrides(mapping: dict[str, str], args) -> dict[str, str]:
-    if getattr(args, "data", None) is not None:
-        mapping["data"] = args.data
-    if getattr(args, "seed", None) is not None:
-        mapping["seed"] = str(args.seed)
-    if getattr(args, "uq", None) is not None:
-        mapping["uq"] = args.uq
-    if getattr(args, "head", None) is not None:
-        mapping["head"] = args.head
-    if getattr(args, "selector", None) is not None:
-        mapping["selectors"] = args.selector
+    data = getattr(args, "data", None)
+    if data is not None:
+        if data != "synthetic":  # a CSV flag overrides the config's generator keys too
+            mapping = {k: v for k, v in mapping.items() if k not in _SYNTHETIC_KEYS}
+        mapping["data"] = data
+    for flag, key in (("seed", "seed"), ("uq", "uq"), ("head", "head"),
+                      ("selector", "selectors")):
+        if getattr(args, flag, None) is not None:
+            mapping[key] = str(getattr(args, flag))
     return mapping
 
 
@@ -166,14 +167,16 @@ def _cmd_report(args) -> int:
                     raise ConfigError(f"{path}: no filter column {key!r}; columns: {header}")
             for row in reader:
                 if all(_cell_matches(row[key], value) for key, value in filters):
-                    try:
-                        group_a.append(float(row[args.col_a]))
-                        group_b.append(float(row[args.col_b]))
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: non-numeric score in columns "
-                            f"{args.col_a!r}/{args.col_b!r}"
-                        ) from None
+                    for col, group in ((args.col_a, group_a), (args.col_b, group_b)):
+                        try:
+                            score = float(row[col])
+                        except ValueError:
+                            score = math.nan
+                        if not math.isfinite(score):
+                            raise DataFormatError(
+                                f"{path}: row {reader.line_num}: column {col!r} holds "
+                                f"{row[col]!r}, not a finite score")
+                        group.append(score)
     u, p = mann_whitney_u(group_a, group_b)
     summary = {
         "n_a": len(group_a),

@@ -86,6 +86,8 @@ def classification_report(probs, labels) -> EvalReport:
 def rankdata(values) -> Array:
     """Fractional ranks (ties get the mean of their rank positions)."""
     v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise DomainError("rank statistics need finite values")
     order = np.argsort(v, kind="stable")
     ranks = np.empty(v.shape[0], dtype=np.float64)
     i = 0

@@ -10,9 +10,11 @@ Two fixed-depth MLP variants over dense feature vectors:
 
 The hidden stack is Linear -> ReLU -> Dropout repeated ``hidden_layers``
 times.  ``MlpModel._forward`` is the one forward pass, for training and
-prediction alike, and ``MlpModel._train_batch`` is the one training step: it
-alone computes a batch's loss and fills the gradient vector, and the
-finite-difference check of acceptance criterion 1 differentiates it.
+prediction alike; it draws dropout masks exactly when it gets an rng.
+``MlpModel._train_batch`` is the one training step: it keeps its backward
+pass's inputs on a tape, alone computes a batch's loss and fills the gradient
+vector, and the finite-difference check of acceptance criterion 1
+differentiates it.
 Training uses Adam with early stopping on validation loss; the checkpoint
 with the lowest validation loss is restored before returning.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -119,11 +122,10 @@ class MlpModel:
         self.history: list[EpochRecord] = []
         rng = make_rng(self.seed)
         self.hidden: list[LinearLayer] = []
-        self.dropouts: list[DropoutLayer] = []
+        self.dropout = DropoutLayer(config.dropout)  # one per model: it holds only p
         in_dim = config.input_dim
         for _ in range(config.hidden_layers):
             self.hidden.append(LinearLayer(in_dim, config.hidden_width, rng))
-            self.dropouts.append(DropoutLayer(config.dropout))
             in_dim = config.hidden_width
         # [logits] or [mu, sigma], in init-draw and checkpoint order
         n_heads = 1 if config.head == HOMOSCEDASTIC else 2
@@ -139,69 +141,74 @@ class MlpModel:
             layer.bind(self.flat_params[start:stop], self.flat_grads[start:stop])
             start = stop
 
-    def _forward(self, X: Array, *, stochastic: bool, train: bool,
-                 rng: np.random.Generator | None):
-        """``(head-layer outputs, hidden pre-activations)``: the head layers'
-        affine outputs before their activations, and with ``train`` the
-        pre-activation of every hidden relu (an empty list otherwise).
-        ``train`` also makes each layer keep what ``_train_batch``'s backward
-        pass reads; ``stochastic`` keeps dropout masks active."""
-        pre_acts = []
-        h = X
-        for lin, drop in zip(self.hidden, self.dropouts):
-            z = lin.forward(h, train=train)
-            if train:
-                pre_acts.append(z)  # the backward pass reads z's sign
-                a = relu(z)
-            else:
-                a = np.maximum(z, 0.0, out=z)  # z is the layer's fresh output
-            h = drop.forward(a, train=stochastic, rng=rng)
-        return [head.forward(h, train=train) for head in self.heads], pre_acts
+    def _forward(self, X: Array, rng: np.random.Generator | None = None,
+                 tape: list | None = None) -> list[Array]:
+        """The head layers' affine outputs, before their activations.
 
-    def raw_outputs(self, X: Array, *, stochastic: bool = False,
-                    rng: np.random.Generator | None = None):
+        With ``rng`` every hidden layer draws a dropout mask from it (a
+        weight sample); without one the pass draws nothing.  A ``tape`` (a
+        list) receives what ``_train_batch``'s backward pass reads: one
+        ``(input, pre-activation, mask)`` triple per hidden layer, then the
+        heads' input.
+        """
+        h = X
+        for lin in self.hidden:
+            z = lin.forward(h)
+            if tape is None:
+                h, _ = self.dropout.forward(np.maximum(z, 0.0, out=z), rng)  # z is fresh
+            else:
+                out, mask = self.dropout.forward(relu(z), rng)  # the tape keeps z
+                tape.append((h, z, mask))
+                h = out
+        if tape is not None:
+            tape.append(h)
+        return [head.forward(h) for head in self.heads]
+
+    def raw_outputs(self, X: Array, rng: np.random.Generator | None = None):
         """Head outputs: logits for single-head, (mu, sigma) for dual-head.
 
-        ``stochastic`` keeps dropout masks active (weight sampling).  An
-        eval-mode pass runs in the row blocks of ``kernels.row_blocks``, so
-        its hidden activations take one block's memory, not the whole
+        With ``rng`` the pass draws dropout masks from it (weight sampling).
+        A pass without one runs in the row blocks of ``kernels.row_blocks``,
+        so its hidden activations take one block's memory, not the whole
         input's; the outputs equal one pass over all rows bit for bit.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
         blocks = row_blocks(X.shape[0])
-        if stochastic or len(blocks) == 1:
+        if rng is not None or len(blocks) == 1:
             # dropout passes stay one block: blocks would draw the masks in
             # another order, and so change every mc-dropout result
-            outs, _ = self._forward(X, stochastic=stochastic, train=False, rng=rng)
+            outs = self._forward(X, rng)
         else:
             outs = [np.empty((X.shape[0], head.out_dim)) for head in self.heads]
             for rows in blocks:
-                parts, _ = self._forward(X[rows], stochastic=False, train=False, rng=None)
-                for out, part in zip(outs, parts):
+                for out, part in zip(outs, self._forward(X[rows])):
                     out[rows] = part
         return outs[0] if self.config.head == HOMOSCEDASTIC else _dual_head(*outs)
 
     def _train_batch(self, X: Array, y: Array, rng: np.random.Generator) -> float:
         """The one training step: the batch's loss under fresh dropout masks
         from ``rng``, with its gradient written to ``flat_grads``."""
-        outs, pre_acts = self._forward(X, stochastic=True, train=True, rng=rng)
+        tape = []
+        outs = self._forward(X, rng, tape)
+        h = tape.pop()  # the heads' input
         if self.config.head == HOMOSCEDASTIC:
             loss, dlogits, _ = softmax_xent(outs[0], y)
-            dh = self.heads[0].backward(dlogits)
+            dh = self.heads[0].backward(dlogits, h)
         else:
             mu_pre, sigma_pre = outs
             loss, dmu, dsigma = gaussian_logit_nll(*_dual_head(mu_pre, sigma_pre), y)
-            dh = (self.heads[0].backward(dmu * (mu_pre > 0.0))
-                  + self.heads[1].backward(dsigma * sigmoid(sigma_pre)))
+            dh = (self.heads[0].backward(dmu * (mu_pre > 0.0), h)
+                  + self.heads[1].backward(dsigma * sigmoid(sigma_pre), h))
         for k in reversed(range(len(self.hidden))):
+            x, z, mask = tape[k]
             # dh times the mask, or dh itself without dropout: either way a
             # fresh array that nothing else holds, so the relu gate goes in place
-            dz = self.dropouts[k].backward(dh)
-            dz *= pre_acts[k] > 0.0
+            dz = dh if mask is None else dh * mask
+            dz *= z > 0.0
             # the first layer's input is the batch, whose gradient nothing reads
-            dh = self.hidden[k].backward(dz, input_grad=k > 0)
+            dh = self.hidden[k].backward(dz, x, input_grad=k > 0)
         return float(loss)
 
     def evaluate_loss(self, X: Array, y: Array) -> float:
@@ -381,10 +388,10 @@ def _forward_samples(fitted, X: Array, n_passes: int | None,
         raise ConfigError("dropout passes need an rng for their masks")
     if fitted.config.dropout == 0.0:
         warnings.warn(
-            "dropout probability is 0; all stochastic passes are identical",
+            "dropout probability is 0; all dropout passes are identical",
             stacklevel=3,
         )
-    return [fitted.raw_outputs(X, stochastic=True, rng=rng) for _ in range(n_passes)]
+    return [fitted.raw_outputs(X, rng) for _ in range(n_passes)]
 
 
 def _stack(outputs: list):
@@ -557,11 +564,25 @@ def save_checkpoint(fitted, path) -> None:
 
 
 def load_checkpoint(path):
-    """The ``MlpModel`` or ``Ensemble`` that ``save_checkpoint`` wrote."""
-    with np.load(path, allow_pickle=False) as npz:
-        if int(npz["format_version"]) != CHECKPOINT_FORMAT:
+    """The ``MlpModel`` or ``Ensemble`` that ``save_checkpoint`` wrote; a
+    file that is no checkpoint raises ``DataFormatError``."""
+    with open(path, "rb") as fh:  # np.load leaves a path it opened open when it fails
+        try:
+            npz = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # no npy or npz file
+            raise DataFormatError(f"{path} is not a checkpoint: {exc}") from None
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise DataFormatError(f"{path} is not a checkpoint: it holds one bare array")
+        try:
+            version = int(npz["format_version"])
+        except (KeyError, TypeError, ValueError):
+            raise DataFormatError(f"{path} has no integer 'format_version'") from None
+        if version != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint version in {path}")
-        meta = json.loads(str(npz["meta"]))
+        try:
+            meta = json.loads(str(npz["meta"]))
+        except (KeyError, ValueError):  # JSONDecodeError is a ValueError
+            raise DataFormatError(f"{path} has no JSON 'meta'") from None
         if not isinstance(meta, dict):
             meta = {}
         is_ensemble, metas = meta.get("ensemble"), meta.get("members")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModelStateError
+from .errors import DimensionError, DomainError
 
 Array = np.ndarray
 
@@ -77,11 +77,11 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> Array
 class LinearLayer:
     """Affine map y = x W^T + b with gradient accumulation.
 
-    ``forward(..., train=True)`` caches the input; ``backward`` consumes the
-    cache, fills ``dw``/``db`` in place and returns the gradient w.r.t. the
-    input unless told it is not needed.  ``bind`` moves the four arrays into
-    views of caller-owned flat buffers, so a model can keep all its layers in
-    one parameter vector.
+    The layer keeps no per-batch state: ``backward`` takes the input of the
+    forward pass from its caller, fills ``dw``/``db`` in place and returns
+    the gradient w.r.t. the input unless told it is not needed.  ``bind``
+    moves the four arrays into views of caller-owned flat buffers, so a
+    model can keep all its layers in one parameter vector.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -89,7 +89,6 @@ class LinearLayer:
         self.b = np.zeros(out_dim)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x: Array | None = None
 
     @property
     def in_dim(self) -> int:
@@ -114,59 +113,48 @@ class LinearLayer:
         self.w, self.b = params[:k].reshape(shape), params[k:]
         self.dw, self.db = grads[:k].reshape(shape), grads[k:]
 
-    def forward(self, x: Array, train: bool = False) -> Array:
+    def forward(self, x: Array) -> Array:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"linear layer expects (*, {self.in_dim}) input, got {x.shape}"
             )
-        if train:
-            self._x = x
         out = x @ self.w.T
         out += self.b  # in place on the fresh product: one (B, out) array, not two
         return out
 
-    def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
-        """Fill dw and db from ``dout`` and return the gradient w.r.t. the
-        input, or None without ``input_grad`` (a first layer's input is the
-        data, which nothing differentiates)."""
-        if self._x is None:
-            raise ModelStateError("backward called without a cached training forward")
-        if dout.shape != (self._x.shape[0], self.out_dim):
+    def backward(self, dout: Array, x: Array, input_grad: bool = True) -> Array | None:
+        """Fill dw and db from ``dout`` and the forward pass's input ``x``,
+        and return the gradient w.r.t. ``x``, or None without ``input_grad``
+        (a first layer's input is the data, which nothing differentiates)."""
+        if dout.shape != (x.shape[0], self.out_dim):
             raise DimensionError(
                 f"gradient shape {dout.shape} does not match output "
-                f"({self._x.shape[0]}, {self.out_dim})"
+                f"({x.shape[0]}, {self.out_dim})"
             )
-        np.matmul(dout.T, self._x, out=self.dw)
+        np.matmul(dout.T, x, out=self.dw)
         np.add.reduce(dout, axis=0, out=self.db)
-        self._x = None
         return dout @ self.w if input_grad else None
 
 
 class DropoutLayer:
-    """Inverted dropout: kept activations are scaled by 1/(1-p) at train time
-    so eval mode is the exact identity."""
+    """Inverted dropout: kept activations are scaled by 1/(1-p), so a pass
+    without masks is the exact identity."""
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise DomainError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self._mask: Array | None = None
 
-    def forward(self, x: Array, train: bool = False, rng: np.random.Generator | None = None) -> Array:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise ModelStateError("dropout in train mode needs an rng")
+    def forward(self, x: Array,
+                rng: np.random.Generator | None = None) -> tuple[Array, Array | None]:
+        """``(out, mask)``: with an ``rng`` (and p > 0) a fresh mask drawn
+        from it and ``x * mask``; otherwise ``(x, None)``, drawing nothing."""
+        if rng is None or self.p == 0.0:
+            return x, None
         keep = 1.0 - self.p
         # exactly 0 or the rounded 1/keep, as dividing by keep gives
-        self._mask = (rng.random(x.shape) < keep) * (1.0 / keep)
-        return x * self._mask
-
-    def backward(self, dout: Array) -> Array:
-        if self._mask is None:
-            return dout
-        return dout * self._mask
+        mask = (rng.random(x.shape) < keep) * (1.0 / keep)
+        return x * mask, mask
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def model_loss(model: MlpModel, X, y, mask_seed: int = 123) -> float:
     """Loss of the prediction path's stochastic forward (``raw_outputs``)
     with dropout masks frozen by reseeding, so repeated evaluations at
     perturbed parameters see identical stochasticity."""
-    outputs = model.raw_outputs(X, stochastic=True, rng=make_rng(mask_seed))
+    outputs = model.raw_outputs(X, make_rng(mask_seed))
     if model.config.head == HOMOSCEDASTIC:
         return float(softmax_xent(outputs, y)[0])
     return float(gaussian_logit_nll(*outputs, y)[0])
@@ -198,7 +198,9 @@ def kink_margin(model: MlpModel, X, mask_seed: int = 123) -> float:
     Central differences are invalid when a perturbation crosses a relu kink,
     so gradient checks require this margin to exceed the step size.
     """
-    outs, pre_acts = model._forward(X, stochastic=True, train=True, rng=make_rng(mask_seed))
+    tape = []
+    outs = model._forward(X, make_rng(mask_seed), tape)
+    pre_acts = [z for _, z, _ in tape[:-1]]
     if model.config.head != HOMOSCEDASTIC:
         pre_acts.append(outs[0])  # mu passes through a relu too
     return min(float(np.abs(z).min()) for z in pre_acts)

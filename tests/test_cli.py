@@ -113,6 +113,23 @@ class TestTrain:
         assert code == 2
         assert "valid keys" in capsys.readouterr().err
 
+    def test_data_flag_replaces_a_profiles_generator(self, tmp_path, capsys):
+        # flags override config keys: a CSV on the command line drops the
+        # profile's synthetic generator keys
+        data = os.path.join(os.path.dirname(__file__), "fixtures", "real_features_200.csv")
+        out_dir = tmp_path / "results"
+        assert main(["train", "--config", "profile:smoke", "--data", data,
+                     "--out", str(out_dir)]) == 0
+        assert any(f.endswith(".json") for f in os.listdir(out_dir))
+
+    def test_config_with_a_csv_and_generator_keys_exits_2(self, tmp_path, capsys):
+        data = os.path.join(os.path.dirname(__file__), "fixtures", "real_features_200.csv")
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(f"data = {data}\nn_instances = 200\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic keys ['n_instances']")
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
@@ -204,6 +221,15 @@ class TestReport:
         marked.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
         assert main(["report", str(marked), *args]) == 0
         assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exits_2_naming_file_row_and_column(self, tmp_path, capsys, bad):
+        path = self.write_scores(tmp_path, [1, 2, bad, 4], [5, 6, 7, 8])
+        assert main(["report", path, "--col-a", "alpha", "--col-b", "beta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert path in captured.err and "row 4" in captured.err and "'alpha'" in captured.err
 
     def test_too_few_samples_exits_2(self, tmp_path):
         path = self.write_scores(tmp_path, [1], [2])

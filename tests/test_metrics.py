@@ -184,6 +184,13 @@ class TestMannWhitney:
         with pytest.raises(DomainError):
             mann_whitney_u([1.0], [2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DomainError):
+            mann_whitney_u([1.0, bad, 3.0], [2.0, 3.0])
+        with pytest.raises(DomainError):
+            mann_whitney_u([1.0, 3.0], [2.0, bad])
+
 
 class TestSpearman:
     def test_perfect_monotone(self):
@@ -196,6 +203,13 @@ class TestSpearman:
         ours = spearman_rho(x, y)
         ref = scipy_stats.spearmanr(x, y).statistic
         assert ours == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            spearman_rho([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            spearman_rho([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
     def test_with_ties_matches_scipy(self, rng):
         x = rng.integers(0, 4, 30).astype(float)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,18 +149,19 @@ def _full_backward_step(model, X, y, rng):
     """``MlpModel._train_batch`` with every layer's input gradient computed
     and the relu gate applied out of place; returns the loss and the
     gradient w.r.t. the input batch."""
-    outs, pre_acts = model._forward(X, stochastic=True, train=True, rng=rng)
+    tape = []
+    outs = model._forward(X, rng, tape)
+    h = tape.pop()
     if model.config.head == "homo":
         loss, dlogits, _ = softmax_xent(outs[0], y)
-        dh = model.heads[0].backward(dlogits)
+        dh = model.heads[0].backward(dlogits, h)
     else:
         mu_pre, sigma_pre = outs
         loss, dmu, dsigma = gaussian_logit_nll(relu(mu_pre), softplus(sigma_pre) + SIGMA_FLOOR, y)
-        dh = (model.heads[0].backward(dmu * (mu_pre > 0.0))
-              + model.heads[1].backward(dsigma * sigmoid(sigma_pre)))
-    for lin, drop, z in zip(reversed(model.hidden), reversed(model.dropouts),
-                            reversed(pre_acts)):
-        dh = lin.backward(drop.backward(dh) * (z > 0.0))
+        dh = (model.heads[0].backward(dmu * (mu_pre > 0.0), h)
+              + model.heads[1].backward(dsigma * sigmoid(sigma_pre), h))
+    for lin, (x, z, mask) in zip(reversed(model.hidden), reversed(tape)):
+        dh = lin.backward((dh if mask is None else dh * mask) * (z > 0.0), x)
     return float(loss), dh
 
 
@@ -491,7 +493,7 @@ class TestRowBlocks:
         h = X
         for lin in model.hidden:
             h = relu(h @ lin.w.T + lin.b) * ((masks.random((n, lin.out_dim)) < keep) * (1.0 / keep))
-        mu, _ = model.raw_outputs(X, stochastic=True, rng=make_rng(4))
+        mu, _ = model.raw_outputs(X, make_rng(4))
         assert np.array_equal(mu, relu(h @ model.heads[0].w.T + model.heads[0].b))
 
 
@@ -594,6 +596,35 @@ class TestSerialization:
                  meta=json.dumps({"config": {}, "seed": model.seed}), **arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _drop(src, dst, key):
+        with np.load(src) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != key}
+        np.savez(dst, **arrays)
+
+    @staticmethod
+    def _one_npy_array(dst):
+        with open(dst, "wb") as fh:
+            np.save(fh, np.zeros(3))
+
+    @pytest.mark.parametrize("make_bad", [
+        lambda cls, good, bad: cls._drop(good, bad, "format_version"),
+        lambda cls, good, bad: cls._drop(good, bad, "meta"),
+        lambda cls, good, bad: cls._rewrite(good, bad, meta="{not json"),
+        lambda cls, good, bad: bad.write_text("id,f0,label\na,1.0,0\n", encoding="utf-8"),
+        lambda cls, good, bad: cls._rewrite(good, bad, format_version="four"),
+        lambda cls, good, bad: bad.write_bytes(b""),
+        lambda cls, good, bad: bad.write_bytes(good.read_bytes()[:100]),
+        lambda cls, good, bad: cls._one_npy_array(bad),
+    ], ids=["no-format-version", "no-meta", "meta-not-json", "text-file",
+            "format-version-not-int", "empty-file", "truncated-zip", "one-npy-array"])
+    def test_file_that_is_no_checkpoint_rejected(self, fitted, tmp_path, make_bad):
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["vanilla"], good)
+        make_bad(type(self), good, bad)
+        with pytest.raises(DataFormatError, match=re.escape(str(bad))):
+            load_checkpoint(bad)
 
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("members"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import naive_matmul_bias
-from uqcurate.errors import DimensionError, DomainError, ModelStateError
+from uqcurate.errors import DimensionError, DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.nncore import (
     ADAM_BETA1,
@@ -42,15 +42,14 @@ class TestLinearLayer:
         expected = naive_matmul_bias(x, layer.w, layer.b)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("train", [False, True])
-    def test_equals_matmul_plus_bias_bit_for_bit(self, rng, train):
+    def test_equals_matmul_plus_bias_bit_for_bit(self, rng):
         # the bias is added in place on the product; the bytes stay those of
         # the plain expression, and the input is left as it was
         layer = LinearLayer(64, 32, rng)
         layer.b[:] = rng.standard_normal(32)
         x = rng.standard_normal((300, 64))
         x_before = x.copy()
-        out = layer.forward(x, train=train)
+        out = layer.forward(x)
         assert np.array_equal(out, x @ layer.w.T + layer.b)
         assert np.array_equal(x, x_before)
 
@@ -62,18 +61,10 @@ class TestLinearLayer:
     def test_backward_without_input_grad_fills_the_same_gradients(self, rng):
         full, first = LinearLayer(6, 4, make_rng(1)), LinearLayer(6, 4, make_rng(1))
         x, dout = rng.standard_normal((9, 6)), rng.standard_normal((9, 4))
-        full.forward(x, train=True)
-        first.forward(x, train=True)
-        dx = full.backward(dout)
-        assert first.backward(dout, input_grad=False) is None
+        dx = full.backward(dout, x)
+        assert first.backward(dout, x, input_grad=False) is None
         assert np.array_equal(dx, dout @ full.w)
         assert np.array_equal(first.dw, full.dw) and np.array_equal(first.db, full.db)
-
-    def test_backward_without_cache_raises(self, rng):
-        layer = LinearLayer(2, 2, rng)
-        layer.forward(np.zeros((1, 2)), train=False)
-        with pytest.raises(ModelStateError):
-            layer.backward(np.zeros((1, 2)))
 
 
 class TestActivations:
@@ -105,24 +96,29 @@ class TestDropout:
     def test_zero_probability_is_identity(self, rng):
         layer = DropoutLayer(0.0)
         x = rng.standard_normal((3, 4))
-        assert layer.forward(x, train=True, rng=rng) is x
+        state = rng.bit_generator.state
+        out, mask = layer.forward(x, rng)
+        assert out is x and mask is None
+        assert rng.bit_generator.state == state  # p = 0 draws nothing
 
     def test_eval_mode_is_identity(self, rng):
+        # no rng, no mask
         layer = DropoutLayer(0.5)
         x = rng.standard_normal((3, 4))
-        assert layer.forward(x, train=False) is x
+        out, mask = layer.forward(x)
+        assert out is x and mask is None
 
     def test_inverted_dropout_is_unbiased(self):
         # law of large numbers: mean of 1e5 unit activations stays near 1
         layer = DropoutLayer(0.1)
         x = np.ones((1, 100_000))
-        out = layer.forward(x, train=True, rng=make_rng(7))
+        out, _ = layer.forward(x, make_rng(7))
         assert 0.99 <= out.mean() <= 1.01
 
     def test_survivors_scaled(self, rng):
         layer = DropoutLayer(0.25)
         x = np.ones((1, 1000))
-        out = layer.forward(x, train=True, rng=rng)
+        out, _ = layer.forward(x, rng)
         kept = out[out > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
 
@@ -135,9 +131,10 @@ class TestDropout:
         # the mask multiplies by 1/keep; it must equal dividing by keep
         layer, keep = DropoutLayer(p), 1.0 - p
         x = np.ones((64, 300))
-        layer.forward(x, train=True, rng=make_rng(5))
+        out, mask = layer.forward(x, make_rng(5))
         u = make_rng(5).random(x.shape)
-        assert layer._mask.tobytes() == ((u < keep) / keep).tobytes()
+        assert mask.tobytes() == ((u < keep) / keep).tobytes()
+        assert out.tobytes() == (x * mask).tobytes()
 
 
 # the two training losses, from ``uqcurate.kernels``

@@ -17,14 +17,18 @@ def test_smoke_digests_runs_every_command():
     assert len(lines) == 40 and len(set(paths)) == 40
 
 
-def _load_bench_pairs():
+def _load_tool(name):
     import importlib.util
 
-    path = TOOL.parent / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    path = TOOL.parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench_pairs():
+    return _load_tool("bench_pairs")
 
 
 def test_bench_pairs_summary_counts_wins_and_quartiles():
@@ -47,3 +51,36 @@ def test_bench_pairs_rejects_a_parent_without_the_benchmark(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "perfbench/run.py" in proc.stderr
     assert not (TOOL.parent.parent / "BENCH_x.json").exists()
+
+
+def test_mutant_catalogue_is_sound_without_running_it():
+    # every old text occurs once and every target names an existing unit
+    # test; the training step's backward pass has its four mutants
+    mutants = _load_tool("mutants")
+    assert mutants.check_catalogue() == []
+    step = [m for m in mutants.CATALOGUE if m.path == "src/uqcurate/models.py"
+            and any(t.startswith("tests/test_gradients.py") for t in m.tests)]
+    assert {m.name for m in step} == {
+        "sigma-chain-rule", "mu-relu-gate", "relu-gate", "dropout-mask-in-backward"}
+
+
+def test_mutant_catalogue_reports_stale_old_texts(tmp_path):
+    mutants = _load_tool("mutants")
+    problems = mutants.check_catalogue(tmp_path)
+    for m in mutants.CATALOGUE:
+        assert f"{m.name}: old text occurs 0 times in {m.path}" in problems
+
+
+def test_mutant_verdict_needs_a_failure_under_every_target():
+    mutants = _load_tool("mutants")
+    output = "\n".join([
+        "FAILED tests/test_gradients.py::test_dual_head_full_stack[10] - AssertionError: x",
+        "ERROR tests/test_kernels.py::TestQuad::test_a",
+        "1 failed, 3 passed in 1.0s",
+    ])
+    failed = mutants._failed_tests(output)
+    assert failed == ["tests/test_gradients.py::test_dual_head_full_stack[10]",
+                      "tests/test_kernels.py::TestQuad::test_a"]
+    assert mutants._covers("tests/test_gradients.py::test_dual_head_full_stack", failed[0])
+    assert mutants._covers("tests/test_kernels.py", failed[1])
+    assert not mutants._covers("tests/test_gradients.py::test_dual_head", failed[0])

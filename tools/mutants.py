@@ -1,0 +1,180 @@
+"""Mutation check of the test oracles: every catalogued mutant must be killed.
+
+A mutant replaces one piece of library source, its old text, with a new
+text.  The old text must occur exactly once in its file, so a mutant names
+one place in the code and goes stale, loudly, when that code changes.  Each
+mutant is applied in a fresh temporary copy of ``src/``, ``tests/`` and
+``pyproject.toml``, and only its own tests run there, in one pytest process
+at a time.  The mutant is killed when, under every test target it lists (a
+test, a parametrized test, a class or a file), at least one test fails.
+
+    python3 tools/mutants.py             # every mutant in the catalogue
+    python3 tools/mutants.py relu-gate   # only the named mutants
+
+It prints one line per mutant and exits 1 if a mutant survives, if its
+tests cannot run, or if an old text does not occur exactly once; else 0.
+No target lies in ``tests/test_acceptance.py``: the unit tests must catch
+each mutant by themselves.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+MODELS = "src/uqcurate/models.py"
+GRADIENTS = "tests/test_gradients.py"
+DUAL_HEAD_GRADIENTS = (f"{GRADIENTS}::test_dual_head_full_stack",
+                       f"{GRADIENTS}::test_dual_head_without_dropout",
+                       f"{GRADIENTS}::test_dual_head_wider_batch")
+BEST_EPOCH = "tests/test_models.py::TestTraining::test_patience_stop_restores_the_best_epoch"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str           # relative to the repository root
+    old: str            # occurs exactly once in ``path``
+    new: str
+    tests: tuple        # pytest targets, each of which must see a failure
+
+
+CATALOGUE = (
+    # the training step's backward pass, against the finite-difference oracle
+    Mutant("sigma-chain-rule", MODELS,
+           "dsigma * sigmoid(sigma_pre), h)", "dsigma, h)", DUAL_HEAD_GRADIENTS),
+    Mutant("mu-relu-gate", MODELS,
+           "dmu * (mu_pre > 0.0), h)", "dmu, h)", DUAL_HEAD_GRADIENTS),
+    Mutant("relu-gate", MODELS,
+           "            dz *= z > 0.0\n", "",
+           (f"{GRADIENTS}::test_single_head_full_stack",
+            f"{GRADIENTS}::test_single_head_without_dropout",
+            *DUAL_HEAD_GRADIENTS)),
+    Mutant("dropout-mask-in-backward", MODELS,
+           "dz = dh if mask is None else dh * mask", "dz = dh",
+           (f"{GRADIENTS}::test_single_head_full_stack",
+            f"{GRADIENTS}::test_dual_head_full_stack")),
+    # early stopping
+    Mutant("best-weights-not-copied", MODELS,
+           "best_weights = model.flat_params.copy()", "best_weights = model.flat_params",
+           (BEST_EPOCH,)),
+    Mutant("one-epoch-past-patience", MODELS,
+           "if epochs_since_best >= cfg.patience:", "if epochs_since_best > cfg.patience:",
+           (BEST_EPOCH,)),
+    # the shift study degrades every partition
+    Mutant("shift-spares-test", "src/uqcurate/experiments.py",
+           "te = inject_shift(test_ds, intensity, irng)", "te = test_ds",
+           ("tests/test_experiments.py::TestShift::test_scored_test_rows_carry_the_shift_noise",)),
+    # the selector's rank test keeps a candidate whose rank reaches the bound
+    Mutant("walk-select-strict", "src/uqcurate/curation.py",
+           "rank[walk] >= n_ale + np.arange", "rank[walk] > n_ale + np.arange",
+           ("tests/test_curation.py::TestSelectOne",)),
+    # the dual head's class-0 probability takes the far branch where d >= 0
+    Mutant("quadrature-branch", "src/uqcurate/kernels.py",
+           "np.copyto(near, far, where=pos)", "np.copyto(near, far, where=~pos)",
+           ("tests/test_kernels.py",)),
+)
+
+
+def check_catalogue(root: Path = REPO) -> list[str]:
+    """What is wrong with the catalogue against the tree at ``root``, without
+    running anything: one message per problem, none when it is sound."""
+    problems = []
+    names = [m.name for m in CATALOGUE]
+    for name in sorted({n for n in names if names.count(n) > 1}):
+        problems.append(f"{name}: name used more than once")
+    for m in CATALOGUE:
+        path = root / m.path
+        count = path.read_text(encoding="utf-8").count(m.old) if path.is_file() else 0
+        if count != 1:
+            problems.append(f"{m.name}: old text occurs {count} times in {m.path}")
+        if m.new == m.old:
+            problems.append(f"{m.name}: new text equals old text")
+        if not m.tests:
+            problems.append(f"{m.name}: no tests")
+        for target in m.tests:
+            file, *parts = target.split("::")
+            if file == "tests/test_acceptance.py":
+                problems.append(f"{m.name}: {target} is an acceptance test")
+            elif not (root / file).is_file():
+                problems.append(f"{m.name}: no test file {file}")
+            else:
+                text = (root / file).read_text(encoding="utf-8")
+                for part in (p.split("[")[0] for p in parts):
+                    if f"def {part}(" not in text and f"class {part}:" not in text:
+                        problems.append(f"{m.name}: {target} names no test in {file}")
+    return problems
+
+
+def _failed_tests(pytest_output: str) -> list[str]:
+    """Node ids of the ``FAILED``/``ERROR`` lines in pytest's short summary."""
+    out = []
+    for line in pytest_output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                out.append(line[len(tag):].split(" - ", 1)[0].strip())
+    return out
+
+
+def _covers(target: str, node: str) -> bool:
+    return node == target or node.startswith((target + "::", target + "["))
+
+
+def run_mutant(m: Mutant) -> tuple[bool, str]:
+    """(killed, one-line verdict) for one mutant, in a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="uqcurate-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(REPO / part, copy / part, ignore=ignore)
+        shutil.copy2(REPO / "pyproject.toml", copy / "pyproject.toml")
+        path = copy / m.path
+        text = path.read_text(encoding="utf-8")
+        if text.count(m.old) != 1:
+            return False, f"error     {m.name}: old text occurs {text.count(m.old)} times"
+        path.write_text(text.replace(m.old, m.new, 1), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                 *m.tests],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=1800)
+        except subprocess.TimeoutExpired:
+            return False, f"error     {m.name}: its tests ran past 1800 s"
+    failed = _failed_tests(proc.stdout)
+    if proc.returncode not in (0, 1):
+        tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+        return False, f"error     {m.name}: pytest exit {proc.returncode} {tail}"
+    spared = [t for t in m.tests if not any(_covers(t, node) for node in failed)]
+    if spared:
+        return False, f"SURVIVED  {m.name}: no failure under {', '.join(spared)}"
+    return True, f"killed    {m.name}: {len(failed)} failing tests"
+
+
+def main(argv: list[str] | None = None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = sorted(set(names) - {m.name for m in CATALOGUE})
+    if unknown:
+        print(f"unknown mutants {unknown}", file=sys.stderr)
+        return 1
+    problems = check_catalogue()
+    for problem in problems:
+        print(f"catalogue: {problem}")
+    ok = not problems
+    for m in CATALOGUE:
+        if names and m.name not in names:
+            continue
+        killed, verdict = run_mutant(m)
+        print(verdict, flush=True)
+        ok = ok and killed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
