@@ -42,11 +42,15 @@ class TestLinearLayer:
         expected = naive_matmul_bias(x, layer.w, layer.b)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12, rtol=0)
 
-    def test_equals_matmul_plus_bias_bit_for_bit(self, rng):
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_equals_matmul_plus_bias_bit_for_bit(self, rng, bound):
         # the bias is added in place on the product; the bytes stay those of
-        # the plain expression, and the input is left as it was
+        # the plain expression, and the input is left as it was, whether the
+        # layer owns its arrays or holds views of flat buffers after bind
         layer = LinearLayer(64, 32, rng)
         layer.b[:] = rng.standard_normal(32)
+        if bound:
+            layer.bind(np.empty(layer.size), np.empty(layer.size))
         x = rng.standard_normal((300, 64))
         x_before = x.copy()
         out = layer.forward(x)
