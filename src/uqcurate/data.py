@@ -251,6 +251,9 @@ class SyntheticSpec:
             raise ConfigError("n_instances must be >= 2")
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
+        scales = (self.separation, self.cluster_std, self.noise_scale, self.imbalance)
+        if not all(math.isfinite(v) for v in scales):
+            raise ConfigError("separation/cluster_std/noise_scale/imbalance must be finite")
         if self.separation < 0 or self.cluster_std <= 0 or self.noise_scale < 0:
             raise ConfigError("separation/cluster_std/noise_scale out of range")
         if self.imbalance < 1.0:

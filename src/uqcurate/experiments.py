@@ -23,6 +23,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -102,8 +103,8 @@ class ExperimentSpec:
             raise ConfigError("repetitions must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if any(i < 0 for i in self.intensities):
-            raise ConfigError("shift intensities must be >= 0")
+        if not all(math.isfinite(i) and i >= 0 for i in self.intensities):
+            raise ConfigError("shift intensities must be finite and >= 0")
         unknown = set(self.uq_methods) - set(UQ_METHODS)
         if unknown:
             raise ConfigError(f"unknown uq methods {sorted(unknown)}; valid: {UQ_METHODS}")
@@ -287,6 +288,24 @@ def _run_study(spec: ExperimentSpec, kind: str, one_rep, summarize, name: str,
     return result
 
 
+def _aggregate(run_rows: list[dict], levels, columns) -> list[dict]:
+    """One summary row per combination of the ``levels`` values, first level
+    outermost, skipping a combination no run row has.  ``levels`` holds
+    (key, values) pairs and ``columns`` (summary column, run column,
+    reducer) triples; a row holds the key values, each reducer over the
+    group's run column as a float, then ``n_reps``, the group's size."""
+    keys = [key for key, _ in levels]
+    rows = []
+    for combo in itertools.product(*(values for _, values in levels)):
+        group = [r for r in run_rows if all(r[k] == v for k, v in zip(keys, combo))]
+        if group:
+            rows.append({**dict(zip(keys, combo)),
+                         **{name: float(reduce([r[col] for r in group]))
+                            for name, col, reduce in columns},
+                         "n_reps": len(group)})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # quality-shift study
 # ---------------------------------------------------------------------------
@@ -325,21 +344,9 @@ def _shift_one_rep(args):
 
 
 def _shift_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
-    rows = []
-    for method in spec.uq_methods:
-        for intensity in spec.intensities:
-            f1s = [c["f1"] for c in run_rows if c["method"] == method and c["intensity"] == intensity]
-            briers = [c["brier"] for c in run_rows if c["method"] == method and c["intensity"] == intensity]
-            rows.append({
-                "method": method,
-                "intensity": intensity,
-                "mean_f1": float(np.mean(f1s)),
-                "std_f1": float(np.std(f1s)),
-                "mean_brier": float(np.mean(briers)),
-                "std_brier": float(np.std(briers)),
-                "n_reps": len(f1s),
-            })
-    return rows
+    return _aggregate(run_rows, (("method", spec.uq_methods), ("intensity", spec.intensities)),
+                      (("mean_f1", "f1", np.mean), ("std_f1", "f1", np.std),
+                       ("mean_brier", "brier", np.mean), ("std_brier", "brier", np.std)))
 
 
 def run_shift_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
@@ -381,24 +388,18 @@ def _growth_one_rep(args):
 
 
 def _growth_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
-    rows = []
-    prev_epi = prev_ale = None
-    for fraction in spec.growth_fractions:
-        epis = [c["mean_epi"] for c in run_rows if c["fraction"] == fraction]
-        ales = [c["mean_ale"] for c in run_rows if c["fraction"] == fraction]
-        mean_epi, mean_ale = float(np.mean(epis)), float(np.mean(ales))
-        rows.append({
-            "fraction": fraction,
-            "mean_epi": mean_epi,
-            "delta_epi_pct": 0.0 if prev_epi is None else 100.0 * (prev_epi - mean_epi) / prev_epi,
-            "std_epi": float(np.std(epis)),
-            "mean_ale": mean_ale,
-            "delta_ale_pct": 0.0 if prev_ale is None else 100.0 * (prev_ale - mean_ale) / prev_ale,
-            "std_ale": float(np.std(ales)),
-            "n_reps": len(epis),
-        })
-        prev_epi, prev_ale = mean_epi, mean_ale
-    return rows
+    rows = _aggregate(run_rows, (("fraction", spec.growth_fractions),),
+                      (("mean_epi", "mean_epi", np.mean), ("std_epi", "mean_epi", np.std),
+                       ("mean_ale", "mean_ale", np.mean), ("std_ale", "mean_ale", np.std)))
+    # each mean's percent drop from the previous fraction (0 at the first)
+    # follows the mean in the CSV
+    for prev, row in zip([None, *rows], rows):
+        for u in ("epi", "ale"):
+            row[f"delta_{u}_pct"] = 0.0 if prev is None else (
+                100.0 * (prev[f"mean_{u}"] - row[f"mean_{u}"]) / prev[f"mean_{u}"])
+    return [{k: row[k] for k in ("fraction", "mean_epi", "delta_epi_pct", "std_epi",
+                                 "mean_ale", "delta_ale_pct", "std_ale", "n_reps")}
+            for row in rows]
 
 
 def run_data_growth_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
@@ -424,25 +425,11 @@ def _compare_one_rep(args):
 
 
 def _compare_summary(spec: ExperimentSpec, run_rows: list[dict]) -> list[dict]:
-    rows = []
     rounds = sorted({r["round"] for r in run_rows})
-    for selector in spec.selectors:
-        for rnd in rounds:
-            sub = [r for r in run_rows if r["selector"] == selector and r["round"] == rnd]
-            if not sub:
-                continue
-            rows.append({
-                "selector": selector,
-                "round": rnd,
-                "fraction_added": float(np.mean([r["fraction_added"] for r in sub])),
-                "mean_f1": float(np.mean([r["f1"] for r in sub])),
-                "std_f1": float(np.std([r["f1"] for r in sub])),
-                "var_f1": float(np.var([r["f1"] for r in sub])),
-                "mean_selected_noisy_fraction": float(np.mean(
-                    [r["selected_noisy_fraction"] for r in sub])),
-                "n_reps": len(sub),
-            })
-    return rows
+    return _aggregate(run_rows, (("selector", spec.selectors), ("round", rounds)),
+                      (("fraction_added", "fraction_added", np.mean), ("mean_f1", "f1", np.mean),
+                       ("std_f1", "f1", np.std), ("var_f1", "f1", np.var),
+                       ("mean_selected_noisy_fraction", "selected_noisy_fraction", np.mean)))
 
 
 def run_selector_comparison(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:

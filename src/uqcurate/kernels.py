@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .nncore import softmax
 
 __all__ = [
     "GH_NODES",
@@ -106,10 +107,7 @@ def softmax_xent(logits, labels):
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = _check_labels(labels, logits.shape[0])
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    probs = e / s
+    probs = softmax(logits)
     n = logits.shape[0]
     rows = np.arange(n)
     py = probs[rows, labels]

@@ -83,21 +83,22 @@ def classification_report(probs, labels) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def rankdata(values) -> Array:
-    """Fractional ranks (ties get the mean of their rank positions)."""
+def _ranks_and_ties(values) -> tuple[Array, Array]:
+    """Fractional ranks of ``values`` and the size of each group of tied
+    values, in ascending order of value."""
     v = np.asarray(values, dtype=np.float64)
     if not np.isfinite(v).all():
         raise DomainError("rank statistics need finite values")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.shape[0], dtype=np.float64)
-    i = 0
-    while i < v.shape[0]:
-        j = i
-        while j + 1 < v.shape[0] and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    # the `count` ties from sorted position `start` share the mean of ranks
+    # start + 1 ... start + count
+    start = np.cumsum(counts) - counts
+    return (start + (counts + 1) / 2.0)[inverse], counts
+
+
+def rankdata(values) -> Array:
+    """Fractional ranks (ties get the mean of their rank positions)."""
+    return _ranks_and_ties(values)[0]
 
 
 def mann_whitney_u(a, b):
@@ -113,11 +114,10 @@ def mann_whitney_u(a, b):
     n1, n2 = a.shape[0], b.shape[0]
     if n1 < 2 or n2 < 2:
         raise DomainError("each group needs at least 2 samples")
-    ranked = rankdata(np.concatenate([a, b]))
+    ranked, counts = _ranks_and_ties(np.concatenate([a, b]))
     r1 = ranked[:n1].sum()
     u_a = r1 - n1 * (n1 + 1) / 2.0
     n = n1 + n2
-    _, counts = np.unique(np.concatenate([a, b]), return_counts=True)
     tie_term = float(np.sum(counts.astype(np.float64) ** 3 - counts))
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0.0:

@@ -29,6 +29,7 @@ as one block, so their masks are drawn in the same order.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass, fields
@@ -96,8 +97,8 @@ class ModelConfig:
             raise ConfigError("patience must be >= 1")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("max_epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass

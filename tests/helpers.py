@@ -5,13 +5,16 @@ Oracles here must stay independent of the implementation paths they check:
 matrix products use explicit loops, gradients come from central finite
 differences, the Gaussian-logit expectations come from Monte Carlo draws and
 from adaptive quadrature (scipy), the selector's ranking oracles sort each
-view from scratch, and selection traces re-implement the published loop with
-plain python data structures.
+view from scratch, selection traces re-implement the published loop with
+plain python data structures, and study summaries are recomputed from the
+runs CSVs with ``math.fsum`` and the ``statistics`` module.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import statistics
 
 import numpy as np
 
@@ -330,3 +333,92 @@ def trace_curate(pool: dict[str, tuple[float, float]], n: int, n_ale: int | None
         del remaining[d]
         picked.append(d)
     return picked
+
+
+# ---------------------------------------------------------------------------
+# study summaries, recomputed from the runs rows without numpy
+# ---------------------------------------------------------------------------
+
+
+def _cell(text: str):
+    """A result-CSV cell as an int, else a float (``nan`` included), else text."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_result_csv(path) -> tuple[list[str], list[dict]]:
+    """The header of a result CSV and its rows, every cell parsed by ``_cell``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return header, [dict(zip(header, map(_cell, line))) for line in reader]
+
+
+def _fmean(values) -> float:
+    return math.fsum(values) / len(values)
+
+
+def summary_oracle(spec, run_rows: list[dict]) -> list[dict]:
+    """The summary rows of ``spec``'s study, recomputed from its runs rows with
+    ``math.fsum``, ``statistics.pstdev`` and ``statistics.pvariance``.
+
+    Groups come in spec order, first key outermost: shift by (method,
+    intensity), growth by fraction, compare by (selector, round) over the
+    sorted rounds, skipping a round a selector never ran.  A row holds the
+    keys, the mean over the repetitions and the population std of each
+    column (compare adds the population variance of f1, growth the percent
+    drop of each mean from the previous fraction, 0 at the first), then
+    ``n_reps``.
+    """
+    def group(**keys):
+        return [r for r in run_rows if all(r[k] == v for k, v in keys.items())]
+
+    rows = []
+    if spec.kind == experiments.SHIFT:
+        for method in spec.uq_methods:
+            for intensity in spec.intensities:
+                runs = group(method=method, intensity=intensity)
+                f1 = [r["f1"] for r in runs]
+                brier = [r["brier"] for r in runs]
+                rows.append({"method": method, "intensity": intensity,
+                             "mean_f1": _fmean(f1), "std_f1": statistics.pstdev(f1),
+                             "mean_brier": _fmean(brier),
+                             "std_brier": statistics.pstdev(brier), "n_reps": len(runs)})
+    elif spec.kind == experiments.GROWTH:
+        previous = None
+        for fraction in spec.growth_fractions:
+            runs = group(fraction=fraction)
+            epi = [r["mean_epi"] for r in runs]
+            ale = [r["mean_ale"] for r in runs]
+            means = {"epi": _fmean(epi), "ale": _fmean(ale)}
+            delta = {k: 0.0 if previous is None else
+                     100.0 * (previous[k] - means[k]) / previous[k] for k in means}
+            rows.append({"fraction": fraction,
+                         "mean_epi": means["epi"], "delta_epi_pct": delta["epi"],
+                         "std_epi": statistics.pstdev(epi),
+                         "mean_ale": means["ale"], "delta_ale_pct": delta["ale"],
+                         "std_ale": statistics.pstdev(ale), "n_reps": len(runs)})
+            previous = means
+    elif spec.kind == experiments.COMPARE:
+        for selector in spec.selectors:
+            for rnd in sorted({r["round"] for r in run_rows}):
+                runs = group(selector=selector, round=rnd)
+                if not runs:
+                    continue
+                f1 = [r["f1"] for r in runs]
+                rows.append({
+                    "selector": selector, "round": rnd,
+                    "fraction_added": _fmean([r["fraction_added"] for r in runs]),
+                    "mean_f1": _fmean(f1), "std_f1": statistics.pstdev(f1),
+                    "var_f1": statistics.pvariance(f1),
+                    # NaN in round 0, which has no picks: fsum propagates it
+                    "mean_selected_noisy_fraction": _fmean(
+                        [r["selected_noisy_fraction"] for r in runs]),
+                    "n_reps": len(runs)})
+    else:
+        raise ValueError(f"no summary for kind {spec.kind!r}")
+    return rows

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,13 @@ class TestGenerateSynthetic:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(noisy_fraction=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["separation", "cluster_std", "noise_scale", "imbalance"])
+    def test_non_finite_scale_rejected(self, key, value):
+        # accepted, such a value fails only after the data is generated
+        with pytest.raises(ConfigError, match="finite"):
+            SyntheticSpec(**{key: value})
 
     def test_from_mapping_rejects_unknown_keys(self):
         # synthetic keys are read by the one config parser

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import patch_fit_method
+from helpers import patch_fit_method, read_result_csv, summary_oracle
 from uqcurate.curation import curation_loop
 from uqcurate.data import SplitSpec, SyntheticSpec, inject_shift, load_csv, split
 from uqcurate.errors import ConfigError
@@ -228,6 +229,34 @@ class TestCompare:
             assert open(r1.outputs[key], "rb").read() == open(r2.outputs[key], "rb").read()
 
 
+class TestSummaryOracle:
+    # every column of every summary row against a recomputation from the runs
+    # CSV that uses no numpy; three repetitions and three growth fractions, so
+    # a sample std or a delta against the first fraction would show
+    KEYS = {"method", "intensity", "fraction", "selector", "round", "n_reps"}
+
+    @pytest.mark.parametrize("kind, runner, overrides", [
+        (SHIFT, run_shift_experiment, {"uq": "vanilla,ensemble"}),
+        (GROWTH, run_data_growth_experiment, {"growth_fractions": "0.4,0.7,1.0"}),
+        (COMPARE, run_selector_comparison, {}),
+    ], ids=["shift", "growth", "compare"])
+    def test_every_summary_column(self, tmp_path, kind, runner, overrides):
+        spec = spec_from_mapping(kind, {**load_profile("smoke"), "repetitions": "3",
+                                        **overrides})
+        result = runner(spec, out_dir=tmp_path)
+        header, summary = read_result_csv(result.outputs["summary_csv"])
+        _, runs = read_result_csv(result.outputs["runs_csv"])
+        expected = summary_oracle(spec, runs)
+        assert header == list(expected[0])
+        assert len(summary) == len(expected) and len(runs) == 3 * len(expected)
+        for got, want in zip(summary, expected):
+            for column, value in want.items():
+                if column in self.KEYS:
+                    assert got[column] == value, column
+                else:
+                    assert got[column] == pytest.approx(value, rel=1e-12, nan_ok=True), column
+
+
 class TestParallelism:
     @pytest.mark.parametrize("kind, runner, overrides", [
         (SHIFT, run_shift_experiment, dict(intensities=(0.0,), uq_methods=("vanilla",))),
@@ -424,6 +453,12 @@ class TestSpecMapping:
     def test_synthetic_keys_with_csv_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_mapping(SHIFT, {"data": "x.csv", "n_instances": "10"})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_intensity_rejected(self, value):
+        # rejected before any data is generated or model fitted
+        with pytest.raises(ConfigError, match="intensities"):
+            smoke_spec(SHIFT, intensities=(0.0, value))
 
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigError, match="wrong type"):

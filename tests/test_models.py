@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -73,6 +74,12 @@ class TestConfig:
             ModelConfig(input_dim=2, dropout=1.0)
         with pytest.raises(ConfigError):
             ModelConfig(input_dim=2, patience=0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        # accepted, such a rate fails only after an epoch, as a DivergenceError
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ModelConfig(input_dim=2, learning_rate=rate)
 
 
 class TestTraining:
@@ -643,6 +650,18 @@ class TestSerialization:
         edit(meta)
         self._rewrite(good, bad, meta=json.dumps(meta))
         with pytest.raises(DataFormatError):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_in_meta_rejected(self, fitted, tmp_path, rate):
+        # json reads NaN and Infinity, so the config check must turn them away
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["vanilla"], good)
+        with np.load(good) as npz:
+            meta = json.loads(str(npz["meta"]))
+        meta["members"][0]["config"]["learning_rate"] = rate
+        self._rewrite(good, bad, meta=json.dumps(meta))
+        with pytest.raises(DataFormatError, match="learning_rate"):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("edit, key", [

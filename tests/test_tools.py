@@ -62,6 +62,12 @@ def test_mutant_catalogue_is_sound_without_running_it():
             and any(t.startswith("tests/test_gradients.py") for t in m.tests)]
     assert {m.name for m in step} == {
         "sigma-chain-rule", "mu-relu-gate", "relu-gate", "dropout-mask-in-backward"}
+    # and the study summaries have theirs, each against the summary oracle
+    summary = [m for m in mutants.CATALOGUE
+               if all("::TestSummaryOracle::" in t for t in m.tests)]
+    assert {m.name for m in summary} == {
+        "growth-delta-from-first", "growth-delta-sign", "growth-sample-std",
+        "compare-sample-std"}
 
 
 def test_mutant_catalogue_reports_stale_old_texts(tmp_path):

@@ -35,6 +35,8 @@ DUAL_HEAD_GRADIENTS = (f"{GRADIENTS}::test_dual_head_full_stack",
                        f"{GRADIENTS}::test_dual_head_without_dropout",
                        f"{GRADIENTS}::test_dual_head_wider_batch")
 BEST_EPOCH = "tests/test_models.py::TestTraining::test_patience_stop_restores_the_best_epoch"
+EXPERIMENTS = "src/uqcurate/experiments.py"
+SUMMARY_ORACLE = "tests/test_experiments.py::TestSummaryOracle::test_every_summary_column"
 
 
 class Mutant(NamedTuple):
@@ -68,9 +70,24 @@ CATALOGUE = (
            "if epochs_since_best >= cfg.patience:", "if epochs_since_best > cfg.patience:",
            (BEST_EPOCH,)),
     # the shift study degrades every partition
-    Mutant("shift-spares-test", "src/uqcurate/experiments.py",
+    Mutant("shift-spares-test", EXPERIMENTS,
            "te = inject_shift(test_ds, intensity, irng)", "te = test_ds",
            ("tests/test_experiments.py::TestShift::test_scored_test_rows_carry_the_shift_noise",)),
+    # the study summaries, against their recomputation from the runs rows
+    Mutant("growth-delta-from-first", EXPERIMENTS,
+           "zip([None, *rows], rows)", "zip([None, *rows[:1] * len(rows)], rows)",
+           (f"{SUMMARY_ORACLE}[growth]",)),
+    Mutant("growth-delta-sign", EXPERIMENTS,
+           '(prev[f"mean_{u}"] - row[f"mean_{u}"])', '(row[f"mean_{u}"] - prev[f"mean_{u}"])',
+           (f"{SUMMARY_ORACLE}[growth]",)),
+    Mutant("growth-sample-std", EXPERIMENTS,
+           '("std_epi", "mean_epi", np.std)',
+           '("std_epi", "mean_epi", lambda v: np.std(v, ddof=1))',
+           (f"{SUMMARY_ORACLE}[growth]",)),
+    Mutant("compare-sample-std", EXPERIMENTS,
+           '("std_f1", "f1", np.std), ("var_f1"',
+           '("std_f1", "f1", lambda v: np.std(v, ddof=1)), ("var_f1"',
+           (f"{SUMMARY_ORACLE}[compare]",)),
     # the selector's rank test keeps a candidate whose rank reaches the bound
     Mutant("walk-select-strict", "src/uqcurate/curation.py",
            "rank[walk] >= n_ale + np.arange", "rank[walk] > n_ale + np.arange",
