@@ -22,8 +22,9 @@ takes a list of ``UncertaintyRecord`` and returns the picked ids.
 uncertainty model on a seed partition, score the candidate pool, move one
 tranche into the training set, retrain from scratch, and record the test F1
 after every round.  ``curation_loops`` runs it for several selectors, which
-share round 0.  The loop keeps the pool's scores as arrays and maps the
-picked positions through its alive mask; it builds no records.
+share round 0 and the full-pool round.  The loop keeps the pool's scores as
+arrays and maps the picked positions through its alive mask; it builds no
+records.
 """
 
 from __future__ import annotations
@@ -253,9 +254,12 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
 
     Every round moves min(tranche, pool left) instances, so each selector
     fits the same rounds, and round r fits with the r-th draw of the round
-    stream.  Round 0 (the seed-only fit, its test F1 and the pool scores)
-    reads no selector, so it runs once and every selector's loop continues
-    from it; every result equals ``curation_loop`` run alone.
+    stream.  Round r fits the seed partition plus the selector's picks so
+    far, in pick order, except the two rounds whose set reads no selector:
+    round 0 (the seed-only fit, its test F1 and the pool scores) and the
+    full-pool round, which fits the seed partition plus the whole pool in
+    ascending dataset order.  Each of these runs once and every selector
+    reads its result; every result equals ``curation_loop`` run alone.
     """
     split_seed, selector_seed, eval_seed, round_seed = spawn_seeds(seed, 4)
 
@@ -298,21 +302,28 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
     def mean(values):
         return float(np.mean(values)) if len(values) else float("nan")
 
-    first = fit_and_score(0, seed_idx, pool0_idx)
+    # round -> (f1, epi, ale), for the rounds that fit one set for every selector
+    full_idx = np.sort(np.concatenate((seed_idx, pool0_idx)))
+    shared = {0: fit_and_score(0, seed_idx, pool0_idx)}
     results = []
     for config in configs:
         selector_rng = make_rng(selector_seed)
         alive = np.ones(pool0, dtype=bool)  # pool membership, in pool0_idx order
         picks: list = []  # dataset indices, in selection order
         rows: list[CurveRow] = []
-        f1, epi, ale = first
+        f1, epi, ale = shared[0]
         for rounds in range(len(fit_seeds)):
             if rounds:  # move one tranche from the pool, then refit
                 live = np.flatnonzero(alive)  # the positions epi and ale score
                 pos = live[_pick(dataset.ids[pool0_idx[live]], epi, ale, config, selector_rng)]
                 alive[pos] = False
                 picks.extend(pool0_idx[pos])
-                f1, epi, ale = fit_and_score(rounds, seed_idx + picks, pool0_idx[alive])
+                if alive.any():
+                    f1, epi, ale = fit_and_score(rounds, seed_idx + picks, pool0_idx[alive])
+                else:  # the full-pool round
+                    if rounds not in shared:
+                        shared[rounds] = fit_and_score(rounds, full_idx, pool0_idx[alive])
+                    f1, epi, ale = shared[rounds]
             noisy = (mean(dataset.noise_tags[picks])
                      if dataset.noise_tags is not None else float("nan"))
             rows.append(CurveRow(rounds, len(picks) / pool0, f1, mean(epi), mean(ale), noisy))

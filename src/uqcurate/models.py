@@ -538,6 +538,11 @@ def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpMode
                     f"checkpoint array {key!r} has shape {value.shape}, the config "
                     f"needs {target.shape}"
                 )
+            if not np.issubdtype(value.dtype, np.floating) or not np.isfinite(value).all():
+                raise DataFormatError(
+                    f"checkpoint array {key!r} must hold finite real floats, got "
+                    f"dtype {value.dtype}"
+                )
             target[...] = value  # write into the view; the flat buffer stays shared
     model.trained = meta["trained"]
     model.history = [EpochRecord(e, tl, vl) for e, tl, vl in meta["history"]]

@@ -318,6 +318,7 @@ class TestCurationLoop:
         # a 40% tranche moves 29, 29 and the last 14 of the 72 pool
         # instances; each selector's round r trains on the seed partition
         # plus its picks so far, with the r-th draw of the round stream
+        # (round 0 and the full-pool round are fit once, for every selector)
         from uqcurate import curation
 
         fits = []
@@ -335,7 +336,7 @@ class TestCurationLoop:
         draws = [int(round_rng.integers(0, 2**63)) for _ in range(4)]
         sizes = [24, 24 + 29, 24 + 58, 24 + 72]
         expected = list(zip(sizes, draws))
-        assert fits == expected + expected[1:]  # round 0 is shared
+        assert fits == expected + expected[1:-1]
 
     def test_vanilla_uq_rejected(self):
         with pytest.raises(ConfigError):

@@ -201,8 +201,9 @@ class TestCompare:
         assert len(wide) == 1 + 3  # header + 3 rounds x 1 rep
 
     def test_round_zero_fit_once_per_repetition(self, monkeypatch):
-        # the seed-only fit is the same for every selector, so a repetition
-        # fits 1 + S*(R-1) times for S selectors and R rounds, not S*R
+        # the seed-only and the full-pool fits are the same for every
+        # selector, so a repetition fits 2 + S*(R-2) times for S selectors
+        # and R rounds, not S*R
         import uqcurate.curation as curation
 
         fits = []
@@ -219,7 +220,41 @@ class TestCompare:
         result = run_selector_comparison(spec)
         n_rounds = len({r["round"] for r in result.run_rows})
         assert n_rounds == 3
-        assert len(fits) == spec.repetitions * (1 + 3 * (n_rounds - 1))
+        assert len(fits) == spec.repetitions * (2 + 3 * (n_rounds - 2))
+
+    def test_full_pool_round_fit_once_in_dataset_order(self, monkeypatch):
+        # the last round of every selector trains on the seed partition plus
+        # the whole pool: one fit per repetition, on that set in ascending
+        # dataset order, with the last draw of the round stream
+        import uqcurate.curation as curation
+
+        fits = []
+        fit = curation._fit_uq_model
+
+        def recording_fit(spec, model, train_ds, seed):
+            fits.append((train_ds.ids.tolist(), seed))
+            return fit(spec, model, train_ds, seed)
+
+        monkeypatch.setattr(curation, "_fit_uq_model", recording_fit)
+        monkeypatch.setenv("UQCURATE_JOBS", "1")
+        spec = smoke_spec(COMPARE, selectors=("ehal", "elah", "random"),
+                          tranche_fraction=0.5, repetitions=2)
+        result = run_selector_comparison(spec)
+        last = max(r["round"] for r in result.run_rows)
+        for rep in range(spec.repetitions):
+            data_seed, loop_seed = _rep_seeds(spec, rep, 2)
+            base = _base_dataset(spec, None, data_seed)
+            split_seed, _, _, round_seed = spawn_seeds(loop_seed, 4)
+            perm = make_rng(split_seed).permutation(len(base))
+            n_in = round(spec.seed_fraction * len(base)) + round(spec.pool_fraction * len(base))
+            full = base.ids[np.sort(perm[:n_in])].tolist()
+            round_rng = make_rng(round_seed)
+            fit_seed = [int(round_rng.integers(0, 2**63)) for _ in range(last + 1)][-1]
+            assert [seed for ids, seed in fits if sorted(ids) == sorted(full)] == [fit_seed]
+            assert [ids for ids, seed in fits if seed == fit_seed] == [full]
+            last_f1 = {r["selector"]: r["f1"] for r in result.run_rows
+                       if r["rep"] == rep and r["round"] == last}
+            assert len(last_f1) == 3 and len(set(last_f1.values())) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         spec = smoke_spec(COMPARE, selectors=("ehal",), tranche_fraction=0.5)

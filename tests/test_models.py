@@ -583,6 +583,22 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="m0_layer0_w"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("make", [
+        lambda w: np.full(w.shape, "x"),
+        lambda w: w > 0.0,
+        lambda w: np.ones(w.shape, dtype=np.int64),
+        lambda w: w + 1j,  # loaded as is, the imaginary part would be dropped
+        lambda w: np.full(w.shape, np.nan),
+    ], ids=["str", "bool", "int64", "complex", "nan"])
+    def test_weights_that_are_no_finite_real_floats_rejected(self, fitted, tmp_path, make):
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["vanilla"], good)
+        with np.load(good) as npz:
+            value = make(npz["m0_layer0_w"])
+        self._rewrite(good, bad, m0_layer0_w=value)
+        with pytest.raises(DataFormatError, match="m0_layer0_w"):
+            load_checkpoint(bad)
+
     def test_missing_array_rejected(self, fitted, tmp_path):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
         save_checkpoint(fitted["ensemble"], good)

@@ -68,6 +68,11 @@ def test_mutant_catalogue_is_sound_without_running_it():
     assert {m.name for m in summary} == {
         "growth-delta-from-first", "growth-delta-sign", "growth-sample-std",
         "compare-sample-std"}
+    # and the curation loop's rounds and rows have theirs
+    loop = [m for m in mutants.CATALOGUE if m.path == "src/uqcurate/curation.py"
+            and m.name != "walk-select-strict"]
+    assert {m.name for m in loop} == {
+        "full-pool-in-pick-order", "tranche-rounded-down", "noisy-fraction-of-first-rows"}
 
 
 def test_mutant_catalogue_reports_stale_old_texts(tmp_path):

@@ -37,6 +37,8 @@ DUAL_HEAD_GRADIENTS = (f"{GRADIENTS}::test_dual_head_full_stack",
 BEST_EPOCH = "tests/test_models.py::TestTraining::test_patience_stop_restores_the_best_epoch"
 EXPERIMENTS = "src/uqcurate/experiments.py"
 SUMMARY_ORACLE = "tests/test_experiments.py::TestSummaryOracle::test_every_summary_column"
+CURATION = "src/uqcurate/curation.py"
+LOOP = "tests/test_curation.py::TestCurationLoop"
 
 
 class Mutant(NamedTuple):
@@ -89,9 +91,19 @@ CATALOGUE = (
            '("std_f1", "f1", lambda v: np.std(v, ddof=1)), ("var_f1"',
            (f"{SUMMARY_ORACLE}[compare]",)),
     # the selector's rank test keeps a candidate whose rank reaches the bound
-    Mutant("walk-select-strict", "src/uqcurate/curation.py",
+    Mutant("walk-select-strict", CURATION,
            "rank[walk] >= n_ale + np.arange", "rank[walk] > n_ale + np.arange",
            ("tests/test_curation.py::TestSelectOne",)),
+    # the curation loop's rounds and its per-round rows
+    Mutant("full-pool-in-pick-order", CURATION,
+           "fit_and_score(rounds, full_idx,", "fit_and_score(rounds, seed_idx + picks,",
+           ("tests/test_experiments.py::TestCompare::test_full_pool_round_fit_once_in_dataset_order",)),
+    Mutant("tranche-rounded-down", CURATION,
+           "int(round(spec.tranche_fraction * pool0))", "int(spec.tranche_fraction * pool0)",
+           (f"{LOOP}::test_round_r_fits_with_the_rth_round_draw",)),
+    Mutant("noisy-fraction-of-first-rows", CURATION,
+           "dataset.noise_tags[picks]", "dataset.noise_tags[pool0_idx[:len(picks)]]",
+           (f"{LOOP}::test_selected_noisy_fraction_counts_the_picks_so_far",)),
     # the dual head's class-0 probability takes the far branch where d >= 0
     Mutant("quadrature-branch", "src/uqcurate/kernels.py",
            "np.copyto(near, far, where=pos)", "np.copyto(near, far, where=~pos)",
