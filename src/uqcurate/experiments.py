@@ -12,7 +12,7 @@ Three studies, each emitting tidy CSV plus a JSON run manifest:
 Result CSVs carry no timestamps, so a rerun with the same spec produces
 byte-identical files; the timestamp lives only in the manifest.  File names
 embed a hash of the resolved spec.  Set ``UQCURATE_JOBS`` to run repetitions
-in parallel worker processes, at most one per repetition and per CPU
+in parallel worker processes, at most one per repetition and per usable CPU
 (results are assembled in index order either way, so the output does not
 depend on the degree of parallelism).
 """
@@ -193,9 +193,12 @@ def _jobs() -> int:
 
 def _workers(n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` repetitions: ``UQCURATE_JOBS``, capped
-    at the task count and the CPU count, so the cap bounds the processes any
-    setting can start."""
-    return min(_jobs(), n_tasks, os.cpu_count() or 1)
+    at the task count and at the CPUs this process may run on (its affinity
+    set where the platform has one, since a pinned process may use fewer than
+    the machine has), so the cap bounds the processes any setting can start."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(_jobs(), n_tasks, cpus)
 
 
 # BLAS threads in each repetition worker.  A BLAS library sizes its thread
@@ -317,6 +320,11 @@ def _shift_one_rep(args):
     train_ds, val_ds, test_ds = _partitions(spec, csv_data, data_seed, split_seed)
     cfg = spec.model_config(train_ds.feature_dim)
 
+    # one ensemble per intensity: ``train_ensemble`` seeds member i with
+    # child i of ``fit_seed``, so its first member is bit for bit the one
+    # model that a one-member ensemble holds, and vanilla and mc-dropout
+    # (which differ only at prediction time) score that member
+    size = spec.ensemble_size if "ensemble" in spec.uq_methods else 1
     cells = []
     intensity_seeds = spawn_seeds(shift_seed, len(spec.intensities))
     for intensity, iseed in zip(spec.intensities, intensity_seeds):
@@ -324,15 +332,10 @@ def _shift_one_rep(args):
         tr = inject_shift(train_ds, intensity, irng)
         va = inject_shift(val_ds, intensity, irng)
         te = inject_shift(test_ds, intensity, irng)
-        # vanilla and mc-dropout differ only at prediction time, so they
-        # share one fit: one single model and one ensemble per intensity
-        fits = {}
+        fitted = fit_method("ensemble", cfg, size, tr, va, balance_seed, fit_seed)
         for method in spec.uq_methods:
-            is_ensemble = method == "ensemble"
-            if is_ensemble not in fits:
-                fits[is_ensemble] = fit_method(method, cfg, spec.ensemble_size, tr, va,
-                                               balance_seed, fit_seed)
-            report = method_report(method, fits[is_ensemble], te, spec.mc_passes, eval_seed)
+            scored = fitted if method == "ensemble" else fitted.members[0]
+            report = method_report(method, scored, te, spec.mc_passes, eval_seed)
             cells.append({
                 "method": method,
                 "intensity": intensity,

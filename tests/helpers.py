@@ -13,8 +13,10 @@ runs CSVs with ``math.fsum`` and the ``statistics`` module.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +26,16 @@ from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
 from uqcurate.nncore import make_rng, softmax
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module (``tools/`` is no package)."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def patch_fit_method(monkeypatch, replacement) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import patch_fit_method, read_result_csv, summary_oracle
+from uqcurate import experiments
 from uqcurate.curation import curation_loop
 from uqcurate.data import SplitSpec, SyntheticSpec, inject_shift, load_csv, split
 from uqcurate.errors import ConfigError
@@ -29,7 +30,7 @@ from uqcurate.experiments import (
     run_training,
     spec_from_mapping,
 )
-from uqcurate.models import MlpModel
+from uqcurate.models import MlpModel, method_report
 from uqcurate.nncore import make_rng, spawn_seeds
 
 SMOKE_DATA = dict(n_instances=160, feature_dim=6, noisy_fraction=0.25)
@@ -71,20 +72,37 @@ class TestShift:
         methods = ("vanilla", "mc-dropout", "ensemble")
         fits = []
 
-        def recording_fit(method, *args):
-            fits.append(method)
-            return fit_method(method, *args)
+        def recording_fit(method, cfg, size, *args):
+            fits.append((method, size))
+            return fit_method(method, cfg, size, *args)
 
         patch_fit_method(monkeypatch, recording_fit)
-        spec = smoke_spec(SHIFT, intensities=(0.0, 0.3), uq_methods=methods)
-        combined = run_shift_experiment(spec).run_rows
-        assert fits == ["vanilla", "ensemble"] * 2
-        # each method's rows are those it gives when it runs alone
-        monkeypatch.undo()
+        shift = lambda uq: run_shift_experiment(smoke_spec(
+            SHIFT, intensities=(0.0, 0.3), uq_methods=uq, ensemble_size=5)).run_rows
+        combined = shift(methods)
+        assert fits == [("ensemble", 5)] * 2
+        # each method's rows are those it gives when it runs alone, which
+        # for vanilla or mc-dropout is a one-member ensemble's
         for method in methods:
-            alone = run_shift_experiment(smoke_spec(
-                SHIFT, intensities=(0.0, 0.3), uq_methods=(method,))).run_rows
+            fits.clear()
+            alone = shift((method,))
+            assert fits == [("ensemble", 5 if method == "ensemble" else 1)] * 2
             assert [r for r in combined if r["method"] == method] == alone
+
+    def test_vanilla_scores_the_first_ensemble_member(self, monkeypatch):
+        scored = {}
+
+        def recording_report(method, fitted, *args):
+            scored[method] = fitted
+            return method_report(method, fitted, *args)
+
+        monkeypatch.setattr(experiments, "method_report", recording_report)
+        run_shift_experiment(smoke_spec(SHIFT, intensities=(0.3,),
+                                        uq_methods=("vanilla", "ensemble"), ensemble_size=3))
+        members = scored["ensemble"].members
+        assert len(members) == 3
+        assert np.array_equal(scored["vanilla"].flat_params, members[0].flat_params)
+        assert not np.array_equal(members[0].flat_params, members[-1].flat_params)
 
     def test_scored_test_rows_carry_the_shift_noise(self, monkeypatch):
         # at a nonzero intensity the model is scored on the shifted test
@@ -386,6 +404,7 @@ class TestWorkerCap:
         # _map_reps imports the pool class only when it starts workers
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.setenv("UQCURATE_JOBS", "100000")
         return _RecordingExecutor
 
@@ -412,6 +431,14 @@ class TestWorkerCap:
         from uqcurate.experiments import _map_reps
 
         assert _map_reps(abs, [-1]) == [1]
+        assert executor.created == []
+
+    def test_one_cpu_affinity_starts_no_pool(self, executor, monkeypatch):
+        # a process pinned to one CPU of a larger machine runs in-process
+        from uqcurate.experiments import _map_reps
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _map_reps(abs, [-1, -2, -3]) == [1, 2, 3]
         assert executor.created == []
 
     def test_import_loads_no_process_pool(self):
@@ -525,8 +552,6 @@ class TestCsvHook:
         assert 0.0 <= result.rows[0]["mean_f1"] <= 1.0
 
     def test_csv_parsed_once_per_study(self, monkeypatch):
-        from uqcurate import experiments
-
         calls = []
 
         def counting_load_csv(path):

@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from helpers import load_tool
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "smoke_digests.py"
 
 
@@ -17,22 +21,8 @@ def test_smoke_digests_runs_every_command():
     assert len(lines) == 40 and len(set(paths)) == 40
 
 
-def _load_tool(name):
-    import importlib.util
-
-    path = TOOL.parent / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _load_bench_pairs():
-    return _load_tool("bench_pairs")
-
-
 def test_bench_pairs_summary_counts_wins_and_quartiles():
-    bench_pairs = _load_bench_pairs()
+    bench_pairs = load_tool("bench_pairs")
 
     def run(value):
         return {"correct": True, "metrics": {"pass_cpu_s": {"value": value, "unit": "s"}}}
@@ -56,7 +46,7 @@ def test_bench_pairs_rejects_a_parent_without_the_benchmark(tmp_path):
 def test_mutant_catalogue_is_sound_without_running_it():
     # every old text occurs once and every target names an existing unit
     # test; the training step's backward pass has its four mutants
-    mutants = _load_tool("mutants")
+    mutants = load_tool("mutants")
     assert mutants.check_catalogue() == []
     step = [m for m in mutants.CATALOGUE if m.path == "src/uqcurate/models.py"
             and any(t.startswith("tests/test_gradients.py") for t in m.tests)]
@@ -70,20 +60,26 @@ def test_mutant_catalogue_is_sound_without_running_it():
         "compare-sample-std"}
     # and the curation loop's rounds and rows have theirs
     loop = [m for m in mutants.CATALOGUE if m.path == "src/uqcurate/curation.py"
-            and m.name != "walk-select-strict"]
+            and all("::TestCurationLoop::" in t or "::TestCompare::" in t for t in m.tests)]
     assert {m.name for m in loop} == {
         "full-pool-in-pick-order", "tranche-rounded-down", "noisy-fraction-of-first-rows"}
+    # and the selector's trace oracle, the uncertainty split, the growth
+    # subsets, the loop's carve and the shift study's noise and scoring
+    assert {m.name for m in mutants.CATALOGUE} >= {
+        "n-ale-rounded-down", "ties-not-by-id", "mi-unclamped", "sigma-bar-mean-of-sigma",
+        "growth-permutation-per-fraction", "carve-unshuffled", "shift-one-noise-seed",
+        "shift-vanilla-not-first-member"}
 
 
 def test_mutant_catalogue_reports_stale_old_texts(tmp_path):
-    mutants = _load_tool("mutants")
+    mutants = load_tool("mutants")
     problems = mutants.check_catalogue(tmp_path)
     for m in mutants.CATALOGUE:
         assert f"{m.name}: old text occurs 0 times in {m.path}" in problems
 
 
 def test_mutant_verdict_needs_a_failure_under_every_target():
-    mutants = _load_tool("mutants")
+    mutants = load_tool("mutants")
     output = "\n".join([
         "FAILED tests/test_gradients.py::test_dual_head_full_stack[10] - AssertionError: x",
         "ERROR tests/test_kernels.py::TestQuad::test_a",
@@ -95,3 +91,48 @@ def test_mutant_verdict_needs_a_failure_under_every_target():
     assert mutants._covers("tests/test_gradients.py::test_dual_head_full_stack", failed[0])
     assert mutants._covers("tests/test_kernels.py", failed[1])
     assert not mutants._covers("tests/test_gradients.py::test_dual_head", failed[0])
+
+
+def test_criteria_seeds_parses_seed_lists():
+    criteria = load_tool("criteria_seeds")
+    assert criteria.parse_seeds("1-12") == list(range(1, 13))
+    assert criteria.parse_seeds("9, 1-3,2") == [1, 2, 3, 9]
+    with pytest.raises(ValueError):
+        criteria.parse_seeds("-1")
+
+
+def _shift_rows(ensemble, vanilla):
+    """Shift summary rows: (mean_f1, mean_brier) per intensity and method."""
+    return [{"method": method, "intensity": 0.1 * i, "mean_f1": f1, "mean_brier": b}
+            for method, cells in (("vanilla", vanilla), ("ensemble", ensemble))
+            for i, (f1, b) in enumerate(cells)]
+
+
+def test_criteria_conditions_hold_at_their_bounds_and_fail_past_them():
+    criteria = load_tool("criteria_seeds")
+    falling = [(0.7, 0.2), (0.6, 0.3), (0.5, 0.4)]
+    assert criteria.shift_trend(_shift_rows(falling, falling)).holds
+    assert not criteria.shift_trend(_shift_rows(falling[::-1], falling)).holds
+    # criterion 5 holds on a tie and fails on any shortfall
+    tie = criteria.ensemble_superiority(_shift_rows(falling, falling))
+    assert tie.holds and tie.margins == {"f1": 0.0, "brier": 0.0}
+    worse = [(f1 - 0.01, b) for f1, b in falling]
+    assert not criteria.ensemble_superiority(_shift_rows(worse, falling)).holds
+    # criterion 6 needs every epistemic step down and the larger relative drop
+    growth = lambda epi, ale: [{"mean_epi": e, "mean_ale": a} for e, a in zip(epi, ale)]
+    assert criteria.growth_trend(growth([0.6, 0.5, 0.4], [0.5, 0.49, 0.48])).holds
+    assert not criteria.growth_trend(growth([0.6, 0.6, 0.4], [0.5, 0.49, 0.48])).holds
+    assert not criteria.growth_trend(growth([0.6, 0.5, 0.4], [0.5, 0.3, 0.2])).holds
+    # criterion 7 reads the checkpoint round, the p bound and the noisy bound
+    at = lambda ehal, random, elah, noisy: [
+        {"selector": s, "round": criteria.CHECKPOINT_ROUND, "mean_f1": f1,
+         "mean_selected_noisy_fraction": noisy}
+        for s, f1 in (("ehal", ehal), ("random", random), ("elah", elah))]
+    assert criteria.selector_ordering(at(0.6, 0.6, 0.5, 0.29), 0.049).holds
+    assert not criteria.selector_ordering(at(0.6, 0.6, 0.6, 0.1), 0.01).holds
+    assert not criteria.selector_ordering(at(0.6, 0.55, 0.5, 0.1), 0.05).holds
+    assert not criteria.selector_ordering(at(0.6, 0.55, 0.5, 0.3), 0.01).holds
+    run_rows = [{"selector": s, "round": criteria.CHECKPOINT_ROUND, "rep": r, "f1": f1}
+                for s, f1s in (("ehal", (0.7, 0.8, 0.9)), ("elah", (0.1, 0.2, 0.3)))
+                for r, f1 in enumerate(f1s)]
+    assert criteria.selector_p(run_rows) < 0.05

@@ -37,8 +37,13 @@ DUAL_HEAD_GRADIENTS = (f"{GRADIENTS}::test_dual_head_full_stack",
 BEST_EPOCH = "tests/test_models.py::TestTraining::test_patience_stop_restores_the_best_epoch"
 EXPERIMENTS = "src/uqcurate/experiments.py"
 SUMMARY_ORACLE = "tests/test_experiments.py::TestSummaryOracle::test_every_summary_column"
+SHIFT = "tests/test_experiments.py::TestShift"
+SHIFT_NOISE = f"{SHIFT}::test_scored_test_rows_carry_the_shift_noise"
 CURATION = "src/uqcurate/curation.py"
 LOOP = "tests/test_curation.py::TestCurationLoop"
+TRACE_ORACLE = "tests/test_curation.py::TestCurate::test_matches_trace_oracle_sequence"
+UQ = "src/uqcurate/uq.py"
+SOURCES = "tests/test_curation.py::TestUncertaintySources"
 
 
 class Mutant(NamedTuple):
@@ -71,10 +76,23 @@ CATALOGUE = (
     Mutant("one-epoch-past-patience", MODELS,
            "if epochs_since_best >= cfg.patience:", "if epochs_since_best > cfg.patience:",
            (BEST_EPOCH,)),
-    # the shift study degrades every partition
+    # the shift study degrades every partition, each intensity with its own
+    # noise, and scores vanilla with the ensemble's first member
     Mutant("shift-spares-test", EXPERIMENTS,
            "te = inject_shift(test_ds, intensity, irng)", "te = test_ds",
-           ("tests/test_experiments.py::TestShift::test_scored_test_rows_carry_the_shift_noise",)),
+           (SHIFT_NOISE,)),
+    Mutant("shift-one-noise-seed", EXPERIMENTS,
+           "spawn_seeds(shift_seed, len(spec.intensities))", "[shift_seed] * len(spec.intensities)",
+           (SHIFT_NOISE,)),
+    Mutant("shift-vanilla-not-first-member", EXPERIMENTS,
+           "else fitted.members[0]", "else fitted.members[-1]",
+           (f"{SHIFT}::test_vanilla_and_mc_dropout_share_one_fit",
+            f"{SHIFT}::test_vanilla_scores_the_first_ensemble_member")),
+    # growth's training subsets are prefixes of one permutation
+    Mutant("growth-permutation-per-fraction", EXPERIMENTS,
+           "return [perm[: max(2, int(round(f * n)))] for f in fractions]",
+           "return [rng.permutation(n)[: max(2, int(round(f * n)))] for f in fractions]",
+           ("tests/test_experiments.py::TestGrowth::test_nested_subsets_property",)),
     # the study summaries, against their recomputation from the runs rows
     Mutant("growth-delta-from-first", EXPERIMENTS,
            "zip([None, *rows], rows)", "zip([None, *rows[:1] * len(rows)], rows)",
@@ -90,10 +108,23 @@ CATALOGUE = (
            '("std_f1", "f1", np.std), ("var_f1"',
            '("std_f1", "f1", lambda v: np.std(v, ddof=1)), ("var_f1"',
            (f"{SUMMARY_ORACLE}[compare]",)),
-    # the selector's rank test keeps a candidate whose rank reaches the bound
+    # the selector: its rank test keeps a candidate whose rank reaches the
+    # bound, n_ale rounds up, and ties go by id
     Mutant("walk-select-strict", CURATION,
            "rank[walk] >= n_ale + np.arange", "rank[walk] > n_ale + np.arange",
            ("tests/test_curation.py::TestSelectOne",)),
+    Mutant("n-ale-rounded-down", CURATION,
+           "math.ceil(self.n_ale_fraction * pool_size)", "int(self.n_ale_fraction * pool_size)",
+           (TRACE_ORACLE,)),
+    Mutant("ties-not-by-id", CURATION,
+           "np.lexsort((str_ids, epi_key)), np.lexsort((str_ids, ale_key))",
+           "np.lexsort((epi_key,)), np.lexsort((ale_key,))",
+           (TRACE_ORACLE,)),
+    # the loop carves a shuffled validation set
+    Mutant("carve-unshuffled", CURATION,
+           "perm = make_rng(carve_seed).permutation(n)", "perm = np.arange(n)",
+           ("tests/test_curation.py::TestFitUqModel::"
+            "test_carve_balance_and_fit_draw_from_three_children",)),
     # the curation loop's rounds and its per-round rows
     Mutant("full-pool-in-pick-order", CURATION,
            "fit_and_score(rounds, full_idx,", "fit_and_score(rounds, seed_idx + picks,",
@@ -104,6 +135,14 @@ CATALOGUE = (
     Mutant("noisy-fraction-of-first-rows", CURATION,
            "dataset.noise_tags[picks]", "dataset.noise_tags[pool0_idx[:len(picks)]]",
            (f"{LOOP}::test_selected_noisy_fraction_counts_the_picks_so_far",)),
+    # the uncertainty split: mutual information is clamped at 0, and the
+    # pooled aleatoric scale is the root mean square of sigma
+    Mutant("mi-unclamped", UQ, "return np.maximum(mi, 0.0)", "return mi",
+           (f"{SOURCES}::test_sources_produce_valid_records[sample]",)),
+    Mutant("sigma-bar-mean-of-sigma", UQ,
+           "sigma_bar = np.sqrt(np.mean(sigma**2, axis=-2))",
+           "sigma_bar = np.mean(sigma, axis=-2)",
+           (f"{SOURCES}::test_entropy_source_is_the_exact_decomposition",)),
     # the dual head's class-0 probability takes the far branch where d >= 0
     Mutant("quadrature-branch", "src/uqcurate/kernels.py",
            "np.copyto(near, far, where=pos)", "np.copyto(near, far, where=~pos)",

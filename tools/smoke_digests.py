@@ -8,7 +8,8 @@ timestamp.
 
 The set is gen-data (the profile, and ``--seed 3``), shift (default,
 ``--uq mc-dropout``, ``--head homo --uq mc-dropout``, and ``--head homo`` with
-``uq = vanilla,mc-dropout,ensemble``, whose first two methods share one fit),
+``uq = vanilla,mc-dropout,ensemble``, whose first two methods score the first
+member of the one ensemble fit per intensity),
 growth, compare (``--selector`` ehal, elah and random; ``--uq mc-dropout``;
 ``--uq mc-dropout --head homo``; ``uncertainty_source = sample``;
 ``repetitions = 2``, so that ``--jobs 2`` runs its repetitions in two worker
