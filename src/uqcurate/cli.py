@@ -15,9 +15,9 @@ memory included), 2 usage or configuration error.  Either failure prints one
 ``error:`` line, never a traceback.
 
 Environment: UQCURATE_JOBS sets the worker-process count for experiment
-repetitions, capped at the repetition count and the CPU count.  A value that
-is not an integer >= 1 is a configuration error (exit 2), raised before any
-compute starts.
+repetitions, capped at the number of repetitions and at the CPUs the process
+may run on (its affinity set).  A value that is not an integer >= 1 is a
+configuration error (exit 2), raised before any compute starts.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Config files are plain key=value text; `--config profile:NAME` loads a "
             "packaged profile (standard-synthetic, smoke). Flags override config keys. "
             "Environment: UQCURATE_JOBS (parallel repetitions, an integer >= 1; at most "
-            "one worker per repetition and per CPU)."
+            "one worker per repetition and per CPU in the process's affinity set)."
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -21,10 +21,11 @@ takes a list of ``UncertaintyRecord`` and returns the picked ids.
 ``curation_loop`` drives the iterative retrain-and-select study: train an
 uncertainty model on a seed partition, score the candidate pool, move one
 tranche into the training set, retrain from scratch, and record the test F1
-after every round.  ``curation_loops`` runs it for several selectors, which
-share round 0 and the full-pool round.  The loop keeps the pool's scores as
-arrays and maps the picked positions through its alive mask; it builds no
-records.
+after every round.  ``curation_loops`` runs it for several selectors.  Round
+r fits its set in dataset order, and each distinct (round, set) fit runs
+once, so the selectors share round 0 and the full-pool round.  The loop
+keeps the pool's scores as arrays and maps the picked positions through its
+alive mask; it builds no records.
 """
 
 from __future__ import annotations
@@ -254,12 +255,11 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
 
     Every round moves min(tranche, pool left) instances, so each selector
     fits the same rounds, and round r fits with the r-th draw of the round
-    stream.  Round r fits the seed partition plus the selector's picks so
-    far, in pick order, except the two rounds whose set reads no selector:
-    round 0 (the seed-only fit, its test F1 and the pool scores) and the
-    full-pool round, which fits the seed partition plus the whole pool in
-    ascending dataset order.  Each of these runs once and every selector
-    reads its result; every result equals ``curation_loop`` run alone.
+    stream.  Round r fits its set in dataset order: the seed partition plus
+    the selector's picks so far, sorted, so the order of the picks moves no
+    row.  Each distinct (round, set) fit runs once, and every selector with
+    that set reads its test F1 and pool scores; round 0 and the full-pool
+    round are such sets.  Every result equals ``curation_loop`` run alone.
     """
     split_seed, selector_seed, eval_seed, round_seed = spawn_seeds(seed, 4)
 
@@ -269,7 +269,7 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
     n_pool = int(round(spec.pool_fraction * n))
     if n_seed < 4 or n_pool < 1 or n - n_seed - n_pool < 1:
         raise ConfigError(f"dataset of {n} instances does not support the loop split")
-    seed_idx = list(perm[:n_seed])
+    seed_idx = perm[:n_seed]
     pool0_idx = perm[n_seed : n_seed + n_pool]
     test_ds = dataset.subset(perm[n_seed + n_pool :])
     if len(set(dataset.y[seed_idx].tolist())) < 2:
@@ -286,44 +286,43 @@ def curation_loops(dataset: Dataset, selectors, spec: ExperimentSpec,
     method = spec.uq_methods[0]
     n_passes = method_passes(method, spec.mc_passes)
 
-    def fit_and_score(rounds, train_idx, pool_idx):
-        """Round ``rounds``: fit on ``train_idx``, then its test F1 and the
-        (epistemic, aleatoric) arrays of ``pool_idx``."""
+    memo = {}  # (round, training set) -> (f1, epi, ale)
+
+    def fit_and_score(rounds, alive):
+        """Round ``rounds`` with the pool rows ``alive`` left: fit on the seed
+        partition plus the moved rows, in dataset order, then its test F1 and
+        the (epistemic, aleatoric) arrays of the pool left."""
+        train_idx = np.sort(np.concatenate((seed_idx, pool0_idx[~alive])))
+        key = (rounds, train_idx.tobytes())
+        if key in memo:
+            return memo[key]
         test_seed, score_seed = spawn_seeds(child_seed(eval_seed, rounds), 2)
         fitted = _fit_uq_model(spec, model, dataset.subset(train_idx), fit_seeds[rounds])
         f1 = method_report(method, fitted, test_ds, spec.mc_passes, test_seed).f1
-        if not len(pool_idx):
-            return f1, np.empty(0), np.empty(0)
-        epi, ale = pool_uncertainty_records(fitted, dataset.X[pool_idx], n_passes,
-                                            make_rng(child_seed(score_seed, 0)),
-                                            spec.uncertainty_source)
-        return f1, epi, ale
+        epi, ale = np.empty(0), np.empty(0)
+        if alive.any():
+            epi, ale = pool_uncertainty_records(fitted, dataset.X[pool0_idx[alive]], n_passes,
+                                                make_rng(child_seed(score_seed, 0)),
+                                                spec.uncertainty_source)
+        memo[key] = f1, epi, ale
+        return memo[key]
 
     def mean(values):
         return float(np.mean(values)) if len(values) else float("nan")
 
-    # round -> (f1, epi, ale), for the rounds that fit one set for every selector
-    full_idx = np.sort(np.concatenate((seed_idx, pool0_idx)))
-    shared = {0: fit_and_score(0, seed_idx, pool0_idx)}
     results = []
     for config in configs:
         selector_rng = make_rng(selector_seed)
         alive = np.ones(pool0, dtype=bool)  # pool membership, in pool0_idx order
         picks: list = []  # dataset indices, in selection order
         rows: list[CurveRow] = []
-        f1, epi, ale = shared[0]
         for rounds in range(len(fit_seeds)):
-            if rounds:  # move one tranche from the pool, then refit
+            if rounds:  # move one tranche from the pool
                 live = np.flatnonzero(alive)  # the positions epi and ale score
                 pos = live[_pick(dataset.ids[pool0_idx[live]], epi, ale, config, selector_rng)]
                 alive[pos] = False
                 picks.extend(pool0_idx[pos])
-                if alive.any():
-                    f1, epi, ale = fit_and_score(rounds, seed_idx + picks, pool0_idx[alive])
-                else:  # the full-pool round
-                    if rounds not in shared:
-                        shared[rounds] = fit_and_score(rounds, full_idx, pool0_idx[alive])
-                    f1, epi, ale = shared[rounds]
+            f1, epi, ale = fit_and_score(rounds, alive)
             noisy = (mean(dataset.noise_tags[picks])
                      if dataset.noise_tags is not None else float("nan"))
             rows.append(CurveRow(rounds, len(picks) / pool0, f1, mean(epi), mean(ale), noisy))

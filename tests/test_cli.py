@@ -85,13 +85,18 @@ class TestTrain:
         assert resolved["seed"] == 3
         assert not out_dir.exists()
 
-    def test_separable_profile_reaches_high_f1(self, tmp_path, capsys):
+    # at the default learning rate of 0.001, 30 epochs fall short of 0.99 for
+    # some inits (F1 0.889 and 0.812 at seeds 7 and 8); at 0.01 every seed
+    # separates
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_separable_profile_reaches_high_f1(self, tmp_path, capsys, seed):
         cfg = tmp_path / "sep.cfg"
         cfg.write_text("\n".join([
             "data = synthetic", "n_instances = 400", "feature_dim = 8",
             "separation = 10.0", "noisy_fraction = 0.0",
             "hidden_layers = 1", "hidden_width = 16", "max_epochs = 30",
-            "batch_size = 32", "uq = vanilla", "head = homo", "seed = 2",
+            "batch_size = 32", "learning_rate = 0.01", "uq = vanilla", "head = homo",
+            f"seed = {seed}",
         ]) + "\n", encoding="utf-8")
         out_dir = tmp_path / "results"
         assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0

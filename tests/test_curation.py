@@ -317,8 +317,9 @@ class TestCurationLoop:
     def test_round_r_fits_with_the_rth_round_draw(self, tiny_pool, tiny_cfg, monkeypatch):
         # a 40% tranche moves 29, 29 and the last 14 of the 72 pool
         # instances; each selector's round r trains on the seed partition
-        # plus its picks so far, with the r-th draw of the round stream
-        # (round 0 and the full-pool round are fit once, for every selector)
+        # plus its picks so far, in dataset order, with the r-th draw of the
+        # round stream; each distinct (round, set) fit runs once, so round 0
+        # and the full-pool round fit once for every selector
         from uqcurate import curation
 
         fits = []
@@ -337,6 +338,24 @@ class TestCurationLoop:
         sizes = [24, 24 + 29, 24 + 58, 24 + 72]
         expected = list(zip(sizes, draws))
         assert fits == expected + expected[1:-1]
+
+    def test_pick_order_moves_no_row(self, tiny_pool, tiny_cfg, monkeypatch):
+        # round r fits its set in dataset order, so a selector that returns
+        # the same picks in another order writes the same curve
+        from uqcurate import curation
+
+        spec = dataclasses.replace(tiny_cfg, tranche_fraction=0.4)
+        selectors = ("ehal", "elah", "random")
+        before = curation_loops(tiny_pool, selectors, spec, seed=4)
+        pick = curation._pick
+        monkeypatch.setattr(curation, "_pick", lambda *args: pick(*args)[::-1])
+        after = curation_loops(tiny_pool, selectors, spec, seed=4)
+        for a, b in zip(before, after):
+            # nan-aware: row 0 has no picks and the last round no pool left
+            np.testing.assert_equal([asdict(r) for r in a.rows], [asdict(r) for r in b.rows])
+            cuts = [round(r.fraction_added * 72) for r in a.rows]  # 0, 29, 58, 72
+            for lo, hi in zip(cuts, cuts[1:]):
+                assert b.selected_ids[lo:hi] == a.selected_ids[lo:hi][::-1]
 
     def test_vanilla_uq_rejected(self):
         with pytest.raises(ConfigError):

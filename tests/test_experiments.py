@@ -240,10 +240,10 @@ class TestCompare:
         assert n_rounds == 3
         assert len(fits) == spec.repetitions * (2 + 3 * (n_rounds - 2))
 
-    def test_full_pool_round_fit_once_in_dataset_order(self, monkeypatch):
-        # the last round of every selector trains on the seed partition plus
-        # the whole pool: one fit per repetition, on that set in ascending
-        # dataset order, with the last draw of the round stream
+    def test_every_round_fits_in_dataset_order_and_full_pool_once(self, monkeypatch):
+        # every round trains on its set in ascending dataset order; the last
+        # round of every selector trains on the seed partition plus the whole
+        # pool: one fit per repetition, with the last draw of the round stream
         import uqcurate.curation as curation
 
         fits = []
@@ -259,9 +259,14 @@ class TestCompare:
                           tranche_fraction=0.5, repetitions=2)
         result = run_selector_comparison(spec)
         last = max(r["round"] for r in result.run_rows)
+        per_rep = len(fits) // spec.repetitions  # UQCURATE_JOBS=1 runs them in order
         for rep in range(spec.repetitions):
             data_seed, loop_seed = _rep_seeds(spec, rep, 2)
             base = _base_dataset(spec, None, data_seed)
+            position = {i: k for k, i in enumerate(base.ids.tolist())}
+            for ids, _ in fits[rep * per_rep : (rep + 1) * per_rep]:
+                rows = [position[i] for i in ids]
+                assert rows == sorted(rows)
             split_seed, _, _, round_seed = spawn_seeds(loop_seed, 4)
             perm = make_rng(split_seed).permutation(len(base))
             n_in = round(spec.seed_fraction * len(base)) + round(spec.pool_fraction * len(base))

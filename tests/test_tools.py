@@ -62,13 +62,16 @@ def test_mutant_catalogue_is_sound_without_running_it():
     loop = [m for m in mutants.CATALOGUE if m.path == "src/uqcurate/curation.py"
             and all("::TestCurationLoop::" in t or "::TestCompare::" in t for t in m.tests)]
     assert {m.name for m in loop} == {
-        "full-pool-in-pick-order", "tranche-rounded-down", "noisy-fraction-of-first-rows"}
+        "round-set-unsorted", "tranche-rounded-down", "noisy-fraction-of-first-rows"}
     # and the selector's trace oracle, the uncertainty split, the growth
-    # subsets, the loop's carve and the shift study's noise and scoring
+    # subsets, the loop's carve and eval stream, the shift study's noise and
+    # scoring, Adam, balancing, the report's tie rule and early stopping
     assert {m.name for m in mutants.CATALOGUE} >= {
-        "n-ale-rounded-down", "ties-not-by-id", "mi-unclamped", "sigma-bar-mean-of-sigma",
-        "growth-permutation-per-fraction", "carve-unshuffled", "shift-one-noise-seed",
-        "shift-vanilla-not-first-member"}
+        "n-ale-rounded-down", "n-ale-from-first-pool", "ties-not-by-id", "mi-unclamped",
+        "sigma-bar-mean-of-sigma", "hetero-epi-sample-std", "growth-permutation-per-fraction",
+        "carve-unshuffled", "one-eval-seed-for-every-round", "shift-one-noise-seed",
+        "shift-vanilla-not-first-member", "adam-no-bias-correction",
+        "balance-with-replacement", "argmax-tie-to-class-1", "stop-on-train-loss"}
 
 
 def test_mutant_catalogue_reports_stale_old_texts(tmp_path):

@@ -76,6 +76,22 @@ CATALOGUE = (
     Mutant("one-epoch-past-patience", MODELS,
            "if epochs_since_best >= cfg.patience:", "if epochs_since_best > cfg.patience:",
            (BEST_EPOCH,)),
+    Mutant("stop-on-train-loss", MODELS,
+           "if val_loss < best_loss:\n            best_loss = val_loss\n",
+           "if train_loss < best_loss:\n            best_loss = train_loss\n",
+           (BEST_EPOCH,)),
+    # Adam's bias correction, balancing without replacement and the report's
+    # tie rule
+    Mutant("adam-no-bias-correction", "src/uqcurate/nncore.py",
+           "(m / c1) / np.sqrt(v / c2 + ADAM_EPS)", "m / np.sqrt(v + ADAM_EPS)",
+           ("tests/test_nncore.py::TestAdam::test_first_step_hand_evaluated",)),
+    Mutant("balance-with-replacement", "src/uqcurate/data.py",
+           "rng.choice(majority_idx, size=m, replace=False)",
+           "rng.choice(majority_idx, size=m, replace=True)",
+           ("tests/test_data.py::TestBalance::test_majority_undersampled",)),
+    Mutant("argmax-tie-to-class-1", "src/uqcurate/metrics.py",
+           "(probs[:, 1] > probs[:, 0])", "(probs[:, 1] >= probs[:, 0])",
+           ("tests/test_metrics.py::TestClassificationReport::test_tie_breaks_to_negative_class",)),
     # the shift study degrades every partition, each intensity with its own
     # noise, and scores vanilla with the ensemble's first member
     Mutant("shift-spares-test", EXPERIMENTS,
@@ -109,12 +125,15 @@ CATALOGUE = (
            '("std_f1", "f1", lambda v: np.std(v, ddof=1)), ("var_f1"',
            (f"{SUMMARY_ORACLE}[compare]",)),
     # the selector: its rank test keeps a candidate whose rank reaches the
-    # bound, n_ale rounds up, and ties go by id
+    # bound, n_ale rounds up and follows the shrinking view, and ties go by id
     Mutant("walk-select-strict", CURATION,
            "rank[walk] >= n_ale + np.arange", "rank[walk] > n_ale + np.arange",
            ("tests/test_curation.py::TestSelectOne",)),
     Mutant("n-ale-rounded-down", CURATION,
            "math.ceil(self.n_ale_fraction * pool_size)", "int(self.n_ale_fraction * pool_size)",
+           (TRACE_ORACLE,)),
+    Mutant("n-ale-from-first-pool", CURATION,
+           "resolve_n_ale(int(alive.sum()))", "resolve_n_ale(n)",
            (TRACE_ORACLE,)),
     Mutant("ties-not-by-id", CURATION,
            "np.lexsort((str_ids, epi_key)), np.lexsort((str_ids, ale_key))",
@@ -125,24 +144,34 @@ CATALOGUE = (
            "perm = make_rng(carve_seed).permutation(n)", "perm = np.arange(n)",
            ("tests/test_curation.py::TestFitUqModel::"
             "test_carve_balance_and_fit_draw_from_three_children",)),
-    # the curation loop's rounds and its per-round rows
-    Mutant("full-pool-in-pick-order", CURATION,
-           "fit_and_score(rounds, full_idx,", "fit_and_score(rounds, seed_idx + picks,",
-           ("tests/test_experiments.py::TestCompare::test_full_pool_round_fit_once_in_dataset_order",)),
+    # the curation loop's rounds, each on its set in dataset order and its
+    # own eval stream, and its per-round rows
+    Mutant("round-set-unsorted", CURATION,
+           "np.sort(np.concatenate((seed_idx, pool0_idx[~alive])))",
+           "np.concatenate((seed_idx, pool0_idx[~alive]))",
+           ("tests/test_experiments.py::TestCompare::"
+            "test_every_round_fits_in_dataset_order_and_full_pool_once",)),
+    Mutant("one-eval-seed-for-every-round", CURATION,
+           "child_seed(eval_seed, rounds)", "child_seed(eval_seed, 0)",
+           (f"{SOURCES}::test_loop_scores_each_round_on_its_own_stream",)),
     Mutant("tranche-rounded-down", CURATION,
            "int(round(spec.tranche_fraction * pool0))", "int(spec.tranche_fraction * pool0)",
            (f"{LOOP}::test_round_r_fits_with_the_rth_round_draw",)),
     Mutant("noisy-fraction-of-first-rows", CURATION,
            "dataset.noise_tags[picks]", "dataset.noise_tags[pool0_idx[:len(picks)]]",
            (f"{LOOP}::test_selected_noisy_fraction_counts_the_picks_so_far",)),
-    # the uncertainty split: mutual information is clamped at 0, and the
-    # pooled aleatoric scale is the root mean square of sigma
+    # the uncertainty split: mutual information is clamped at 0, the pooled
+    # aleatoric scale is the root mean square of sigma, and the epistemic
+    # spread is the population std of mu
     Mutant("mi-unclamped", UQ, "return np.maximum(mi, 0.0)", "return mi",
            (f"{SOURCES}::test_sources_produce_valid_records[sample]",)),
     Mutant("sigma-bar-mean-of-sigma", UQ,
            "sigma_bar = np.sqrt(np.mean(sigma**2, axis=-2))",
            "sigma_bar = np.mean(sigma, axis=-2)",
            (f"{SOURCES}::test_entropy_source_is_the_exact_decomposition",)),
+    Mutant("hetero-epi-sample-std", UQ,
+           "s_epi = mu.std(axis=-2)", "s_epi = mu.std(axis=-2, ddof=1)",
+           ("tests/test_uq.py::TestHeteroDecompose::test_matches_adaptive_quadrature",)),
     # the dual head's class-0 probability takes the far branch where d >= 0
     Mutant("quadrature-branch", "src/uqcurate/kernels.py",
            "np.copyto(near, far, where=pos)", "np.copyto(near, far, where=~pos)",
