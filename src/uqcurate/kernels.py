@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .nncore import softmax
 
 __all__ = [
     "GH_NODES",
@@ -100,24 +99,28 @@ def _check_labels(labels, n: int) -> np.ndarray:
 
 
 def softmax_xent(logits, labels):
-    """Fused softmax + cross-entropy over a batch.
+    """Fused softmax + cross-entropy over a batch of (B, 2) logits.
 
     Returns ``(loss, dlogits, probs)`` where loss is the batch mean of
     -log p[label] (p clamped at LOG_FLOOR) and dlogits = (probs - onehot)/B.
+    With two classes the row max and row sum are one ``maximum`` and one
+    ``add`` of the columns, and p[label] is a ``where``; each gives the bits
+    of the axis reductions and the row indexing it replaces.
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[0])
-    probs = softmax(logits)
+    if logits.ndim != 2 or logits.shape[1] != 2:
+        raise DimensionError(f"expected (batch, 2) logits, got {logits.shape}")
     n = logits.shape[0]
-    rows = np.arange(n)
-    py = probs[rows, labels]
-    loss = -np.mean(np.log(np.maximum(py, LOG_FLOOR)))
+    hot = _check_labels(labels, n) == 1
+    e = np.exp(logits - np.maximum(logits[:, 0], logits[:, 1])[:, None])
+    probs = e / (e[:, 0] + e[:, 1])[:, None]
+    py = np.where(hot, probs[:, 1], probs[:, 0])
+    loss = -(np.add.reduce(np.log(np.maximum(py, LOG_FLOOR))) / n)  # as np.mean sums
     dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
+    dlogits[:, 0] -= ~hot
+    dlogits[:, 1] -= hot
     dlogits /= n
     return loss, dlogits, probs
-
-
 
 
 @lru_cache(maxsize=1)

@@ -146,21 +146,25 @@ class MlpModel:
                  tape: list | None = None) -> list[Array]:
         """The head layers' affine outputs, before their activations.
 
-        With ``rng`` every hidden layer draws a dropout mask from it (a
-        weight sample); without one the pass draws nothing.  A ``tape`` (a
-        list) receives what ``_train_batch``'s backward pass reads: one
-        ``(input, pre-activation, mask)`` triple per hidden layer, then the
-        heads' input.
+        With ``rng`` every hidden layer gets a dropout mask from it (a weight
+        sample), all from one draw that equals the layer-by-layer draws;
+        without one the pass draws nothing.  A ``tape`` (a list) receives what
+        ``_train_batch``'s backward pass reads: one ``(input, pre-activation,
+        mask)`` triple per hidden layer, then the heads' input.
         """
+        masks = self.dropout.masks(rng, (len(self.hidden), X.shape[0], self.config.hidden_width))
         h = X
-        for lin in self.hidden:
+        for k, lin in enumerate(self.hidden):
+            mask = None if masks is None else masks[k]
             z = lin.forward(h)
-            if tape is None:
-                h, _ = self.dropout.forward(np.maximum(z, 0.0, out=z), rng)  # z is fresh
-            else:
-                out, mask = self.dropout.forward(relu(z), rng)  # the tape keeps z
+            # relu, then the mask, in place on a fresh array (z is fresh too
+            # when no tape keeps it)
+            out = np.maximum(z, 0.0, out=None if tape is not None else z)
+            if mask is not None:
+                out *= mask
+            if tape is not None:
                 tape.append((h, z, mask))
-                h = out
+            h = out
         if tape is not None:
             tape.append(h)
         return [head.forward(h) for head in self.heads]
@@ -204,12 +208,13 @@ class MlpModel:
                   + self.heads[1].backward(dsigma * sigmoid(sigma_pre), h))
         for k in reversed(range(len(self.hidden))):
             x, z, mask = tape[k]
-            # dh times the mask, or dh itself without dropout: either way a
-            # fresh array that nothing else holds, so the relu gate goes in place
-            dz = dh if mask is None else dh * mask
-            dz *= z > 0.0
+            # dh is a fresh array that nothing else holds, so the mask and the
+            # relu gate go in place
+            if mask is not None:
+                dh *= mask
+            dh *= z > 0.0
             # the first layer's input is the batch, whose gradient nothing reads
-            dh = self.hidden[k].backward(dz, x, input_grad=k > 0)
+            dh = self.hidden[k].backward(dh, x, input_grad=k > 0)
         return float(loss)
 
     def evaluate_loss(self, X: Array, y: Array) -> float:
@@ -358,7 +363,8 @@ def fit_method(method: str, config: ModelConfig, ensemble_size: int,
 # prediction under the three weight-sampling schemes
 # ---------------------------------------------------------------------------
 # Draw order, which result files depend on: ``predict_samples`` draws only
-# dropout masks, pass by pass, layer by layer.  An ensemble's forward passes
+# dropout masks, pass by pass, layer by layer (one draw per pass holds every
+# layer's mask, in layer order).  An ensemble's forward passes
 # and every predictive distribution (the dual head's by quadrature) draw
 # nothing.
 

@@ -145,16 +145,26 @@ class DropoutLayer:
             raise DomainError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x: Array,
-                rng: np.random.Generator | None = None) -> tuple[Array, Array | None]:
-        """``(out, mask)``: with an ``rng`` (and p > 0) a fresh mask drawn
-        from it and ``x * mask``; otherwise ``(x, None)``, drawing nothing."""
+    def masks(self, rng: np.random.Generator | None, shape) -> Array | None:
+        """Masks of ``shape`` from one ``rng.random(shape)`` draw, or None
+        without an rng or at p = 0, drawing nothing.  A generator gives the
+        same doubles in the same order to one (L, B, W) draw as to L draws of
+        (B, W), so slice k of one draw is the k-th of L layer-by-layer masks."""
         if rng is None or self.p == 0.0:
-            return x, None
+            return None
         keep = 1.0 - self.p
         # exactly 0 or the rounded 1/keep, as dividing by keep gives
-        mask = (rng.random(x.shape) < keep) * (1.0 / keep)
-        return x * mask, mask
+        mask = rng.random(shape)
+        np.less(mask, keep, out=mask)
+        mask *= 1.0 / keep
+        return mask
+
+    def forward(self, x: Array,
+                rng: np.random.Generator | None = None) -> tuple[Array, Array | None]:
+        """One layer's view of ``masks``: ``(x * mask, mask)`` with a fresh
+        mask of x's shape, or ``(x, None)``, drawing nothing."""
+        mask = self.masks(rng, x.shape)
+        return (x, None) if mask is None else (x * mask, mask)
 
 
 # ---------------------------------------------------------------------------

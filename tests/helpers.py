@@ -3,11 +3,12 @@ a hook on the study protocol's one fit.
 
 Oracles here must stay independent of the implementation paths they check:
 matrix products use explicit loops, gradients come from central finite
-differences, the Gaussian-logit expectations come from Monte Carlo draws and
-from adaptive quadrature (scipy), the selector's ranking oracles sort each
-view from scratch, selection traces re-implement the published loop with
-plain python data structures, and study summaries are recomputed from the
-runs CSVs with ``math.fsum`` and the ``statistics`` module.
+differences, the training loop is rewritten from its documented protocol,
+the Gaussian-logit expectations come from Monte Carlo draws and from
+adaptive quadrature (scipy), the selector's ranking oracles sort each view
+from scratch, selection traces re-implement the published loop with plain
+python data structures, and study summaries are recomputed from the runs
+CSVs with ``math.fsum`` and the ``statistics`` module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from uqcurate.curation import _record_arrays
 from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
-from uqcurate.nncore import make_rng, softmax
+from uqcurate.nncore import AdamState, make_rng, softmax
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -266,6 +267,50 @@ def gradcheck_model(head: str, seed: int, *, dropout: float = 0.1, step: float =
         if kink_margin(model, X) > 50 * step:
             return max_relative_gradient_error(model, X, y, step=step)
     raise AssertionError("no kink-safe configuration found in 50 candidate seeds")
+
+
+# ---------------------------------------------------------------------------
+# the training loop, from its documented protocol
+# ---------------------------------------------------------------------------
+
+
+def train_oracle(model: MlpModel, X_train, y_train, X_val, y_val):
+    """``train_model``'s loop as its docstring and README's draw order state
+    it, around the library's step (``_train_batch``) and ``AdamState.step``,
+    which their own oracles check.  Returns ``(history, params)``: the
+    ``(epoch, train_loss, val_loss)`` rows and the restored parameters.
+
+    Training draws from ``make_rng(seed)`` after one unused ``integers``
+    draw: per epoch one permutation of the rows, walked in ``batch_size``
+    slices with the shorter tail last, each slice's dropout masks drawn from
+    the same stream.  The train loss is the mean of the batch losses weighted
+    by their rows, the validation loss an eval-mode pass.  Training stops
+    after ``patience`` epochs without a strict improvement of the validation
+    loss, or after ``max_epochs``; either way the best epoch's parameters
+    come back.
+    """
+    cfg = model.config
+    rng = make_rng(model.seed)
+    rng.integers(0, 2**63)
+    opt = AdamState(lr=cfg.learning_rate)
+    n = len(y_train)
+    history, best_loss, best_params, stale = [], math.inf, None, 0
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        batches = [order[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+        weighted = []
+        for rows in batches:
+            weighted.append(model._train_batch(X_train[rows], y_train[rows], rng) * len(rows))
+            opt.step(model.flat_params, model.flat_grads)
+        val_loss = model.evaluate_loss(X_val, y_val)
+        history.append((epoch, sum(weighted) / n, val_loss))
+        if val_loss < best_loss:
+            best_loss, best_params, stale = val_loss, model.flat_params.copy(), 0
+        else:
+            stale += 1
+            if stale == cfg.patience:
+                break
+    return history, best_params
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from helpers import gaussian_logit_nll_loop, margin_probability_quad, sampled_ga
 from uqcurate import kernels
 from uqcurate.errors import DimensionError, DomainError
 from uqcurate.models import SIGMA_FLOOR
+from uqcurate.nncore import softmax
 
 
 def _random_case(seed, n=32, n_draws=12, n_classes=2):
@@ -47,6 +48,31 @@ def test_softmax_xent_gradient_is_probs_minus_onehot():
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), case["labels"]] = 1.0
     np.testing.assert_allclose(dlogits, (probs - onehot) / n, rtol=1e-12, atol=1e-16)
+
+
+def _softmax_xent_plain(logits, labels):
+    """The general-class expressions of the two-class kernel: a row softmax,
+    p[rows, labels], ``np.mean``, and a copy of probs with 1 subtracted at
+    each label."""
+    probs = softmax(logits)
+    rows = np.arange(len(labels))
+    loss = -np.mean(np.log(np.maximum(probs[rows, labels], kernels.LOG_FLOOR)))
+    dlogits = probs.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
+    return loss, dlogits, probs
+
+
+@pytest.mark.parametrize("scale", [3.0, 1e3])
+@pytest.mark.parametrize("n", [1, 37, 64, 200])
+def test_softmax_xent_keeps_the_bits_of_the_plain_expressions(n, scale):
+    rng = np.random.default_rng(n)
+    logits = rng.standard_normal((n, 2)) * scale
+    labels = rng.integers(0, 2, n)
+    got = kernels.softmax_xent(logits, labels)
+    want = _softmax_xent_plain(logits, labels)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_backend_name_matches_flag():
@@ -297,6 +323,7 @@ _MU, _LABELS = np.ones((4, 2)), np.array([0, 1, 0, 1])
 
 @pytest.mark.parametrize("kernel, args, error", [
     (kernels.softmax_xent, (_MU, _LABELS[:3]), DimensionError),
+    (kernels.softmax_xent, (np.ones((4, 3)), _LABELS), DimensionError),
     (kernels.gaussian_logit_nll, (_MU, _MU[:3], _LABELS), DimensionError),
     (kernels.gaussian_logit_nll, (np.ones((4, 3)), np.ones((4, 3)), _LABELS), DimensionError),
     (kernels.gaussian_logit_nll, (_MU, _MU, _LABELS[:3]), DimensionError),
@@ -305,7 +332,7 @@ _MU, _LABELS = np.ones((4, 2)), np.array([0, 1, 0, 1])
     (kernels.gaussian_logit_probs, (_MU, _MU[:3]), DimensionError),
     (kernels.gaussian_logit_probs, (np.ones((4, 3)), np.ones((4, 3))), DimensionError),
     (kernels.gaussian_logit_probs, (_MU, -_MU), DomainError),
-], ids=["xent-labels", "mu-sigma-differ", "mu-not-b2", "nll-labels", "sigma-zero",
+], ids=["xent-labels", "xent-not-b2", "mu-sigma-differ", "mu-not-b2", "nll-labels", "sigma-zero",
         "sigma-negative", "probs-mu-sigma-differ", "probs-mu-not-b2", "probs-sigma-negative"])
 def test_bad_inputs_rejected(kernel, args, error):
     with pytest.raises(error):

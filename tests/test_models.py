@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import train_oracle
 from uqcurate.data import SplitSpec, split, undersample_balance
 from uqcurate.errors import ConfigError, DataFormatError, ModelStateError
 from uqcurate import kernels
@@ -152,6 +153,39 @@ class TestTraining:
         assert len(model.history) - 1 - best_epoch >= 3
 
 
+class TestTrainingOracle:
+    """``train_model`` against ``helpers.train_oracle``, which is written from
+    the documented protocol: the same history and the same restored
+    parameters, bit for bit."""
+
+    # the 168 balanced rows are three batches of 56, or two of 64 and a tail
+    # of 40; each case asserts the stop it is meant to cover
+    CASES = {
+        "patience-stop": dict(max_epochs=200, patience=2, batch_size=56),
+        "max-epochs-after-the-best": dict(max_epochs=13, patience=5, batch_size=56),
+        "tail-batch": dict(max_epochs=4, patience=2, batch_size=64),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_matches_the_oracle(self, small_splits, head, case):
+        balanced, val, _ = small_splits
+        cfg = small_config(head, learning_rate=1e-2, **self.CASES[case])
+        fit = lambda train: train(MlpModel(cfg, seed=11), balanced.X, balanced.y, val.X, val.y)
+        model = fit(train_model)
+        history, params = fit(train_oracle)
+        assert [(r.epoch, r.train_loss, r.val_loss) for r in model.history] == history
+        assert model.flat_params.tobytes() == params.tobytes()
+        last = len(history) - 1
+        best = int(np.argmin([val_loss for _, _, val_loss in history]))
+        if case == "patience-stop":
+            assert last == best + cfg.patience < cfg.max_epochs - 1
+        elif case == "max-epochs-after-the-best":
+            assert best < last == cfg.max_epochs - 1 < best + cfg.patience
+        else:
+            assert len(balanced.y) % cfg.batch_size > 0
+
+
 def _full_backward_step(model, X, y, rng):
     """``MlpModel._train_batch`` with every layer's input gradient computed
     and the relu gate applied out of place; returns the loss and the
@@ -221,6 +255,21 @@ class TestTrainBatch:
         first = step.hidden[0]
         assert first.dw.tobytes() == full.hidden[0].dw.tobytes()
         assert first.db.tobytes() == full.hidden[0].db.tobytes()
+
+    def test_tape_masks_are_the_layer_by_layer_draws(self, small_splits):
+        # the pass draws every layer's mask at once; on a batch shorter than
+        # batch_size they are still the per-layer draws, in layer order
+        balanced, _, _ = small_splits
+        X = balanced.X[:37]
+        model = MlpModel(small_config(hidden_layers=3, dropout=0.3), seed=4)
+        tape = []
+        model._forward(X, make_rng(9), tape)
+        draws, keep = make_rng(9), 1.0 - model.config.dropout
+        masks = [mask for _, _, mask in tape[:-1]]
+        assert len(masks) == 3
+        for mask in masks:
+            u = draws.random((37, model.config.hidden_width))
+            assert mask.tobytes() == ((u < keep) * (1.0 / keep)).tobytes()
 
 
 class TestPrediction:

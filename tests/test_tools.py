@@ -1,4 +1,5 @@
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,22 @@ def test_bench_pairs_rejects_a_parent_without_the_benchmark(tmp_path):
     assert not (TOOL.parent.parent / "BENCH_x.json").exists()
 
 
+def test_source_digest_names_the_tree(tmp_path):
+    # the digest a BENCH file records for this checkout is the one
+    # criteria_seeds records for the package the tests import, and an edit
+    # to any source changes it
+    bench_pairs, criteria = load_tool("bench_pairs"), load_tool("criteria_seeds")
+    digest = bench_pairs.source_digest(bench_pairs.REPO)
+    assert criteria.source_digest(criteria.imported_checkout()) == digest
+    copy = tmp_path / "src" / "uqcurate"
+    shutil.copytree(bench_pairs.REPO / "src" / "uqcurate", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert bench_pairs.source_digest(tmp_path) == digest
+    with open(copy / "kernels.py", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert bench_pairs.source_digest(tmp_path) != digest
+
+
 def test_mutant_catalogue_is_sound_without_running_it():
     # every old text occurs once and every target names an existing unit
     # test; the training step's backward pass has its four mutants
@@ -52,6 +69,12 @@ def test_mutant_catalogue_is_sound_without_running_it():
             and any(t.startswith("tests/test_gradients.py") for t in m.tests)]
     assert {m.name for m in step} == {
         "sigma-chain-rule", "mu-relu-gate", "relu-gate", "dropout-mask-in-backward"}
+    # and the training loop has its four, each against the loop's oracle
+    training = [m for m in mutants.CATALOGUE
+                if m.tests == ("tests/test_models.py::TestTrainingOracle",)]
+    assert {m.name for m in training} == {
+        "no-epoch-shuffle", "tail-batch-dropped", "train-loss-per-full-batch",
+        "restore-only-on-patience"}
     # and the study summaries have theirs, each against the summary oracle
     summary = [m for m in mutants.CATALOGUE
                if all("::TestSummaryOracle::" in t for t in m.tests)]
@@ -65,13 +88,15 @@ def test_mutant_catalogue_is_sound_without_running_it():
         "round-set-unsorted", "tranche-rounded-down", "noisy-fraction-of-first-rows"}
     # and the selector's trace oracle, the uncertainty split, the growth
     # subsets, the loop's carve and eval stream, the shift study's noise and
-    # scoring, Adam, balancing, the report's tie rule and early stopping
+    # scoring, Adam, balancing, the report's tie rule, early stopping, the
+    # dropout masks' draw order and the cross-entropy's label column
     assert {m.name for m in mutants.CATALOGUE} >= {
         "n-ale-rounded-down", "n-ale-from-first-pool", "ties-not-by-id", "mi-unclamped",
         "sigma-bar-mean-of-sigma", "hetero-epi-sample-std", "growth-permutation-per-fraction",
         "carve-unshuffled", "one-eval-seed-for-every-round", "shift-one-noise-seed",
         "shift-vanilla-not-first-member", "adam-no-bias-correction",
-        "balance-with-replacement", "argmax-tie-to-class-1", "stop-on-train-loss"}
+        "balance-with-replacement", "argmax-tie-to-class-1", "stop-on-train-loss",
+        "masks-drawn-row-major", "xent-label-column-swapped"}
 
 
 def test_mutant_catalogue_reports_stale_old_texts(tmp_path):

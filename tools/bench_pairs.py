@@ -6,7 +6,9 @@ seed, one after the other; the side that runs first alternates from pair to
 pair, so a drift in host load falls on both sides alike.  The last line a
 run prints is its JSON verdict; the file keeps every run's verdict and, per
 workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the change won::
+number of pairs the change won.  Each side's env also holds the sha256 of
+the library sources it ran, ``source_digest``, so the file names both trees
+it measured::
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --label quadrature \\
         --workload compare --pairs 10 --seconds 30
@@ -18,6 +20,7 @@ Stdlib only; ``perfbench/`` is run, never changed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -25,6 +28,15 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def source_digest(root: Path) -> str:
+    """sha256 over the Python sources of ``root/src/uqcurate``, in name
+    order: the library a checkout at ``root`` runs."""
+    h = hashlib.sha256()
+    for path in sorted((root / "src" / "uqcurate").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -87,6 +99,8 @@ def main(argv=None) -> int:
     bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
+    roots = {"parent": parent, "change": REPO}
+    digests = {side: source_digest(root) for side, root in roots.items()}
     result = {"label": args.label, "seconds": args.seconds, "env": {}, "workloads": {}}
     for workload in args.workload or ["compare", "shift-homo", "select"]:
         pairs = []
@@ -95,9 +109,8 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                env, pair[side] = run_once(parent if side == "parent" else REPO,
-                                           workload, seed, args.seconds)
-                result["env"].setdefault(side, env)
+                env, pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                result["env"].setdefault(side, dict(env, source_digest=digests[side]))
             pairs.append(pair)
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics'].get('pass_cpu_s', {}).get('value')}"

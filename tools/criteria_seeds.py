@@ -24,7 +24,6 @@ at two jobs, growth 9 s and compare 75 s.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -36,6 +35,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 # after any PYTHONPATH entry, so a checkout named there wins over this one
 sys.path.append(str(REPO / "src"))
+sys.path.append(str(REPO / "tools"))
 
 import uqcurate  # noqa: E402
 from uqcurate.experiments import (  # noqa: E402
@@ -49,6 +49,7 @@ from uqcurate.experiments import (  # noqa: E402
     spec_from_mapping,
 )
 from uqcurate.metrics import mann_whitney_u, spearman_rho  # noqa: E402
+from bench_pairs import source_digest  # noqa: E402
 
 PROFILE = "standard-synthetic"
 # criterion 7 reads the selectors at round 4, 40% of the pool picked
@@ -153,12 +154,9 @@ def run_seed(seed: int, criteria: list[int]) -> dict:
     return {str(c): out[c]._asdict() for c in criteria}
 
 
-def source_digest() -> str:
-    """sha256 over the imported package's Python sources, in name order."""
-    h = hashlib.sha256()
-    for path in sorted(Path(uqcurate.__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
+def imported_checkout() -> Path:
+    """Root of the checkout whose ``src/`` the package was imported from."""
+    return Path(uqcurate.__file__).resolve().parents[2]
 
 
 def parse_seeds(raw: str) -> list[int]:
@@ -196,7 +194,7 @@ def main(argv=None) -> int:
     result = {
         "label": args.label,
         "profile": PROFILE,
-        "source_digest": source_digest(),
+        "source_digest": source_digest(imported_checkout()),
         "jobs": os.environ.get("UQCURATE_JOBS", "1"),
         "seeds": seeds,
         "held": {str(c): sum(by_seed[str(s)][str(c)]["holds"] for s in seeds)

@@ -35,6 +35,7 @@ DUAL_HEAD_GRADIENTS = (f"{GRADIENTS}::test_dual_head_full_stack",
                        f"{GRADIENTS}::test_dual_head_without_dropout",
                        f"{GRADIENTS}::test_dual_head_wider_batch")
 BEST_EPOCH = "tests/test_models.py::TestTraining::test_patience_stop_restores_the_best_epoch"
+TRAIN_ORACLE = "tests/test_models.py::TestTrainingOracle"
 EXPERIMENTS = "src/uqcurate/experiments.py"
 SUMMARY_ORACLE = "tests/test_experiments.py::TestSummaryOracle::test_every_summary_column"
 SHIFT = "tests/test_experiments.py::TestShift"
@@ -61,14 +62,37 @@ CATALOGUE = (
     Mutant("mu-relu-gate", MODELS,
            "dmu * (mu_pre > 0.0), h)", "dmu, h)", DUAL_HEAD_GRADIENTS),
     Mutant("relu-gate", MODELS,
-           "            dz *= z > 0.0\n", "",
+           "            dh *= z > 0.0\n", "",
            (f"{GRADIENTS}::test_single_head_full_stack",
             f"{GRADIENTS}::test_single_head_without_dropout",
             *DUAL_HEAD_GRADIENTS)),
     Mutant("dropout-mask-in-backward", MODELS,
-           "dz = dh if mask is None else dh * mask", "dz = dh",
+           "            if mask is not None:\n                dh *= mask\n", "",
            (f"{GRADIENTS}::test_single_head_full_stack",
             f"{GRADIENTS}::test_dual_head_full_stack")),
+    # one draw holds every layer's dropout mask, layer by layer
+    Mutant("masks-drawn-row-major", MODELS,
+           "(len(self.hidden), X.shape[0], self.config.hidden_width))\n"
+           "        h = X\n        for k, lin in enumerate(self.hidden):\n"
+           "            mask = None if masks is None else masks[k]\n",
+           "(X.shape[0], len(self.hidden), self.config.hidden_width))\n"
+           "        h = X\n        for k, lin in enumerate(self.hidden):\n"
+           "            mask = None if masks is None else masks[:, k]\n",
+           ("tests/test_models.py::TestTrainBatch::test_tape_masks_are_the_layer_by_layer_draws",)),
+    # the training loop, against its oracle: a shuffle per epoch, the tail
+    # batch, the row-weighted train loss and the best epoch restored however
+    # training ends
+    Mutant("no-epoch-shuffle", MODELS,
+           "order = rng.permutation(n)", "order = np.arange(n)", (TRAIN_ORACLE,)),
+    Mutant("tail-batch-dropped", MODELS,
+           "for start in range(0, n, cfg.batch_size):",
+           "for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):", (TRAIN_ORACLE,)),
+    Mutant("train-loss-per-full-batch", MODELS,
+           "total += loss * idx.shape[0]", "total += loss * cfg.batch_size", (TRAIN_ORACLE,)),
+    Mutant("restore-only-on-patience", MODELS,
+           "                break\n\n    model.flat_params[...] = best_weights\n",
+           "                model.flat_params[...] = best_weights\n                break\n\n",
+           (TRAIN_ORACLE,)),
     # early stopping
     Mutant("best-weights-not-copied", MODELS,
            "best_weights = model.flat_params.copy()", "best_weights = model.flat_params",
@@ -172,6 +196,10 @@ CATALOGUE = (
     Mutant("hetero-epi-sample-std", UQ,
            "s_epi = mu.std(axis=-2)", "s_epi = mu.std(axis=-2, ddof=1)",
            ("tests/test_uq.py::TestHeteroDecompose::test_matches_adaptive_quadrature",)),
+    # the single head's loss reads p at the label's column
+    Mutant("xent-label-column-swapped", "src/uqcurate/kernels.py",
+           "np.where(hot, probs[:, 1], probs[:, 0])", "np.where(hot, probs[:, 0], probs[:, 1])",
+           ("tests/test_kernels.py::test_softmax_xent_matches_naive",)),
     # the dual head's class-0 probability takes the far branch where d >= 0
     Mutant("quadrature-branch", "src/uqcurate/kernels.py",
            "np.copyto(near, far, where=pos)", "np.copyto(near, far, where=~pos)",
