@@ -444,14 +444,12 @@ def _write_wide_f1(result: ExperimentResult, out_dir) -> None:
     """Per-rep F1 with one column per selector, for rank-test reporting."""
     spec = result.spec
     path = os.path.join(out_dir, f"compare_f1_by_selector_{spec.digest()}.csv")
+    keys = ["round", "fraction_added", "rep"]
     keyed = {}
     for r in result.run_rows:
-        keyed.setdefault((r["round"], r["fraction_added"], r["rep"]), {})[r["selector"]] = r["f1"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "fraction_added", "rep", *spec.selectors])
-        for (rnd, frac, rep), cols in sorted(keyed.items()):
-            writer.writerow([rnd, repr(frac), rep] + [repr(cols[s]) for s in spec.selectors])
+        keyed.setdefault(tuple(r[k] for k in keys), {})[r["selector"]] = r["f1"]
+    rows = [dict(zip(keys, key), **cols) for key, cols in sorted(keyed.items())]
+    write_rows_csv(rows, keys + list(spec.selectors), path)
     result.outputs["wide_f1_csv"] = path
 
 

@@ -69,7 +69,7 @@ SIGMA_FLOOR = 1e-12  # additive floor keeps sigma strictly positive
 
 N_CLASSES = 2
 
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 
 @dataclass
@@ -114,12 +114,12 @@ def _dual_head(mu_pre: Array, sigma_pre: Array) -> tuple[Array, Array]:
 
 
 class MlpModel:
-    """Fixed-architecture MLP; weights are immutable once training returns."""
+    """Fixed-architecture MLP; weights are immutable once training returns.
+    It is trained exactly when ``history``, its fit's one record, is nonempty."""
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         self.seed = int(seed)
-        self.trained = False
         self.history: list[EpochRecord] = []
         rng = make_rng(self.seed)
         self.hidden: list[LinearLayer] = []
@@ -141,6 +141,10 @@ class MlpModel:
             stop = start + layer.size
             layer.bind(self.flat_params[start:stop], self.flat_grads[start:stop])
             start = stop
+
+    @property
+    def trained(self) -> bool:
+        return bool(self.history)
 
     def _forward(self, X: Array, rng: np.random.Generator | None = None,
                  tape: list | None = None) -> list[Array]:
@@ -229,8 +233,8 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
     """Adam training with early stopping on validation loss.
 
     Stops after ``patience`` epochs without improvement or at ``max_epochs``;
-    the weights of the best-validation epoch are restored.  The full
-    per-epoch history stays on the model.
+    the best-validation epoch's weights are restored, and only then is the
+    per-epoch history set on the model (a fit that raises sets none).
     """
     cfg = model.config
     X_train = np.asarray(X_train, dtype=np.float64)
@@ -253,7 +257,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
     best_loss = np.inf
     best_weights = None
     epochs_since_best = 0
-    model.history = []
+    history = []
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
@@ -269,7 +273,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
         val_loss = model.evaluate_loss(X_val, y_val)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
-        model.history.append(EpochRecord(epoch, train_loss, val_loss))
+        history.append(EpochRecord(epoch, train_loss, val_loss))
         if val_loss < best_loss:
             best_loss = val_loss
             best_weights = model.flat_params.copy()
@@ -280,8 +284,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
                 break
 
     model.flat_params[...] = best_weights
-    model.best_val_loss = float(best_loss)
-    model.trained = True
+    model.history = history
     return model
 
 
@@ -315,8 +318,6 @@ def train_ensemble(config: ModelConfig, n_members: int,
                    X_train: Array, y_train: Array, X_val: Array, y_val: Array,
                    seed: int) -> Ensemble:
     """Train ``n_members`` models with independent seeds spawned from ``seed``."""
-    if n_members < 1:
-        raise ConfigError("n_members must be >= 1")
     members = []
     for member_seed in spawn_seeds(seed, n_members):
         model = MlpModel(config, seed=member_seed)
@@ -466,22 +467,11 @@ def hetero_raw_outputs(model_or_ensemble, X: Array, n_passes: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _model_arrays(model: MlpModel, prefix: str) -> dict[str, Array]:
-    arrays = {}
-    layers = model.hidden + model.heads
-    for i, layer in enumerate(layers):
-        arrays[f"{prefix}layer{i}_w"] = layer.w
-        arrays[f"{prefix}layer{i}_b"] = layer.b
-    return arrays
-
-
 def _model_meta(model: MlpModel) -> dict:
     return {
         "config": asdict(model.config),
         "seed": model.seed,
-        "trained": model.trained,
         "history": [[r.epoch, r.train_loss, r.val_loss] for r in model.history],
-        "best_val_loss": getattr(model, "best_val_loss", None),
     }
 
 
@@ -489,15 +479,17 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# what each member meta value must be (only best_val_loss may be absent)
+def _is_finite(value) -> bool:
+    return _is_real(value) and abs(value) < math.inf  # no float cast: an int may pass its range
+
+
+# what each member meta value must be; the history carries the trained state
 _MEMBER_META = {
     "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
-    "trained": (lambda v: isinstance(v, bool), "true or false"),
     "history": (lambda v: isinstance(v, list) and all(
         isinstance(r, list) and len(r) == 3 and type(r[0]) is int
-        and _is_real(r[1]) and _is_real(r[2]) for r in v),
-        "a list of [epoch, train_loss, val_loss] rows"),
-    "best_val_loss": (lambda v: v is None or _is_real(v), "a number or null"),
+        and _is_finite(r[1]) and _is_finite(r[2]) for r in v),
+        "a list of [epoch, train_loss, val_loss] rows with finite losses"),
 }
 
 
@@ -519,65 +511,60 @@ def _restore_config(config) -> ModelConfig:
                 f"checkpoint member config {f.name!r} must be {kind}, got {config[f.name]!r}")
     try:
         return ModelConfig(**config)
-    except (TypeError, ConfigError) as exc:  # a key ModelConfig lacks or needs, or a bad value
+    # a key ModelConfig lacks or needs, a bad value, or an int past float range
+    except (TypeError, OverflowError, ConfigError) as exc:
         raise DataFormatError(f"checkpoint member config does not fit ModelConfig: {exc}") from exc
 
 
-def _restore_model(meta: dict, arrays: dict[str, Array], prefix: str) -> MlpModel:
+def _restore_model(meta: dict, arrays, key: str) -> MlpModel:
     if not isinstance(meta, dict) or "config" not in meta:
         raise DataFormatError("checkpoint member meta has no 'config'")
-    for key, (valid, kind) in _MEMBER_META.items():
-        if not valid(meta.get(key)):
+    for name, (valid, kind) in _MEMBER_META.items():
+        if not valid(meta.get(name)):
             raise DataFormatError(
-                f"checkpoint member {key!r} must be {kind}, got {meta.get(key)!r}")
+                f"checkpoint member {name!r} must be {kind}, got {meta.get(name)!r}")
     config = _restore_config(meta["config"])
+    # the length of the config's vector, so that no model is built before its
+    # array fits: every hidden layer's w and b, then the heads'
+    width, heads = config.hidden_width, N_CLASSES * (1 if config.head == HOMOSCEDASTIC else 2)
+    size = width * (config.input_dim + (config.hidden_layers - 1) * (width + 1) + 1 + heads) + heads
+    try:
+        value = arrays[key]
+    except (KeyError, ValueError):  # no such array, or an object array, which needs pickle
+        raise DataFormatError(f"checkpoint has no readable array {key!r}") from None
+    if (value.shape != (size,) or not np.issubdtype(value.dtype, np.floating)
+            or not np.isfinite(value).all()):
+        raise DataFormatError(
+            f"checkpoint array {key!r} must hold the config's {size} finite real floats, "
+            f"got shape {value.shape} and dtype {value.dtype}")
     model = MlpModel(config, seed=meta["seed"])
-    layers = model.hidden + model.heads
-    for i, layer in enumerate(layers):
-        for name, target in (("w", layer.w), ("b", layer.b)):
-            key = f"{prefix}layer{i}_{name}"
-            if key not in arrays:
-                raise DataFormatError(f"checkpoint has no array {key!r}")
-            value = arrays[key]
-            if value.shape != target.shape:
-                raise DataFormatError(
-                    f"checkpoint array {key!r} has shape {value.shape}, the config "
-                    f"needs {target.shape}"
-                )
-            if not np.issubdtype(value.dtype, np.floating) or not np.isfinite(value).all():
-                raise DataFormatError(
-                    f"checkpoint array {key!r} must hold finite real floats, got "
-                    f"dtype {value.dtype}"
-                )
-            target[...] = value  # write into the view; the flat buffer stays shared
-    model.trained = meta["trained"]
+    model.flat_params[...] = value  # into the buffer that every layer views
     model.history = [EpochRecord(e, tl, vl) for e, tl, vl in meta["history"]]
-    if meta.get("best_val_loss") is not None:
-        model.best_val_loss = meta["best_val_loss"]
     return model
 
 
 def save_checkpoint(fitted, path) -> None:
     """Write an ``MlpModel`` or an ``Ensemble`` to ``path`` as one npz file:
-    a JSON meta ``{"ensemble": bool, "members": [...]}`` and the arrays
-    ``m{t}_layer{i}_{w,b}`` of member t (a single model is member 0)."""
+    a JSON meta ``{"ensemble": bool, "members": [...]}`` with each member's
+    ``{config, seed, history}``, and the ``flat_params`` of member t (a
+    single model is member 0) as ``m{t}_params``.  ``train_model`` sets a
+    history only when it returns, so it records whether a member is trained."""
     is_ensemble = isinstance(fitted, Ensemble)
     members = fitted.members if is_ensemble else [fitted]
-    arrays = {}
-    for t, m in enumerate(members):
-        arrays.update(_model_arrays(m, prefix=f"m{t}_"))
     meta = {"ensemble": is_ensemble, "members": [_model_meta(m) for m in members]}
     np.savez(
         path,
         format_version=np.int64(CHECKPOINT_FORMAT),
         meta=json.dumps(meta),
-        **arrays,
+        **{f"m{t}_params": m.flat_params for t, m in enumerate(members)},
     )
 
 
 def load_checkpoint(path):
-    """The ``MlpModel`` or ``Ensemble`` that ``save_checkpoint`` wrote; a
-    file that is no checkpoint raises ``DataFormatError``."""
+    """The ``MlpModel`` or ``Ensemble`` that ``save_checkpoint`` wrote, each
+    member trained exactly when its stored history is nonempty; a file of
+    another format version raises ``ConfigError``, and a file that is no
+    checkpoint ``DataFormatError``."""
     with open(path, "rb") as fh:  # np.load leaves a path it opened open when it fails
         try:
             npz = np.load(fh, allow_pickle=False)
@@ -603,5 +590,5 @@ def load_checkpoint(path):
             raise DataFormatError(
                 f"{path} meta needs 'ensemble' and a nonempty 'members' list "
                 "(one member unless 'ensemble' is true)")
-        members = [_restore_model(m, npz, prefix=f"m{t}_") for t, m in enumerate(metas)]
+        members = [_restore_model(m, npz, f"m{t}_params") for t, m in enumerate(metas)]
     return Ensemble(members=members) if is_ensemble else members[0]

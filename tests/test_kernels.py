@@ -363,3 +363,44 @@ def test_zero_one_labels_of_any_dtype_accepted(labels):
     assert kernels.softmax_xent(_Z, labels)[0] == pytest.approx(math.log(2.0))
     assert kernels.gaussian_logit_nll(_Z, np.ones((2, 2)), labels)[0] == pytest.approx(
         math.log(2.0))
+
+
+_LABEL_DTYPES = (np.bool_, np.int8, np.int32, np.int64, np.uint8, np.uint64, np.float32,
+                 np.float64)
+_LABEL_VALUES = (-1, 0, 1, 2, 0.5, math.nan)
+
+
+def _stored_exactly(value, dtype) -> bool:
+    """Whether an array of ``dtype`` holds ``value`` as it is, so that no
+    cast turns a bad label into 0 or 1 before the kernel sees it."""
+    kind = np.dtype(dtype).kind
+    if kind == "f":
+        return True
+    if value != value or value != int(value):  # nan or a fraction
+        return False
+    return value in (0, 1) if kind == "b" else not (kind == "u" and value < 0)
+
+
+@st.composite
+def _label_arrays(draw):
+    dtype = draw(st.sampled_from(_LABEL_DTYPES))
+    values = [v for v in _LABEL_VALUES if _stored_exactly(v, dtype)]
+    return np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=6)), dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_label_arrays())
+def test_labels_of_any_dtype_are_checked_by_value(labels):
+    # a label that is not 0 or 1 raises, whatever its dtype; any other label
+    # array gives the bytes of the same labels as int64
+    n = labels.shape[0]
+    rng = np.random.default_rng(n)
+    mu, sigma = rng.standard_normal((n, 2)) * 3, rng.uniform(0.1, 2.0, (n, 2))
+    bad = not all(v in (0, 1) for v in labels.tolist())
+    for kernel, args in ((kernels.softmax_xent, (mu,)), (kernels.gaussian_logit_nll, (mu, sigma))):
+        if bad:
+            with pytest.raises(DomainError, match="labels must be 0 or 1"):
+                kernel(*args, labels)
+        else:
+            got, want = kernel(*args, labels), kernel(*args, labels.astype(np.int64))
+            assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import train_oracle
 from uqcurate.data import SplitSpec, split, undersample_balance
-from uqcurate.errors import ConfigError, DataFormatError, ModelStateError
+from uqcurate.errors import ConfigError, DataFormatError, DivergenceError, ModelStateError
 from uqcurate import kernels
 from uqcurate.kernels import ROW_BLOCK
 from uqcurate.models import (
@@ -118,13 +122,35 @@ class TestTraining:
             np.testing.assert_array_equal(a, b)
 
     def test_checkpoint_has_minimal_val_loss(self, small_splits):
+        # the best validation loss is the history's minimum, not a second
+        # record of it, and the restored weights reproduce it
         model = fit_small("homo", splits=small_splits)
         balanced, val, _ = small_splits
-        recorded = [r.val_loss for r in model.history]
-        assert model.best_val_loss == min(recorded)
-        # restored weights reproduce the recorded best loss
+        assert not hasattr(model, "best_val_loss")
         eval_now = model.evaluate_loss(val.X, val.y)
-        assert eval_now == pytest.approx(model.best_val_loss, rel=1e-9)
+        assert eval_now == pytest.approx(min(r.val_loss for r in model.history), rel=1e-9)
+
+    def test_divergence_leaves_the_model_untrained(self, small_splits, monkeypatch):
+        # the history is set only when training returns, so a fit that
+        # raises at epoch 2 leaves no record and a model that cannot predict
+        balanced, val, _ = small_splits
+        model = MlpModel(small_config("homo", max_epochs=10), seed=11)
+        losses = iter([0.7, 0.6, math.nan])
+        monkeypatch.setattr(model, "evaluate_loss", lambda X, y: next(losses))
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            train_model(model, balanced.X, balanced.y, val.X, val.y)
+        assert not model.trained and model.history == []
+        with pytest.raises(ModelStateError):
+            predict_samples(model, val.X)
+
+    def test_trained_cannot_be_assigned(self, small_splits):
+        # it reads the history, the one record of a fit
+        model = MlpModel(small_config(), seed=1)
+        with pytest.raises(AttributeError):
+            model.trained = True
+        assert not model.trained
+        fitted = fit_small("homo", splits=small_splits, max_epochs=2)
+        assert fitted.trained and len(fitted.history) == 2
 
     def test_patience_stop_restores_the_best_epoch(self, small_splits):
         # the best epoch is not the last, so the restored weights must be a
@@ -604,6 +630,21 @@ class TestSerialization:
             for key in a.files:
                 np.testing.assert_array_equal(a[key], b[key])
 
+    def test_each_member_is_one_parameter_vector(self, fitted, tmp_path):
+        # m{t}_params is member t's flat_params: every layer's w row-major,
+        # then its b, in layer order
+        path = tmp_path / "a.npz"
+        save_checkpoint(fitted["ensemble"], path)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["format_version", "m0_params", "m1_params",
+                                         "m2_params", "meta"]
+            assert int(npz["format_version"]) == 5
+            meta = json.loads(str(npz["meta"]))
+            for t, member in enumerate(fitted["ensemble"].members):
+                layers = np.concatenate([a.reshape(-1) for a in layer_arrays(member, "w", "b")])
+                assert npz[f"m{t}_params"].tobytes() == layers.tobytes()
+                assert sorted(meta["members"][t]) == ["config", "history", "seed"]
+
     def test_weights_and_gradients_share_one_buffer_each(self, fitted, tmp_path):
         model = fitted["mc-dropout-hetero"]
         for names, buffer in ((("w", "b"), model.flat_params),
@@ -628,8 +669,8 @@ class TestSerialization:
     def test_wrong_array_shape_rejected(self, fitted, tmp_path):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
         save_checkpoint(fitted["vanilla"], good)
-        self._rewrite(good, bad, m0_layer0_w=np.zeros((7, 7)))
-        with pytest.raises(DataFormatError, match="m0_layer0_w"):
+        self._rewrite(good, bad, m0_params=np.zeros((7, 7)))
+        with pytest.raises(DataFormatError, match="m0_params"):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("make", [
@@ -638,23 +679,24 @@ class TestSerialization:
         lambda w: np.ones(w.shape, dtype=np.int64),
         lambda w: w + 1j,  # loaded as is, the imaginary part would be dropped
         lambda w: np.full(w.shape, np.nan),
-    ], ids=["str", "bool", "int64", "complex", "nan"])
+        lambda w: w.astype(object),  # np.load reads it only with pickle, which it refuses
+    ], ids=["str", "bool", "int64", "complex", "nan", "object"])
     def test_weights_that_are_no_finite_real_floats_rejected(self, fitted, tmp_path, make):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
         save_checkpoint(fitted["vanilla"], good)
         with np.load(good) as npz:
-            value = make(npz["m0_layer0_w"])
-        self._rewrite(good, bad, m0_layer0_w=value)
-        with pytest.raises(DataFormatError, match="m0_layer0_w"):
+            value = make(npz["m0_params"])
+        self._rewrite(good, bad, m0_params=value)
+        with pytest.raises(DataFormatError, match="m0_params"):
             load_checkpoint(bad)
 
     def test_missing_array_rejected(self, fitted, tmp_path):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
         save_checkpoint(fitted["ensemble"], good)
         with np.load(good) as npz:
-            arrays = {key: npz[key] for key in npz.files if key != "m2_layer1_b"}
+            arrays = {key: npz[key] for key in npz.files if key != "m2_params"}
         np.savez(bad, **arrays)
-        with pytest.raises(DataFormatError, match="m2_layer1_b"):
+        with pytest.raises(DataFormatError, match="m2_params"):
             load_checkpoint(bad)
 
     def test_format_1_file_rejected(self, fitted, tmp_path):
@@ -666,6 +708,22 @@ class TestSerialization:
         path = tmp_path / "old.npz"
         np.savez(path, format_version=np.int64(1),
                  meta=json.dumps({"config": {}, "seed": model.seed}), **arrays)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
+
+    def test_format_4_file_rejected(self, fitted, tmp_path):
+        # the format-4 layout: per-layer arrays, and members that stored
+        # 'trained' and 'best_val_loss' beside their history
+        model = fitted["vanilla"]
+        arrays = {f"m0_layer{i}_{name}": getattr(layer, name)
+                  for i, layer in enumerate(model.hidden + model.heads)
+                  for name in ("w", "b")}
+        member = {"config": dataclasses.asdict(model.config), "seed": model.seed,
+                  "trained": True, "best_val_loss": 0.5,
+                  "history": [[r.epoch, r.train_loss, r.val_loss] for r in model.history]}
+        path = tmp_path / "old.npz"
+        np.savez(path, format_version=np.int64(4),
+                 meta=json.dumps({"ensemble": False, "members": [member]}), **arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version"):
             load_checkpoint(path)
 
@@ -729,20 +787,36 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="learning_rate"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_width", 2**40), ("hidden_layers", 10**12), ("input_dim", 10**400),
+    ], ids=["hidden-width", "hidden-layers", "input-dim-past-float-range"])
+    def test_config_that_sizes_another_vector_rejected_before_the_build(
+            self, fitted, tmp_path, key, value):
+        # the array is checked against the config's vector length first, so a
+        # config of a huge model allocates nothing
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_checkpoint(fitted["vanilla"], good)
+        with np.load(good) as npz:
+            meta = json.loads(str(npz["meta"]))
+        meta["members"][0]["config"][key] = value
+        self._rewrite(good, bad, meta=json.dumps(meta))
+        with pytest.raises(DataFormatError, match="m0_params"):
+            load_checkpoint(bad)
+
     @pytest.mark.parametrize("edit, key", [
         (lambda member: member["config"].update(bogus=1), "bogus"),
         (lambda member: member.pop("config"), "config"),
         (lambda member: member.pop("seed"), "seed"),
         (lambda member: member.update(seed="abc"), "seed"),
         (lambda member: member.update(history=[[1, 2]]), "history"),
-        (lambda member: member.update(trained="yes"), "trained"),
-        (lambda member: member.update(best_val_loss="x"), "best_val_loss"),
+        (lambda member: member["history"][0].__setitem__(2, math.nan), "history"),
+        (lambda member: member["history"][-1].__setitem__(1, math.inf), "history"),
         (lambda member: member["config"].update(input_dim=3.0), "input_dim"),
         (lambda member: member["config"].update(hidden_width=4.0), "hidden_width"),
         (lambda member: member["config"].update(head=1), "head"),
         (lambda member: member["config"].update(batch_size=2.5), "batch_size"),
     ], ids=["unknown-config-key", "no-config", "no-seed", "seed-not-int",
-            "history-row-too-short", "trained-not-bool", "best-val-loss-not-number",
+            "history-row-too-short", "history-nan-val-loss", "history-inf-train-loss",
             "input-dim-float", "hidden-width-float", "head-not-str", "batch-size-float"])
     def test_bad_member_meta_rejected(self, fitted, tmp_path, edit, key):
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
@@ -753,3 +827,84 @@ class TestSerialization:
         self._rewrite(good, bad, meta=json.dumps(meta))
         with pytest.raises(DataFormatError, match=f"'{key}'"):
             load_checkpoint(bad)
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint error contract, over generated member metas and arrays
+# ---------------------------------------------------------------------------
+
+# every kind of JSON value, nested a little, and as often one of the values
+# a loader is most likely to mishandle: ints of sizes no model could have or
+# past the float range, and floats that are not finite
+_JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, -1, 0, 2**40, 10**400, math.nan, -math.inf, "x", [], {}]),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                     inner, max_size=3),
+        max_leaves=6))
+_MEMBER_KEYS = ("config", "seed", "history")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+_ARRAY_DTYPES = (np.bool_, np.int8, np.int64, np.uint8, np.float16, np.float32, np.float64,
+                 np.complex128, np.dtype("U3"), np.dtype("S3"))
+# what a drawn edit rewrites: the member's params array, one of its meta keys
+# (dropped, or set), an unknown meta key, or one config field
+_TARGETS = ("array", "drop", "unknown-key", *_MEMBER_KEYS, *(f"config.{k}" for k in _CONFIG_KEYS))
+
+
+def _draw_edit(data, target: str, meta: dict, arrays: dict, n_params: int) -> None:
+    """Rewrite member t's meta (in place) or ``m{t}_params`` (in ``arrays``)."""
+    t = data.draw(st.integers(0, len(meta["members"]) - 1))
+    member = meta["members"][t]
+    if target == "array":
+        shape = data.draw(st.one_of(
+            st.just((n_params,)), hnp.array_shapes(min_dims=0, max_dims=3, max_side=n_params + 1)))
+        arrays[f"m{t}_params"] = data.draw(hnp.arrays(st.sampled_from(_ARRAY_DTYPES), shape))
+    elif target == "drop":
+        member.pop(data.draw(st.sampled_from(_MEMBER_KEYS)))
+    elif target == "unknown-key":
+        member[data.draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: k not in _MEMBER_KEYS))] = data.draw(_JSON_VALUES)
+    elif target.startswith("config."):
+        member["config"][target[len("config."):]] = data.draw(_JSON_VALUES)
+    else:
+        member[target] = data.draw(_JSON_VALUES)
+
+
+class TestCheckpointProperty:
+    """A rewritten member meta or array either loads or raises one of the two
+    documented errors; nothing else escapes ``load_checkpoint``."""
+
+    @pytest.fixture(scope="class")
+    def good(self, small_splits, tmp_path_factory):
+        balanced, val, _ = small_splits
+        cfg = small_config("hetero", input_dim=10, hidden_layers=1, hidden_width=4, max_epochs=2)
+        ensemble = train_ensemble(cfg, 2, balanced.X, balanced.y, val.X, val.y, 3)
+        path = tmp_path_factory.mktemp("ckpt") / "good.npz"
+        save_checkpoint(ensemble, path)
+        with np.load(path) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        return path.parent, arrays, ensemble.members[0].flat_params.size
+
+    @pytest.mark.parametrize("target", _TARGETS)
+    def test_load_returns_or_raises_a_documented_error(self, good, target):
+        workdir, arrays, n_params = good
+
+        @given(st.data())
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(data):
+            meta, changed = json.loads(str(arrays["meta"])), dict(arrays)
+            _draw_edit(data, target, meta, changed, n_params)
+            path = workdir / "edited.npz"
+            np.savez(path, **dict(changed, meta=json.dumps(meta)))
+            try:
+                loaded = load_checkpoint(path)
+            except (DataFormatError, ConfigError):
+                return
+            for model in loaded.members:
+                assert model.trained == bool(model.history)
+                if not model.history:
+                    with pytest.raises(ModelStateError):
+                        predict_samples(model, np.zeros((1, model.config.input_dim)))
+
+        check()

@@ -1,3 +1,4 @@
+import json
 import re
 import shutil
 import subprocess
@@ -89,14 +90,15 @@ def test_mutant_catalogue_is_sound_without_running_it():
     # and the selector's trace oracle, the uncertainty split, the growth
     # subsets, the loop's carve and eval stream, the shift study's noise and
     # scoring, Adam, balancing, the report's tie rule, early stopping, the
-    # dropout masks' draw order and the cross-entropy's label column
+    # dropout masks' draw order, the cross-entropy's label column and the
+    # history set only when training returns
     assert {m.name for m in mutants.CATALOGUE} >= {
         "n-ale-rounded-down", "n-ale-from-first-pool", "ties-not-by-id", "mi-unclamped",
         "sigma-bar-mean-of-sigma", "hetero-epi-sample-std", "growth-permutation-per-fraction",
         "carve-unshuffled", "one-eval-seed-for-every-round", "shift-one-noise-seed",
         "shift-vanilla-not-first-member", "adam-no-bias-correction",
         "balance-with-replacement", "argmax-tie-to-class-1", "stop-on-train-loss",
-        "masks-drawn-row-major", "xent-label-column-swapped"}
+        "masks-drawn-row-major", "xent-label-column-swapped", "history-bound-before-training"}
 
 
 def test_mutant_catalogue_reports_stale_old_texts(tmp_path):
@@ -127,6 +129,36 @@ def test_criteria_seeds_parses_seed_lists():
     assert criteria.parse_seeds("9, 1-3,2") == [1, 2, 3, 9]
     with pytest.raises(ValueError):
         criteria.parse_seeds("-1")
+
+
+def _criteria_file(path, held_at: dict, seeds) -> Path:
+    """A CRITERIA file: each criterion holds at the seeds ``held_at`` lists."""
+    path.write_text(json.dumps({
+        "seeds": list(seeds),
+        "held": {c: len(ok) for c, ok in held_at.items()},
+        "by_seed": {str(s): {c: {"holds": s in ok} for c, ok in held_at.items()}
+                    for s in seeds}}), encoding="utf-8")
+    return path
+
+
+def test_criteria_diff_prints_the_flipped_seeds(tmp_path, capsys):
+    # criterion 6 is in one file only, so it has no line; a seed that only
+    # one file ran is not a flip
+    criteria = load_tool("criteria_seeds")
+    old = _criteria_file(tmp_path / "old.json", {"4": {1, 2, 3}, "7": {1, 2}, "6": {1}}, (1, 2, 3))
+    new = _criteria_file(tmp_path / "new.json", {"4": {1, 2, 3}, "7": {1, 3, 4}}, (1, 2, 3, 4))
+    assert criteria.main(["--diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 4: held 3/3 -> 3/4; failed -> held at seeds none; "
+        "held -> failed at seeds none",
+        "criterion 7: held 2/3 -> 3/4; failed -> held at seeds 3; held -> failed at seeds 2"]
+    # the two committed tables of the round-order change: criterion 7's
+    # failing seeds moved from {2, 9} to {6, 11}
+    repo = criteria.REPO
+    assert criteria.diff_lines(*(json.loads((repo / f"CRITERIA_{label}.json").read_text())
+                                 for label in ("one_shift_fit", "sorted_rounds"))) == [
+        "criterion 7: held 10/12 -> 10/12; failed -> held at seeds 2, 9; "
+        "held -> failed at seeds 6, 11"]
 
 
 def _shift_rows(ensemble, vanilla):

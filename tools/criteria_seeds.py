@@ -11,11 +11,14 @@ them.
 
     python3 tools/criteria_seeds.py --label NAME --seeds 1-12
     python3 tools/criteria_seeds.py --label NAME --seeds 1-12 --criteria 4,5
+    python3 tools/criteria_seeds.py --diff OLD.json NEW.json
 
 The file holds, per seed and criterion, whether the condition held, its
 signed margins (positive or zero when it held) and the acceptance line,
 and per criterion the number of seeds it held at.  ``UQCURATE_JOBS`` sets
-the worker processes of each study, as for the CLI.  To measure another
+the worker processes of each study, as for the CLI.  ``--diff`` runs
+nothing: for each criterion both files hold, it prints how many seeds it
+held at in each, then the seeds whose verdict flipped.  To measure another
 checkout's library, put its ``src/`` first on ``PYTHONPATH``; the file
 records a digest of the package's source.  Shift costs about 20 s a seed
 at two jobs, growth 9 s and compare 75 s.
@@ -168,13 +171,37 @@ def parse_seeds(raw: str) -> list[int]:
     return sorted(seeds)
 
 
+def diff_lines(old: dict, new: dict) -> list[str]:
+    """One line per criterion that both ``CRITERIA_*.json`` files hold: the
+    seeds it held at in each, then the seeds, among those both ran, whose
+    verdict flipped to held and to failed."""
+    common = sorted(set(old["seeds"]) & set(new["seeds"]))
+    lines = []
+    for c in sorted(old["held"].keys() & new["held"].keys(), key=int):
+        now = {s: new["by_seed"][str(s)][c]["holds"] for s in common}
+        flipped = [s for s in common if old["by_seed"][str(s)][c]["holds"] != now[s]]
+        seeds = lambda held: ", ".join(str(s) for s in flipped if now[s] == held) or "none"
+        lines.append(f"criterion {c}: held {old['held'][c]}/{len(old['seeds'])} -> "
+                     f"{new['held'][c]}/{len(new['seeds'])}; failed -> held at seeds "
+                     f"{seeds(True)}; held -> failed at seeds {seeds(False)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="the file is CRITERIA_<label>.json")
+    parser.add_argument("--label", help="the file is CRITERIA_<label>.json")
     parser.add_argument("--seeds", default="1-12", help="spec seeds, e.g. 1-12 or 3,7 (default 1-12)")
     parser.add_argument("--criteria", default="4,5,6,7",
                         help="a subset of 4,5,6,7 (default: all four)")
+    parser.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="print the verdicts that differ between two CRITERIA files")
     args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (json.loads(p.read_text(encoding="utf-8")) for p in args.diff)
+        print("\n".join(diff_lines(old, new)))
+        return 0
+    if not args.label:
+        parser.error("--label is required unless --diff is given")
     try:
         seeds = parse_seeds(args.seeds)
         criteria = sorted({int(c) for c in args.criteria.split(",")})

@@ -93,6 +93,11 @@ CATALOGUE = (
            "                break\n\n    model.flat_params[...] = best_weights\n",
            "                model.flat_params[...] = best_weights\n                break\n\n",
            (TRAIN_ORACLE,)),
+    # a fit's record is set only when training returns, so a fit that raises
+    # leaves the model untrained
+    Mutant("history-bound-before-training", MODELS,
+           "history = []", "history = model.history = []",
+           ("tests/test_models.py::TestTraining::test_divergence_leaves_the_model_untrained",)),
     # early stopping
     Mutant("best-weights-not-copied", MODELS,
            "best_weights = model.flat_params.copy()", "best_weights = model.flat_params",
