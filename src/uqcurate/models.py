@@ -33,6 +33,7 @@ import math
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -113,34 +114,47 @@ def _dual_head(mu_pre: Array, sigma_pre: Array) -> tuple[Array, Array]:
     return relu(mu_pre), softplus(sigma_pre) + SIGMA_FLOOR
 
 
+def param_layout(config: ModelConfig):
+    """The one statement of a model's parameter layout: yields each layer as
+    ``(name, w, b, (out_dim, in_dim))`` in init-draw and parameter-vector (so
+    checkpoint) order, the hidden layers, then the logits head, or the mu head
+    and then the sigma head.  ``w`` and ``b`` slice the vector: the layer's
+    weights row-major, then right after them its biases; the last ``b`` ends
+    the vector.  The walk is lazy, so a caller may stop it early: a
+    checkpoint's config may name a model too large to list."""
+    width, in_dim, start = config.hidden_width, config.input_dim, 0
+    heads = ["logits"] if config.head == HOMOSCEDASTIC else ["mu", "sigma"]
+    for name, out_dim in chain(((f"hidden{k}", width) for k in range(config.hidden_layers)),
+                               ((head, N_CLASSES) for head in heads)):
+        w_stop = start + out_dim * in_dim
+        yield name, slice(start, w_stop), slice(w_stop, w_stop + out_dim), (out_dim, in_dim)
+        start, in_dim = w_stop + out_dim, width
+
+
 class MlpModel:
     """Fixed-architecture MLP; weights are immutable once training returns.
-    It is trained exactly when ``history``, its fit's one record, is nonempty."""
+    It is trained exactly when ``history``, its fit's one record, is nonempty.
+    Every layer's w, b, dw and db are views of ``flat_params`` and
+    ``flat_grads``, placed by ``param_layout``, so the optimizer and the
+    best-epoch snapshot each touch one array."""
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         self.seed = int(seed)
         self.history: list[EpochRecord] = []
-        rng = make_rng(self.seed)
-        self.hidden: list[LinearLayer] = []
         self.dropout = DropoutLayer(config.dropout)  # one per model: it holds only p
-        in_dim = config.input_dim
-        for _ in range(config.hidden_layers):
-            self.hidden.append(LinearLayer(in_dim, config.hidden_width, rng))
-            in_dim = config.hidden_width
-        # [logits] or [mu, sigma], in init-draw and checkpoint order
-        n_heads = 1 if config.head == HOMOSCEDASTIC else 2
-        self.heads = [LinearLayer(in_dim, N_CLASSES, rng) for _ in range(n_heads)]
-        # every layer's w, b, dw and db are views of these two vectors, so the
-        # optimizer and the best-epoch snapshot each touch one array
-        layers = self.hidden + self.heads
-        self.flat_params = np.empty(sum(layer.size for layer in layers))
-        self.flat_grads = np.zeros_like(self.flat_params)
-        start = 0
-        for layer in layers:
-            stop = start + layer.size
-            layer.bind(self.flat_params[start:stop], self.flat_grads[start:stop])
-            start = stop
+        layout = list(param_layout(config))
+        size = layout[-1][2].stop  # the last layer's b ends the vector
+        self.flat_params, self.flat_grads = np.zeros(size), np.zeros(size)
+        rng = make_rng(self.seed)
+        p, g, layers = self.flat_params, self.flat_grads, {}
+        for name, w, b, shape in layout:
+            layers[name] = LinearLayer(p[w].reshape(shape), p[b], g[w].reshape(shape), g[b])
+            limit = np.sqrt(6.0 / sum(shape))  # Glorot uniform, drawn into w; b stays 0
+            layers[name].w[...] = rng.uniform(-limit, limit, size=shape)
+        self.hidden = [layers[f"hidden{k}"] for k in range(config.hidden_layers)]
+        # the heads by role, in output order: [logits] or [mu, sigma]
+        self.heads = [layers[name] for name in ("logits", "mu", "sigma") if name in layers]
 
     @property
     def trained(self) -> bool:
@@ -269,6 +283,9 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             opt.step(model.flat_params, model.flat_grads)
             total += loss * idx.shape[0]
+        # a moment past float range freezes its weight while every loss stays finite
+        if not (np.isfinite(opt.m).all() and np.isfinite(opt.v).all()):
+            raise DivergenceError(f"non-finite optimizer state at epoch {epoch}")
         train_loss = total / n
         val_loss = model.evaluate_loss(X_val, y_val)
         if not np.isfinite(val_loss):
@@ -524,19 +541,22 @@ def _restore_model(meta: dict, arrays, key: str) -> MlpModel:
             raise DataFormatError(
                 f"checkpoint member {name!r} must be {kind}, got {meta.get(name)!r}")
     config = _restore_config(meta["config"])
-    # the length of the config's vector, so that no model is built before its
-    # array fits: every hidden layer's w and b, then the heads'
-    width, heads = config.hidden_width, N_CLASSES * (1 if config.head == HOMOSCEDASTIC else 2)
-    size = width * (config.input_dim + (config.hidden_layers - 1) * (width + 1) + 1 + heads) + heads
     try:
         value = arrays[key]
     except (KeyError, ValueError):  # no such array, or an object array, which needs pickle
         raise DataFormatError(f"checkpoint has no readable array {key!r}") from None
+    # the config's vector length, before any model is built; the walk stops
+    # once past the array, so a config of a huge model lists few layers
+    size = 0
+    for *_, b, _ in param_layout(config):
+        size = b.stop
+        if size > value.size:
+            break
     if (value.shape != (size,) or not np.issubdtype(value.dtype, np.floating)
             or not np.isfinite(value).all()):
         raise DataFormatError(
-            f"checkpoint array {key!r} must hold the config's {size} finite real floats, "
-            f"got shape {value.shape} and dtype {value.dtype}")
+            f"checkpoint array {key!r} must be the config's parameter vector of finite "
+            f"real floats, got shape {value.shape} and dtype {value.dtype}")
     model = MlpModel(config, seed=meta["seed"])
     model.flat_params[...] = value  # into the buffer that every layer views
     model.history = [EpochRecord(e, tl, vl) for e, tl, vl in meta["history"]]
@@ -547,8 +567,9 @@ def save_checkpoint(fitted, path) -> None:
     """Write an ``MlpModel`` or an ``Ensemble`` to ``path`` as one npz file:
     a JSON meta ``{"ensemble": bool, "members": [...]}`` with each member's
     ``{config, seed, history}``, and the ``flat_params`` of member t (a
-    single model is member 0) as ``m{t}_params``.  ``train_model`` sets a
-    history only when it returns, so it records whether a member is trained."""
+    single model is member 0), laid out by ``param_layout``, as
+    ``m{t}_params``.  ``train_model`` sets a history only when it returns,
+    so it records whether a member is trained."""
     is_ensemble = isinstance(fitted, Ensemble)
     members = fitted.members if is_ensemble else [fitted]
     meta = {"ensemble": is_ensemble, "members": [_model_meta(m) for m in members]}

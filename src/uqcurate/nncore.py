@@ -69,26 +69,19 @@ def softmax(z: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> Array:
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
 class LinearLayer:
     """Affine map y = x W^T + b with gradient accumulation.
 
-    The layer keeps no per-batch state: ``backward`` takes the input of the
-    forward pass from its caller, fills ``dw``/``db`` in place and returns
-    the gradient w.r.t. the input unless told it is not needed.  ``bind``
-    moves the four arrays into views of caller-owned flat buffers, so a
-    model can keep all its layers in one parameter vector.
+    The layer is its four arrays: the (out_dim, in_dim) weights ``w`` and
+    the biases ``b``, and their gradients ``dw`` and ``db``, views that the
+    caller places (``models.param_layout`` places a model's in its two flat
+    vectors).  It keeps no per-batch state: ``backward`` takes the input of
+    the forward pass from its caller, fills ``dw``/``db`` in place and
+    returns the gradient w.r.t. the input unless told it is not needed.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.w = glorot_uniform(rng, out_dim, in_dim)
-        self.b = np.zeros(out_dim)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+    def __init__(self, w: Array, b: Array, dw: Array, db: Array):
+        self.w, self.b, self.dw, self.db = w, b, dw, db
 
     @property
     def in_dim(self) -> int:
@@ -97,21 +90,6 @@ class LinearLayer:
     @property
     def out_dim(self) -> int:
         return self.w.shape[0]
-
-    @property
-    def size(self) -> int:
-        """Number of parameters, weights and biases together."""
-        return self.w.size + self.b.size
-
-    def bind(self, params: Array, grads: Array) -> None:
-        """Copy the weights into the flat slice ``params`` (w row-major, then
-        b) and make w, b, dw and db views of ``params`` and ``grads``."""
-        k = self.w.size
-        params[:k] = self.w.reshape(-1)
-        params[k:] = self.b
-        shape = self.w.shape
-        self.w, self.b = params[:k].reshape(shape), params[k:]
-        self.dw, self.db = grads[:k].reshape(shape), grads[k:]
 
     def forward(self, x: Array) -> Array:
         if x.ndim != 2 or x.shape[1] != self.in_dim:

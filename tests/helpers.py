@@ -3,7 +3,8 @@ a hook on the study protocol's one fit.
 
 Oracles here must stay independent of the implementation paths they check:
 matrix products use explicit loops, gradients come from central finite
-differences, the training loop is rewritten from its documented protocol,
+differences, the training loop and the study protocol's fit are rewritten from their
+documented protocols,
 the Gaussian-logit expectations come from Monte Carlo draws and from
 adaptive quadrature (scipy), the selector's ranking oracles sort each view
 from scratch, selection traces re-implement the published loop with plain
@@ -23,10 +24,11 @@ import numpy as np
 
 from uqcurate import curation, experiments, models
 from uqcurate.curation import _record_arrays
+from uqcurate.data import undersample_balance
 from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
-from uqcurate.nncore import AdamState, make_rng, softmax
+from uqcurate.nncore import AdamState, child_seed, make_rng, softmax
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -311,6 +313,20 @@ def train_oracle(model: MlpModel, X_train, y_train, X_val, y_val):
             if stale == cfg.patience:
                 break
     return history, best_params
+
+
+def fit_oracle(method: str, config, ensemble_size: int, train, val, balance_seed: int,
+               seed: int) -> list:
+    """``fit_method`` as its docstring states it: ``train`` undersampled to
+    balance with ``make_rng(balance_seed)``, then each model fitted on it by
+    ``train_oracle``, early-stopped on ``val``: ``ensemble_size`` members
+    seeded ``child_seed(seed, i)`` for 'ensemble', one model seeded ``seed``
+    for 'vanilla' and 'mc-dropout'.  Returns one ``(history, params)`` per
+    model, in member order."""
+    fit = undersample_balance(train, make_rng(balance_seed))
+    seeds = ([child_seed(seed, i) for i in range(ensemble_size)] if method == "ensemble"
+             else [seed])
+    return [train_oracle(MlpModel(config, seed=s), fit.X, fit.y, val.X, val.y) for s in seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import train_oracle
+from helpers import fit_oracle, train_oracle
 from uqcurate.data import SplitSpec, split, undersample_balance
 from uqcurate.errors import ConfigError, DataFormatError, DivergenceError, ModelStateError
 from uqcurate import kernels
@@ -18,6 +18,7 @@ from uqcurate.models import (
     HEADS,
     HETEROSCEDASTIC,
     SIGMA_FLOOR,
+    UQ_METHODS,
     Ensemble,
     MlpModel,
     ModelConfig,
@@ -143,6 +144,18 @@ class TestTraining:
         with pytest.raises(ModelStateError):
             predict_samples(model, val.X)
 
+    @pytest.mark.parametrize("head", HEADS)
+    def test_overflowed_optimizer_state_raises(self, small_splits, head):
+        # on features near 1e300 every loss stays finite, but grad * grad
+        # overflows Adam's second moment, and a weight whose moment is
+        # infinite never moves again
+        balanced, val, _ = small_splits
+        model = MlpModel(small_config(head, max_epochs=3), seed=1)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                       match="optimizer state at epoch 0"):
+            train_model(model, balanced.X * 1e300, balanced.y, val.X * 1e300, val.y)
+        assert not model.trained
+
     def test_trained_cannot_be_assigned(self, small_splits):
         # it reads the history, the one record of a fit
         model = MlpModel(small_config(), seed=1)
@@ -230,6 +243,25 @@ def _full_backward_step(model, X, y, rng):
     for lin, (x, z, mask) in zip(reversed(model.hidden), reversed(tape)):
         dh = lin.backward((dh if mask is None else dh * mask) * (z > 0.0), x)
     return float(loss), dh
+
+
+class TestFitOracle:
+    """``fit_method`` against ``helpers.fit_oracle``, which is written from
+    its docstring: the same models, each with the same history and the same
+    parameters, bit for bit."""
+
+    @pytest.mark.parametrize("method", UQ_METHODS)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_matches_the_oracle(self, small_pool, head, method):
+        train, val, _ = split(small_pool, SplitSpec(seed=3))
+        cfg = small_config(head, max_epochs=4, learning_rate=1e-2)
+        fitted = fit_method(method, cfg, 3, train, val, 5, 11)
+        models = fitted.members if method == "ensemble" else [fitted]
+        expected = fit_oracle(method, cfg, 3, train, val, 5, 11)
+        assert len(models) == len(expected)
+        for model, (history, params) in zip(models, expected):
+            assert [(r.epoch, r.train_loss, r.val_loss) for r in model.history] == history
+            assert model.flat_params.tobytes() == params.tobytes()
 
 
 class TestFitMethod:
@@ -644,6 +676,22 @@ class TestSerialization:
                 layers = np.concatenate([a.reshape(-1) for a in layer_arrays(member, "w", "b")])
                 assert npz[f"m{t}_params"].tobytes() == layers.tobytes()
                 assert sorted(meta["members"][t]) == ["config", "history", "seed"]
+
+    def test_parameter_vector_offsets_by_hand(self):
+        # input 3, two hidden layers of 4 and a dual head: every layer's w
+        # row-major, then its b; the hidden layers, then mu, then sigma
+        model = MlpModel(small_config("hetero", input_dim=3, hidden_width=4), seed=0)
+        assert model.flat_params.size == model.flat_grads.size == 56
+        model.flat_params[...] = np.arange(56.0)
+        model.flat_grads[...] = -np.arange(56.0)
+        offsets = ((0, 4, 3), (16, 4, 4), (36, 2, 4), (46, 2, 4))
+        for layer, (start, out_dim, in_dim) in zip(model.hidden + model.heads, offsets,
+                                                   strict=True):
+            b_start = start + out_dim * in_dim
+            w = np.arange(start, b_start, dtype=float).reshape(out_dim, in_dim)
+            b = np.arange(b_start, b_start + out_dim, dtype=float)
+            for got, want in ((layer.w, w), (layer.b, b), (layer.dw, -w), (layer.db, -b)):
+                assert np.array_equal(got, want)
 
     def test_weights_and_gradients_share_one_buffer_each(self, fitted, tmp_path):
         model = fitted["mc-dropout-hetero"]

@@ -22,22 +22,37 @@ from uqcurate.nncore import (
 )
 
 
+def linear(in_dim, out_dim, rng, params=None):
+    """A layer with random weights and zero biases, on its own arrays, or on
+    views of the flat vector ``params`` (w row-major, then b) and of a
+    gradient vector like it, as a model places its layers."""
+    if params is None:
+        w = rng.uniform(-1.0, 1.0, (out_dim, in_dim))
+        return LinearLayer(w, np.zeros(out_dim), np.zeros_like(w), np.zeros(out_dim))
+    k, grads = out_dim * in_dim, np.zeros_like(params)
+    layer = LinearLayer(params[:k].reshape(out_dim, in_dim), params[k:],
+                        grads[:k].reshape(out_dim, in_dim), grads[k:])
+    layer.w[...] = rng.uniform(-1.0, 1.0, (out_dim, in_dim))
+    layer.b[...] = 0.0
+    return layer
+
+
 class TestLinearLayer:
     def test_identity_weights(self, rng):
-        layer = LinearLayer(2, 2, rng)
+        layer = linear(2, 2, rng)
         layer.w = np.eye(2)
         layer.b = np.zeros(2)
         out = layer.forward(np.array([[3.0, 4.0]]))
         np.testing.assert_array_equal(out, [[3.0, 4.0]])
 
     def test_scalar_affine(self, rng):
-        layer = LinearLayer(1, 1, rng)
+        layer = linear(1, 1, rng)
         layer.w = np.array([[2.0]])
         layer.b = np.array([1.0])
         assert layer.forward(np.array([[3.0]]))[0, 0] == 7.0
 
     def test_matches_triple_loop_oracle(self, rng):
-        layer = LinearLayer(5, 3, rng)
+        layer = linear(5, 3, rng)
         x = rng.standard_normal((4, 5))
         expected = naive_matmul_bias(x, layer.w, layer.b)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12, rtol=0)
@@ -46,11 +61,9 @@ class TestLinearLayer:
     def test_equals_matmul_plus_bias_bit_for_bit(self, rng, bound):
         # the bias is added in place on the product; the bytes stay those of
         # the plain expression, and the input is left as it was, whether the
-        # layer owns its arrays or holds views of flat buffers after bind
-        layer = LinearLayer(64, 32, rng)
+        # layer owns its arrays or holds views of a flat vector
+        layer = linear(64, 32, rng, np.empty(32 * 65) if bound else None)
         layer.b[:] = rng.standard_normal(32)
-        if bound:
-            layer.bind(np.empty(layer.size), np.empty(layer.size))
         x = rng.standard_normal((300, 64))
         x_before = x.copy()
         out = layer.forward(x)
@@ -58,12 +71,12 @@ class TestLinearLayer:
         assert np.array_equal(x, x_before)
 
     def test_shape_mismatch_raises(self, rng):
-        layer = LinearLayer(5, 3, rng)
+        layer = linear(5, 3, rng)
         with pytest.raises(DimensionError):
             layer.forward(rng.standard_normal((4, 6)))
 
     def test_backward_without_input_grad_fills_the_same_gradients(self, rng):
-        full, first = LinearLayer(6, 4, make_rng(1)), LinearLayer(6, 4, make_rng(1))
+        full, first = linear(6, 4, make_rng(1)), linear(6, 4, make_rng(1))
         x, dout = rng.standard_normal((9, 6)), rng.standard_normal((9, 4))
         dx = full.backward(dout, x)
         assert first.backward(dout, x, input_grad=False) is None

@@ -37,12 +37,45 @@ def test_bench_pairs_summary_counts_wins_and_quartiles():
     assert summary["change"]["median"] == 1.75
 
 
+def test_bench_pairs_headline_summary_checks_digests_per_job_count():
+    bench_pairs = load_tool("bench_pairs")
+
+    def run(side, jobs, wall, digests, exit_code=0):
+        return {"side": side, "jobs": jobs, "wall_s": wall, "cpu_s": 2 * wall,
+                "exit_code": exit_code, "digests": digests}
+
+    same, other = {"compare_runs.csv": "a", "compare_summary.csv": "b"}, {"compare_runs.csv": "c"}
+    runs = [run("parent", 1, 10.0, same), run("change", 1, 9.0, same),
+            run("change", 1, 11.0, same), run("parent", 1, 12.0, same),
+            # at 2 jobs the change writes other CSVs once, and one parent run fails
+            run("parent", 2, 5.0, same), run("change", 2, 4.0, same),
+            run("change", 2, 6.0, other), run("parent", 2, 7.0, {}, exit_code=1)]
+    summary = bench_pairs.summarize_headline(runs)
+    assert sorted(summary) == ["1", "2"]
+    one, two = summary["1"], summary["2"]
+    assert one["parent"]["wall_s"] == {"median": 11.0, "q1": 10.5, "q3": 11.5, "iqr": 1.0, "n": 2}
+    assert one["change"]["cpu_s"]["median"] == 20.0
+    assert one["csvs_identical"] and one["parent"]["repeats_digests"]
+    assert one["parent"]["failed"] == one["change"]["failed"] == 0
+    assert not two["csvs_identical"]
+    assert not two["change"]["repeats_digests"] and not two["parent"]["repeats_digests"]
+    assert two["parent"]["failed"] == 1 and two["change"]["failed"] == 0
+    # one run of a side cannot show that the side repeats itself
+    assert not bench_pairs.summarize_headline(runs[:2])["1"]["parent"]["repeats_digests"]
+
+
 def test_bench_pairs_rejects_a_parent_without_the_benchmark(tmp_path):
     proc = subprocess.run([sys.executable, str(TOOL.parent / "bench_pairs.py"),
                            "--parent", str(tmp_path), "--label", "x"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "perfbench/run.py" in proc.stderr
     assert not (TOOL.parent.parent / "BENCH_x.json").exists()
+    # the headline runs the library, so its parent needs only the sources
+    proc = subprocess.run([sys.executable, str(TOOL.parent / "bench_pairs.py"), "--headline",
+                           "--parent", str(tmp_path), "--label", "x"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "src/uqcurate/__main__.py" in proc.stderr
+    assert not (TOOL.parent.parent / "BENCH_headline_x.json").exists()
 
 
 def test_source_digest_names_the_tree(tmp_path):

@@ -36,6 +36,8 @@ DUAL_HEAD_GRADIENTS = (f"{GRADIENTS}::test_dual_head_full_stack",
                        f"{GRADIENTS}::test_dual_head_wider_batch")
 BEST_EPOCH = "tests/test_models.py::TestTraining::test_patience_stop_restores_the_best_epoch"
 TRAIN_ORACLE = "tests/test_models.py::TestTrainingOracle"
+FIT_ORACLE = "tests/test_models.py::TestFitOracle"
+SERIALIZATION = "tests/test_models.py::TestSerialization"
 EXPERIMENTS = "src/uqcurate/experiments.py"
 SUMMARY_ORACLE = "tests/test_experiments.py::TestSummaryOracle::test_every_summary_column"
 SHIFT = "tests/test_experiments.py::TestShift"
@@ -93,6 +95,31 @@ CATALOGUE = (
            "                break\n\n    model.flat_params[...] = best_weights\n",
            "                model.flat_params[...] = best_weights\n                break\n\n",
            (TRAIN_ORACLE,)),
+    # an optimizer state past float range stops the fit, as a loss would
+    Mutant("optimizer-overflow-unchecked", MODELS,
+           "        if not (np.isfinite(opt.m).all() and np.isfinite(opt.v).all()):\n"
+           "            raise DivergenceError(f\"non-finite optimizer state at epoch {epoch}\")\n",
+           "", ("tests/test_models.py::TestTraining::test_overflowed_optimizer_state_raises",)),
+    # the study protocol's fit balances first and seeds each member apart,
+    # against its oracle
+    Mutant("ensemble-members-share-seed", MODELS,
+           "for member_seed in spawn_seeds(seed, n_members):",
+           "for member_seed in [seed] * n_members:", (FIT_ORACLE,)),
+    Mutant("fit-without-balance", MODELS,
+           "fit = undersample_balance(train, make_rng(balance_seed))", "fit = train",
+           (FIT_ORACLE,)),
+    # the parameter layout: each layer's w, then its b, and the mu head
+    # before the sigma head; a save/load round trip reads the layout on both
+    # sides, so only the documented order can catch these
+    Mutant("layout-b-before-w", MODELS,
+           "slice(start, w_stop), slice(w_stop, w_stop + out_dim), (out_dim, in_dim)",
+           "slice(start + out_dim, w_stop + out_dim), slice(start, start + out_dim), "
+           "(out_dim, in_dim)",
+           (f"{SERIALIZATION}::test_each_member_is_one_parameter_vector",
+            f"{SERIALIZATION}::test_parameter_vector_offsets_by_hand")),
+    Mutant("layout-sigma-before-mu", MODELS,
+           '["mu", "sigma"]', '["sigma", "mu"]',
+           (f"{SERIALIZATION}::test_parameter_vector_offsets_by_hand",)),
     # a fit's record is set only when training returns, so a fit that raises
     # leaves the model untrained
     Mutant("history-bound-before-training", MODELS,
