@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError
+from .kernels import _check_labels
 from .nncore import make_rng
 
 Array = np.ndarray
@@ -35,7 +36,7 @@ class Dataset:
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=object)
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = np.asarray(self.y)
         if self.X.ndim != 2:
             raise DataFormatError(f"features must be 2-D, got shape {self.X.shape}")
         n = self.X.shape[0]
@@ -45,8 +46,7 @@ class Dataset:
             raise DataFormatError("instance ids must be unique")
         if not np.all(np.isfinite(self.X)):
             raise DataFormatError("features must be finite")
-        if not np.all((self.y == 0) | (self.y == 1)):
-            raise DataFormatError("labels must be 0 or 1")
+        self.y = _check_labels(self.y, n, DataFormatError)
         if self.noise_tags is not None:
             self.noise_tags = np.asarray(self.noise_tags, dtype=bool)
             if self.noise_tags.shape != (n,):
@@ -207,8 +207,8 @@ def undersample_balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
 def inject_shift(ds: Dataset, intensity: float, rng: np.random.Generator) -> Dataset:
     """Degrade quality by adding independent N(0, intensity^2) noise to every
     feature coordinate; labels, ids and order are untouched."""
-    if intensity < 0.0:
-        raise DomainError(f"shift intensity must be >= 0, got {intensity}")
+    if not (math.isfinite(intensity) and intensity >= 0.0):
+        raise DomainError(f"shift intensity must be finite and >= 0, got {intensity}")
     out = ds.subset(np.arange(len(ds)))
     if intensity == 0.0:
         return out

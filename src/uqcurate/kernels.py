@@ -1,16 +1,19 @@
-"""The two training losses, fused forward and backward, and the dual head's
-predictive distribution.
+"""The two-class contract, the two training losses, fused forward and
+backward, and the dual head's predictive distribution.
 
-Matrix products stay on numpy/BLAS; the kernels here cover the elementwise
-loss passes.  Each kernel checks its inputs (float64 contiguous arrays, one
-label, 0 or 1, per row, matching shapes, sigma >= 0, and sigma > 0 for the
-loss, which divides by it) and is what the models call.
+Models have exactly ``N_CLASSES`` = 2 classes.  ``_check_labels`` is the one
+label rule (the losses, ``train_model``, ``metrics`` and ``Dataset`` call it)
+and ``softmax`` the one softmax.  Matrix products stay on numpy/BLAS; the
+kernels here cover the elementwise loss passes.  Each kernel checks its
+inputs (float64 contiguous arrays, one label, 0 or 1, per row, matching
+shapes, sigma >= 0, and sigma > 0 for the loss, which divides by it) and is
+what the models call.
 
-Models have exactly two classes, so the Gaussian logits z ~ N(mu, sigma^2)
-of the dual head enter only through the margin d = z1 - z0 ~ N(m, S^2), with
-m = mu1 - mu0 and S^2 = sigma0^2 + sigma1^2.  Every expectation over the
-logits is then a 1-D integral over d, which a ``GH_NODES``-point
-Gauss-Hermite rule computes without random draws.
+With two classes, the Gaussian logits z ~ N(mu, sigma^2) of the dual head
+enter only through the margin d = z1 - z0 ~ N(m, S^2), with m = mu1 - mu0
+and S^2 = sigma0^2 + sigma1^2.  Every expectation over the logits is then a
+1-D integral over d, which a ``GH_NODES``-point Gauss-Hermite rule computes
+without random draws.
 
 A pool of more than ``ROW_BLOCK`` rows is scored in the row blocks of
 ``row_blocks``, so ``gaussian_logit_probs`` holds its (rows, ``GH_NODES``)
@@ -27,15 +30,18 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 __all__ = [
+    "N_CLASSES",
     "GH_NODES",
     "ROW_BLOCK",
     "backend",
     "row_blocks",
+    "softmax",
     "softmax_xent",
     "gaussian_logit_nll",
     "gaussian_logit_probs",
 ]
 
+N_CLASSES = 2
 LOG_FLOOR = 1e-12  # probabilities are clamped here before any log
 
 # Gauss-Hermite nodes per margin integral.  Against adaptive quadrature,
@@ -82,20 +88,33 @@ def backend() -> str:
     return "numpy"
 
 
-def _check_labels(labels, n: int) -> np.ndarray:
-    """``labels`` as int64, each 0 or 1.  Training steps pass int64 labels,
-    whose check is the max of their unsigned view (a negative label is huge
-    there); other dtypes are compared with 0 and 1."""
+def _check_labels(labels, n: int, error: type[Exception] = DomainError) -> np.ndarray:
+    """``labels`` as int64, each 0 or 1, checked by value before any cast; a
+    bad value, or a dtype other than bool, int, uint or float, raises the
+    caller's ``error``.  Training steps pass int64 labels, whose check is the
+    max of their unsigned view (a negative label is huge there); other dtypes
+    are compared with 0 and 1."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionError(f"expected {n} labels, got shape {labels.shape}")
     if labels.dtype == np.int64:
         bad = n > 0 and labels.view(np.uint64).max() > 1
     else:
-        bad = np.any((labels != 0) & (labels != 1))
+        bad = labels.dtype.kind not in "biuf" or np.any((labels != 0) & (labels != 1))
     if bad:
-        raise DomainError("labels must be 0 or 1")
+        raise error("labels must be 0 or 1")
     return labels.astype(np.int64, copy=False)
+
+
+def softmax(logits) -> np.ndarray:
+    """Row-wise softmax of (B, 2) logits, shifted by the row max.  With two
+    classes the row max and row sum are one ``maximum`` and one ``add`` of
+    the columns, which give the bits of the axis reductions."""
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] != N_CLASSES:
+        raise DimensionError(f"expected (batch, {N_CLASSES}) logits, got {logits.shape}")
+    e = np.exp(logits - np.maximum(logits[:, 0], logits[:, 1])[:, None])
+    return e / (e[:, 0] + e[:, 1])[:, None]
 
 
 def softmax_xent(logits, labels):
@@ -103,17 +122,12 @@ def softmax_xent(logits, labels):
 
     Returns ``(loss, dlogits, probs)`` where loss is the batch mean of
     -log p[label] (p clamped at LOG_FLOOR) and dlogits = (probs - onehot)/B.
-    With two classes the row max and row sum are one ``maximum`` and one
-    ``add`` of the columns, and p[label] is a ``where``; each gives the bits
-    of the axis reductions and the row indexing it replaces.
+    p[label] is a ``where`` of the two columns, which gives the bits of the
+    row indexing it replaces.
     """
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] != 2:
-        raise DimensionError(f"expected (batch, 2) logits, got {logits.shape}")
-    n = logits.shape[0]
+    probs = softmax(logits)
+    n = probs.shape[0]
     hot = _check_labels(labels, n) == 1
-    e = np.exp(logits - np.maximum(logits[:, 0], logits[:, 1])[:, None])
-    probs = e / (e[:, 0] + e[:, 1])[:, None]
     py = np.where(hot, probs[:, 1], probs[:, 0])
     loss = -(np.add.reduce(np.log(np.maximum(py, LOG_FLOOR))) / n)  # as np.mean sums
     dlogits = probs.copy()
@@ -144,8 +158,8 @@ def _check_gaussian(mu, sigma):
     sigma = np.ascontiguousarray(sigma, dtype=np.float64)
     if mu.shape != sigma.shape:
         raise DimensionError(f"mu {mu.shape} and sigma {sigma.shape} differ")
-    if mu.ndim != 2 or mu.shape[1] != 2:
-        raise DimensionError(f"expected (batch, 2) logits, got {mu.shape}")
+    if mu.ndim != 2 or mu.shape[1] != N_CLASSES:
+        raise DimensionError(f"expected (batch, {N_CLASSES}) logits, got {mu.shape}")
     return mu, sigma
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .kernels import N_CLASSES, _check_labels
 
 Array = np.ndarray
 
@@ -26,28 +27,19 @@ class EvalReport:
 
 def _check_probs_labels(probs, labels):
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.ndim != 2:
-        raise DimensionError(f"expected (N, C) probabilities, got shape {probs.shape}")
-    if labels.shape != (probs.shape[0],):
-        raise DimensionError(
-            f"{probs.shape[0]} predictions vs {labels.shape} labels"
-        )
+    if probs.ndim != 2 or probs.shape[1] != N_CLASSES:
+        raise DimensionError(f"expected (N, {N_CLASSES}) probabilities, got {probs.shape}")
+    labels = _check_labels(labels, probs.shape[0])
     if probs.shape[0] == 0:
         raise DomainError("need at least one instance")
-    # before any indexing: a label -1 would pick the last column, and 0.5
-    # would truncate to 0
-    if labels.dtype.kind not in "biuf" or not np.isin(labels, np.arange(probs.shape[1])).all():
-        raise DomainError(f"labels must be integers in [0, {probs.shape[1]})")
-    return probs, labels.astype(np.int64)
+    return probs, labels
 
 
 def brier(probs, labels) -> float:
     """Mean squared distance between predicted distribution and one-hot label."""
     probs, labels = _check_probs_labels(probs, labels)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(probs.shape[0]), labels] = 1.0
-    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+    hot = labels == 1
+    return float(np.mean((probs[:, 0] - ~hot) ** 2 + (probs[:, 1] - hot) ** 2))
 
 
 def classification_report(probs, labels) -> EvalReport:

@@ -45,7 +45,8 @@ from .errors import (
     DivergenceError,
     ModelStateError,
 )
-from .kernels import gaussian_logit_nll, gaussian_logit_probs, row_blocks, softmax_xent
+from .kernels import (N_CLASSES, _check_labels, gaussian_logit_nll, gaussian_logit_probs,
+                      row_blocks, softmax, softmax_xent)
 from .metrics import EvalReport, classification_report
 from .nncore import (
     AdamState,
@@ -54,7 +55,6 @@ from .nncore import (
     make_rng,
     relu,
     sigmoid,
-    softmax,
     softplus,
     spawn_seeds,
 )
@@ -67,8 +67,6 @@ HETEROSCEDASTIC = "hetero"
 HEADS = (HOMOSCEDASTIC, HETEROSCEDASTIC)
 
 SIGMA_FLOOR = 1e-12  # additive floor keeps sigma strictly positive
-
-N_CLASSES = 2
 
 CHECKPOINT_FORMAT = 5
 
@@ -242,25 +240,27 @@ class MlpModel:
         return gaussian_logit_nll(*self.raw_outputs(X), y)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_model(model: MlpModel, X_train: Array, y_train: Array,
                 X_val: Array, y_val: Array) -> MlpModel:
     """Adam training with early stopping on validation loss.
 
     Stops after ``patience`` epochs without improvement or at ``max_epochs``;
     the best-validation epoch's weights are restored, and only then is the
-    per-epoch history set on the model (a fit that raises sets none).
+    per-epoch history set on the model (a fit that raises sets none).  An
+    overflow raises ``DivergenceError`` at a finiteness check, not a warning.
     """
     cfg = model.config
     X_train = np.asarray(X_train, dtype=np.float64)
     X_val = np.asarray(X_val, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.int64)
-    y_val = np.asarray(y_val, dtype=np.int64)
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise ConfigError("training and validation sets must be nonempty")
     if X_train.shape[1] != cfg.input_dim or X_val.shape[1] != cfg.input_dim:
         raise DimensionError(
             f"feature dim {X_train.shape[1]} does not match config input_dim {cfg.input_dim}"
         )
+    y_train = _check_labels(y_train, X_train.shape[0])
+    y_val = _check_labels(y_val, X_val.shape[0])
     rng = make_rng(model.seed)
     # an unused draw, kept so that the shuffles and masks below, and with them
     # every single-head result, stay as they were; ROADMAP schedules its removal

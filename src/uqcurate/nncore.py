@@ -56,14 +56,6 @@ def sigmoid(x: Array) -> Array:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def softmax(z: Array) -> Array:
-    """Row-wise softmax with max subtraction; rows sum to 1 within 1e-12."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------

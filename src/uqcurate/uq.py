@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .kernels import gaussian_logit_probs
+from .kernels import N_CLASSES, gaussian_logit_probs
 
 Array = np.ndarray
 
@@ -89,8 +89,8 @@ def total_variance_decompose(samples):
     Returns ``(var_total, var_epistemic, var_aleatoric)``.
     """
     a = _as_samples(samples)
-    if a.shape[-1] != 2:
-        raise DimensionError("variance decomposition is defined for 2 classes")
+    if a.shape[-1] != N_CLASSES:
+        raise DimensionError(f"variance decomposition is defined for {N_CLASSES} classes")
     p = a[..., 1]
     var_ale = np.mean(p * (1.0 - p), axis=-1)
     var_epi = np.var(p, axis=-1)

@@ -28,7 +28,7 @@ from uqcurate.data import undersample_balance
 from uqcurate.errors import DomainError
 from uqcurate.kernels import gaussian_logit_nll, softmax_xent
 from uqcurate.models import HOMOSCEDASTIC, MlpModel
-from uqcurate.nncore import AdamState, child_seed, make_rng, softmax
+from uqcurate.nncore import AdamState, child_seed, make_rng
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -106,6 +106,15 @@ def margin_probability_quad(m: float, scale: float) -> float:
     value, _ = quad(integrand, -38.0, 38.0, points=[step], epsabs=0.0, epsrel=1e-13,
                     limit=500)
     return value
+
+
+def softmax(z):
+    """Softmax over the last axis for any class count, with the row max and
+    the row sum as axis reductions: the oracle of the two-column
+    ``kernels.softmax``."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def mc_softmax(mu, scale, n_draws: int, rng: np.random.Generator):

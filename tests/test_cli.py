@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqcurate
 from helpers import patch_fit_method
 from uqcurate.cli import main
 from uqcurate.data import load_csv
@@ -448,6 +450,16 @@ class TestInternalFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "596. GiB" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_diverging_fit_is_one_error_line_exit_1(self, capsys, tmp_path):
+        # on features near 1e300 Adam's second moment overflows; numpy's
+        # overflow warning and its source line came before the error line
+        profile = Path(uqcurate.__file__).parent / "profiles" / "smoke.cfg"
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(profile.read_text(encoding="utf-8") + "\nseparation = 1e300\n",
+                       encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: non-finite optimizer state at epoch 0\n"
 
 
 class TestEntryPoint:

@@ -186,9 +186,12 @@ class TestInjectShift:
         assert not np.array_equal(a.X, b.X)
 
     def test_negative_intensity_rejected(self, rng):
+        # and a non-finite one: nan made every feature nan, past the
+        # finite-features check
         ds = generate_synthetic(SyntheticSpec(n_instances=30, feature_dim=3), rng)
-        with pytest.raises(DomainError):
-            inject_shift(ds, -0.1, make_rng(0))
+        for intensity in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                inject_shift(ds, intensity, make_rng(0))
 
 
 class TestGenerateSynthetic:

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gaussian_logit_nll_loop, margin_probability_quad, sampled_gaussian_logit_nll
+from helpers import (gaussian_logit_nll_loop, margin_probability_quad, sampled_gaussian_logit_nll,
+                     softmax)
 from uqcurate import kernels
-from uqcurate.errors import DimensionError, DomainError
+from uqcurate.data import Dataset
+from uqcurate.errors import DataFormatError, DimensionError, DomainError
+from uqcurate.metrics import brier, classification_report
 from uqcurate.models import SIGMA_FLOOR
-from uqcurate.nncore import softmax
 
 
 def _random_case(seed, n=32, n_draws=12, n_classes=2):
@@ -367,6 +369,9 @@ def test_zero_one_labels_of_any_dtype_accepted(labels):
 
 _LABEL_DTYPES = (np.bool_, np.int8, np.int32, np.int64, np.uint8, np.uint64, np.float32,
                  np.float64)
+# labels of these dtypes are rejected whatever their values: a cast reads the
+# text "1" or the complex 1+0j as a class
+_NON_LABEL_DTYPES = (np.complex128, object, np.str_)
 _LABEL_VALUES = (-1, 0, 1, 2, 0.5, math.nan)
 
 
@@ -374,7 +379,7 @@ def _stored_exactly(value, dtype) -> bool:
     """Whether an array of ``dtype`` holds ``value`` as it is, so that no
     cast turns a bad label into 0 or 1 before the kernel sees it."""
     kind = np.dtype(dtype).kind
-    if kind == "f":
+    if kind in "fcOU":
         return True
     if value != value or value != int(value):  # nan or a fraction
         return False
@@ -383,7 +388,7 @@ def _stored_exactly(value, dtype) -> bool:
 
 @st.composite
 def _label_arrays(draw):
-    dtype = draw(st.sampled_from(_LABEL_DTYPES))
+    dtype = draw(st.sampled_from(_LABEL_DTYPES + _NON_LABEL_DTYPES))
     values = [v for v in _LABEL_VALUES if _stored_exactly(v, dtype)]
     return np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=6)), dtype=dtype)
 
@@ -391,16 +396,30 @@ def _label_arrays(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_label_arrays())
 def test_labels_of_any_dtype_are_checked_by_value(labels):
-    # a label that is not 0 or 1 raises, whatever its dtype; any other label
-    # array gives the bytes of the same labels as int64
+    # every caller of the one label rule: a label that is not 0 or 1, or a
+    # dtype other than bool, int, uint or float, raises the caller's error;
+    # any other label array gives the result of the same labels as int64
     n = labels.shape[0]
     rng = np.random.default_rng(n)
     mu, sigma = rng.standard_normal((n, 2)) * 3, rng.uniform(0.1, 2.0, (n, 2))
-    bad = not all(v in (0, 1) for v in labels.tolist())
-    for kernel, args in ((kernels.softmax_xent, (mu,)), (kernels.gaussian_logit_nll, (mu, sigma))):
+    probs = softmax(mu)
+    callers = (
+        (lambda y: kernels.softmax_xent(mu, y), DomainError),
+        (lambda y: kernels.gaussian_logit_nll(mu, sigma, y), DomainError),
+        (lambda y: Dataset(ids=[f"i{k}" for k in range(n)], X=mu, y=y).y, DataFormatError),
+        (lambda y: brier(probs, y), DomainError),
+        (lambda y: classification_report(probs, y), DomainError),
+    )
+
+    def bits(result):
+        parts = result if isinstance(result, tuple) else (result,)
+        return [np.asarray(a).tobytes() if isinstance(a, (float, np.ndarray)) else a
+                for a in parts]
+
+    bad = labels.dtype.kind not in "biuf" or not all(v in (0, 1) for v in labels.tolist())
+    for call, error in callers:
         if bad:
-            with pytest.raises(DomainError, match="labels must be 0 or 1"):
-                kernel(*args, labels)
+            with pytest.raises(error, match="labels must be 0 or 1"):
+                call(labels)
         else:
-            got, want = kernel(*args, labels), kernel(*args, labels.astype(np.int64))
-            assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+            assert bits(call(labels)) == bits(call(labels.astype(np.int64)))

@@ -55,8 +55,15 @@ class TestBrier:
     def test_labels_outside_the_classes_rejected(self, score, labels):
         # -1 indexed the last column (Brier 0.85), 2 raised a bare
         # IndexError, and 0.5 was truncated to 0 (F1 1.0)
-        with pytest.raises(DomainError, match=r"labels must be integers in \[0, 2\)"):
+        with pytest.raises(DomainError, match="labels must be 0 or 1"):
             score([[0.9, 0.1], [0.2, 0.8]], labels)
+
+    @pytest.mark.parametrize("score", [brier, classification_report])
+    def test_a_third_class_column_rejected(self, score):
+        # a C-class check accepted these, and the report's counts dropped
+        # the class-2 row (n_tn = 1, every other count 0)
+        with pytest.raises(DimensionError, match=r"expected \(N, 2\) probabilities"):
+            score([[0.1, 0.2, 0.7], [0.6, 0.3, 0.1]], [1, 0])
 
     @pytest.mark.parametrize("labels", [
         [0, 1], [0.0, 1.0], [False, True], np.array([0, 1], dtype=np.uint8),

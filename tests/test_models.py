@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import fit_oracle, train_oracle
 from uqcurate.data import SplitSpec, split, undersample_balance
-from uqcurate.errors import ConfigError, DataFormatError, DivergenceError, ModelStateError
+from uqcurate.errors import (ConfigError, DataFormatError, DivergenceError, DomainError,
+                             ModelStateError)
 from uqcurate import kernels
 from uqcurate.kernels import ROW_BLOCK
 from uqcurate.models import (
@@ -34,9 +35,9 @@ from uqcurate.models import (
     train_ensemble,
     train_model,
 )
-from uqcurate.kernels import gaussian_logit_nll, softmax_xent
+from uqcurate.kernels import gaussian_logit_nll, softmax, softmax_xent
 from uqcurate.metrics import classification_report
-from uqcurate.nncore import make_rng, relu, sigmoid, softmax, softplus
+from uqcurate.nncore import make_rng, relu, sigmoid, softplus
 from uqcurate.uq import hetero_decompose
 
 
@@ -104,6 +105,14 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_model(model, balanced.X[:0], balanced.y[:0], val.X, val.y)
 
+    def test_fractional_labels_rejected(self, small_splits):
+        # the labels were cast to int64 before any check, so 0.5 trained as 0
+        balanced, val, _ = small_splits
+        model = MlpModel(small_config(), seed=1)
+        with pytest.raises(DomainError, match="labels must be 0 or 1"):
+            train_model(model, balanced.X, balanced.y + 0.5, val.X, val.y)
+        assert not model.trained
+
     def test_runs_to_max_epochs_when_val_keeps_improving(self, separable_pool):
         # on cleanly separable data the validation loss improves every epoch,
         # so patience never triggers
@@ -148,11 +157,11 @@ class TestTraining:
     def test_overflowed_optimizer_state_raises(self, small_splits, head):
         # on features near 1e300 every loss stays finite, but grad * grad
         # overflows Adam's second moment, and a weight whose moment is
-        # infinite never moves again
+        # infinite never moves again; the fit raises no overflow warning on
+        # its way there
         balanced, val, _ = small_splits
         model = MlpModel(small_config(head, max_epochs=3), seed=1)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError,
-                                                       match="optimizer state at epoch 0"):
+        with pytest.raises(DivergenceError, match="optimizer state at epoch 0"):
             train_model(model, balanced.X * 1e300, balanced.y, val.X * 1e300, val.y)
         assert not model.trained
 

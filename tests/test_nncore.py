@@ -5,7 +5,7 @@ import pytest
 
 from helpers import naive_matmul_bias
 from uqcurate.errors import DimensionError, DomainError
-from uqcurate.kernels import gaussian_logit_nll, softmax_xent
+from uqcurate.kernels import gaussian_logit_nll, softmax, softmax_xent
 from uqcurate.nncore import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -16,7 +16,6 @@ from uqcurate.nncore import (
     child_seed,
     make_rng,
     relu,
-    softmax,
     softplus,
     spawn_seeds,
 )
@@ -86,7 +85,7 @@ class TestLinearLayer:
 
 class TestActivations:
     def test_softmax_symmetry(self):
-        np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        np.testing.assert_allclose(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])

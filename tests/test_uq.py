@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hetero_entropies_quad, mc_softmax
+from helpers import hetero_entropies_quad, mc_softmax, softmax
 from uqcurate.errors import DimensionError, DomainError
 from uqcurate.experiments import COMPARE, load_profile, spec_from_mapping
-from uqcurate.nncore import make_rng, softmax
+from uqcurate.nncore import make_rng
 from uqcurate.uq import (
     expected_entropy,
     hetero_decompose,

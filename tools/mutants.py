@@ -236,6 +236,18 @@ CATALOGUE = (
     Mutant("quadrature-branch", "src/uqcurate/kernels.py",
            "np.copyto(near, far, where=pos)", "np.copyto(near, far, where=~pos)",
            ("tests/test_kernels.py",)),
+    # the two-class contract: the softmax shifts by the row max, a Dataset
+    # checks its labels before the cast, and the scores take two columns
+    Mutant("softmax-shift-by-first-column", "src/uqcurate/kernels.py",
+           "np.maximum(logits[:, 0], logits[:, 1])[:, None]", "logits[:, :1]",
+           ("tests/test_kernels.py::test_softmax_xent_keeps_the_bits_of_the_plain_expressions",)),
+    Mutant("dataset-labels-checked-after-cast", "src/uqcurate/data.py",
+           "        self.y = np.asarray(self.y)\n",
+           "        self.y = np.asarray(self.y, dtype=np.int64)\n",
+           ("tests/test_kernels.py::test_labels_of_any_dtype_are_checked_by_value",)),
+    Mutant("metrics-accept-a-third-column", "src/uqcurate/metrics.py",
+           "if probs.ndim != 2 or probs.shape[1] != N_CLASSES:", "if probs.ndim != 2:",
+           ("tests/test_metrics.py::TestBrier::test_a_third_class_column_rejected",)),
 )
 
 

@@ -16,7 +16,9 @@ growth, compare (``--selector`` ehal, elah and random; ``--uq mc-dropout``;
 processes; and ``--selector ehal`` on 8000 instances, whose 4800-row pool
 and 2800-row test partition are scored in row blocks) and train (default and
 ``--uq mc-dropout``): 17 commands and 40 files.  The profile has one
-repetition, so only the two-repetition compare starts workers.
+repetition, so only the two-repetition compare starts workers.  A command
+that fails or writes anything to stderr (a stray warning included) stops the
+run with exit code 1 and one message naming it.
 
 To check which result files a change moves, run it on the change and on a
 checkout of the parent commit, then diff the two outputs::
@@ -99,8 +101,11 @@ def digests(src: Path, work: Path, jobs: int = 1) -> list[str]:
     for out, args in COMMANDS:
         argv = [a.format(work=work) for a in args] + ["--out", str(work / out)]
         (work / out).parent.mkdir(parents=True, exist_ok=True)
-        subprocess.run([sys.executable, "-m", "uqcurate", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        proc = subprocess.run([sys.executable, "-m", "uqcurate", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if proc.returncode or proc.stderr:
+            sys.exit(f"error: {out} (uqcurate {' '.join(args)}) exited {proc.returncode}, "
+                     f"stderr:\n{proc.stderr}")
     lines = []
     for path in sorted(work.rglob("*")):
         if path.is_file() and path.suffix != ".cfg" and "_manifest_" not in path.name:
