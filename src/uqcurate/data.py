@@ -48,9 +48,10 @@ class Dataset:
             raise DataFormatError("features must be finite")
         self.y = _check_labels(self.y, n, DataFormatError)
         if self.noise_tags is not None:
-            self.noise_tags = np.asarray(self.noise_tags, dtype=bool)
+            self.noise_tags = np.asarray(self.noise_tags)
             if self.noise_tags.shape != (n,):
                 raise DataFormatError("noise tags must match instance count")
+            self.noise_tags = _check_labels(self.noise_tags, n, DataFormatError, "noise tags") == 1
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -206,13 +207,17 @@ def undersample_balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
 
 def inject_shift(ds: Dataset, intensity: float, rng: np.random.Generator) -> Dataset:
     """Degrade quality by adding independent N(0, intensity^2) noise to every
-    feature coordinate; labels, ids and order are untouched."""
+    feature coordinate; labels, ids and order are untouched.  Raises
+    ``DomainError`` if a noisy feature leaves float range."""
     if not (math.isfinite(intensity) and intensity >= 0.0):
         raise DomainError(f"shift intensity must be finite and >= 0, got {intensity}")
     out = ds.subset(np.arange(len(ds)))
     if intensity == 0.0:
         return out
-    out.X += rng.normal(0.0, intensity, size=out.X.shape)
+    with np.errstate(over="ignore"):
+        out.X += rng.normal(0.0, intensity, size=out.X.shape)
+    if not np.isfinite(out.X).all():
+        raise DomainError(f"shift intensity {intensity} takes features past float range")
     return out
 
 

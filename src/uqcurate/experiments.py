@@ -138,6 +138,8 @@ class ExperimentSpec:
         # model, split and selector configs check their own fields, built once
         # here so a bad value fails before any data is generated
         self.model_config(1)
+        if "mc-dropout" in self.uq_methods and self.dropout == 0.0:
+            raise ConfigError("uq mc-dropout needs dropout > 0: at 0 every pass is the same")
         SplitSpec(self.train_fraction, self.val_fraction)
         for selector in self.selectors:
             CurationConfig(n_to_select=1, n_ale_fraction=self.n_ale_fraction,

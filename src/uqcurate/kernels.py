@@ -88,12 +88,13 @@ def backend() -> str:
     return "numpy"
 
 
-def _check_labels(labels, n: int, error: type[Exception] = DomainError) -> np.ndarray:
+def _check_labels(labels, n: int, error: type[Exception] = DomainError,
+                  name: str = "labels") -> np.ndarray:
     """``labels`` as int64, each 0 or 1, checked by value before any cast; a
     bad value, or a dtype other than bool, int, uint or float, raises the
-    caller's ``error``.  Training steps pass int64 labels, whose check is the
-    max of their unsigned view (a negative label is huge there); other dtypes
-    are compared with 0 and 1."""
+    caller's ``error``, naming them ``name``.  Training steps pass int64
+    labels, whose check is the max of their unsigned view (a negative label is
+    huge there); other dtypes are compared with 0 and 1."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionError(f"expected {n} labels, got shape {labels.shape}")
@@ -102,7 +103,7 @@ def _check_labels(labels, n: int, error: type[Exception] = DomainError) -> np.nd
     else:
         bad = labels.dtype.kind not in "biuf" or np.any((labels != 0) & (labels != 1))
     if bad:
-        raise error("labels must be 0 or 1")
+        raise error(f"{name} must be 0 or 1")
     return labels.astype(np.int64, copy=False)
 
 

@@ -32,6 +32,8 @@ def _check_probs_labels(probs, labels):
     labels = _check_labels(labels, probs.shape[0])
     if probs.shape[0] == 0:
         raise DomainError("need at least one instance")
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        raise DomainError("probabilities must lie in [0, 1]")
     return probs, labels
 
 

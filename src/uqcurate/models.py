@@ -21,16 +21,16 @@ with the lowest validation loss is restored before returning.
 ``fit_method`` balances a training set and fits what a weight-sampling
 method (vanilla, mc-dropout, ensemble) predicts with, ``predict_samples`` is
 the one prediction path for all three schemes, and ``method_report`` is the
-one test-set score.  Eval-mode passes over more than ``kernels.ROW_BLOCK``
-rows run in row blocks, with the same bits as one pass; dropout passes run
-as one block, so their masks are drawn in the same order.
+one test-set score.  ``MlpModel.raw_outputs`` runs every pass in one loop
+over row blocks: an eval-mode pass over more than ``kernels.ROW_BLOCK`` rows
+takes several, with the same bits as one block, and a dropout pass is one
+block, so its masks are drawn in the same order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -188,24 +188,20 @@ class MlpModel:
     def raw_outputs(self, X: Array, rng: np.random.Generator | None = None):
         """Head outputs: logits for single-head, (mu, sigma) for dual-head.
 
-        With ``rng`` the pass draws dropout masks from it (weight sampling).
-        A pass without one runs in the row blocks of ``kernels.row_blocks``,
-        so its hidden activations take one block's memory, not the whole
-        input's; the outputs equal one pass over all rows bit for bit.
+        One loop over row blocks.  Without ``rng`` they are the blocks of
+        ``kernels.row_blocks``, so the hidden activations take one block's
+        memory, and the outputs equal one pass over all rows bit for bit.  With
+        it the pass is one block under dropout masks drawn from ``rng``: blocks
+        would draw the masks in another order, and so change every mc-dropout result.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        blocks = row_blocks(X.shape[0])
-        if rng is not None or len(blocks) == 1:
-            # dropout passes stay one block: blocks would draw the masks in
-            # another order, and so change every mc-dropout result
-            outs = self._forward(X, rng)
-        else:
-            outs = [np.empty((X.shape[0], head.out_dim)) for head in self.heads]
-            for rows in blocks:
-                for out, part in zip(outs, self._forward(X[rows])):
-                    out[rows] = part
+        blocks = row_blocks(X.shape[0]) if rng is None else [slice(None)]
+        outs = [np.empty((X.shape[0], head.out_dim)) for head in self.heads]
+        for rows in blocks:
+            for out, part in zip(outs, self._forward(X[rows], rng)):
+                out[rows] = part
         return outs[0] if self.config.head == HOMOSCEDASTIC else _dual_head(*outs)
 
     def _train_batch(self, X: Array, y: Array, rng: np.random.Generator) -> float:
@@ -265,7 +261,7 @@ def train_model(model: MlpModel, X_train: Array, y_train: Array,
     # an unused draw, kept so that the shuffles and masks below, and with them
     # every single-head result, stay as they were; ROADMAP schedules its removal
     rng.integers(0, 2**63)
-    opt = AdamState(lr=cfg.learning_rate)
+    opt = AdamState(model.flat_params.size, cfg.learning_rate)
     n = X_train.shape[0]
 
     best_loss = np.inf
@@ -319,8 +315,7 @@ class Ensemble:
     def __post_init__(self):
         if not self.members:
             raise ConfigError("ensemble needs at least one member")
-        cfgs = {json.dumps(asdict(m.config), sort_keys=True) for m in self.members}
-        if len(cfgs) > 1:
+        if any(m.config != self.members[0].config for m in self.members):
             raise ConfigError("ensemble members must share one config")
 
     @property
@@ -412,10 +407,7 @@ def _forward_samples(fitted, X: Array, n_passes: int | None,
     if rng is None:
         raise ConfigError("dropout passes need an rng for their masks")
     if fitted.config.dropout == 0.0:
-        warnings.warn(
-            "dropout probability is 0; all dropout passes are identical",
-            stacklevel=3,
-        )
+        raise ConfigError("dropout passes need dropout > 0: at 0 every pass is the same")
     return [fitted.raw_outputs(X, rng) for _ in range(n_passes)]
 
 
@@ -438,8 +430,8 @@ def predict_samples(fitted, X: Array, n_passes: int | None = None,
     the (N, T, C) stack of predictive distributions.  A dual-head sample's
     distribution is the expected softmax of its Gaussian logits,
     ``kernels.gaussian_logit_probs``.  ``rng`` drives the dropout masks only:
-    dropout passes raise ``ConfigError`` without one, and eval-mode passes
-    draw nothing.
+    dropout passes raise ``ConfigError`` without one, or on a model without
+    dropout (p = 0), and eval-mode passes draw nothing.
     """
     outputs = _forward_samples(fitted, X, n_passes, rng)
     if fitted.config.head == HOMOSCEDASTIC:

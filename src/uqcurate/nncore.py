@@ -148,27 +148,20 @@ ADAM_EPS = 1e-8  # added under the square root
 
 
 class AdamState:
-    """Adam with bias correction over one flat parameter vector: the step
-    count ``t`` and the moment vectors ``m`` and ``v``, allocated on the
-    first step."""
+    """Adam with bias correction over one flat parameter vector of ``size``
+    entries: the step count ``t`` and the moment vectors ``m`` and ``v``,
+    zero until the first step."""
 
-    def __init__(self, lr: float = 1e-3):
+    def __init__(self, size: int, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self.m: Array | None = None
-        self.v: Array | None = None
+        self.m, self.v = np.zeros(size), np.zeros(size)
 
     def step(self, param: Array, grad: Array) -> None:
         """Update the 1-D float64 vector ``param`` in place from ``grad``."""
-        if param.ndim != 1 or grad.shape != param.shape:
-            raise DimensionError(
-                f"adam steps one flat vector: param {param.shape}, grad {grad.shape}"
-            )
-        if self.m is None:
-            self.m = np.zeros_like(param)
-            self.v = np.zeros_like(param)
-        if self.m.shape != param.shape:
-            raise DimensionError("optimizer state does not match the parameter vector")
+        if param.shape != self.m.shape or grad.shape != param.shape:
+            raise DimensionError(f"adam steps one flat vector of shape {self.m.shape}: "
+                                 f"param {param.shape}, grad {grad.shape}")
         self.t += 1
         m, v = self.m, self.v
         m *= ADAM_BETA1

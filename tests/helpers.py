@@ -303,7 +303,7 @@ def train_oracle(model: MlpModel, X_train, y_train, X_val, y_val):
     cfg = model.config
     rng = make_rng(model.seed)
     rng.integers(0, 2**63)
-    opt = AdamState(lr=cfg.learning_rate)
+    opt = AdamState(model.flat_params.size, cfg.learning_rate)
     n = len(y_train)
     history, best_loss, best_params, stale = [], math.inf, None, 0
     for epoch in range(cfg.max_epochs):

@@ -399,6 +399,28 @@ class TestFailBeforeCompute:
     def test_bad_uq_exits_2(self, tmp_path, capsys, no_compute, command, line):
         assert_config_line_exits_2(tmp_path, capsys, command, line)
 
+    @pytest.mark.parametrize("command, lines", [
+        ("compare", ["uq = mc-dropout"]),
+        ("shift", ["uq = mc-dropout"]),
+        ("train", ["uq = mc-dropout"]),
+        ("shift", ["uq = vanilla,mc-dropout,ensemble", "head = homo"]),
+    ])
+    def test_mc_dropout_at_zero_dropout_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                command, lines):
+        # every dropout pass at p = 0 is the same pass, so the "mc-dropout"
+        # result would be a vanilla one; this ran on two warnings and exited 0
+        from uqcurate import experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "_base_dataset", lambda *a: calls.append("data"))
+        patch_fit_method(monkeypatch, lambda *a, **k: calls.append("fit"))
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("\n".join(SMOKE_CFG + lines + ["dropout = 0"]) + "\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: uq mc-dropout needs dropout > 0")
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["shift", "train"])
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_exits_2(self, tmp_path, monkeypatch, capsys, no_compute,

@@ -86,6 +86,16 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError):
             Dataset(ids=["a", "a"], X=np.zeros((2, 1)), y=np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("tags", [[0.5, 7], ["no", ""]])
+    def test_noise_tags_checked_by_value(self, tags):
+        # a cast to bool read both as tagged, and the text as [True, False]
+        with pytest.raises(DataFormatError, match="noise tags must be 0 or 1"):
+            Dataset(ids=["a", "b"], X=[[0.0], [1.0]], y=[0, 1], noise_tags=tags)
+
+    def test_noise_tags_of_another_length_rejected(self):
+        with pytest.raises(DataFormatError, match="noise tags must match"):
+            Dataset(ids=["a", "b"], X=[[0.0], [1.0]], y=[0, 1], noise_tags=[0, 1, 1])
+
 
 class TestSplit:
     def test_documented_sizes(self):
@@ -192,6 +202,15 @@ class TestInjectShift:
         for intensity in (-0.1, math.nan, math.inf):
             with pytest.raises(DomainError):
                 inject_shift(ds, intensity, make_rng(0))
+
+    def test_features_past_float_range_rejected(self):
+        # a finite intensity can still overflow the noisy features: on ones
+        # at 1e308, 38 of the 600 entries were inf, which failed only at a
+        # later subset, naming neither the key nor the value
+        ds = Dataset(ids=[f"i{k}" for k in range(200)], X=np.ones((200, 3)),
+                     y=np.tile([0, 1], 100))
+        with pytest.raises(DomainError, match="shift intensity 1e\\+308"):
+            inject_shift(ds, 1e308, make_rng(0))
 
 
 class TestGenerateSynthetic:

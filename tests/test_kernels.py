@@ -407,6 +407,9 @@ def test_labels_of_any_dtype_are_checked_by_value(labels):
         (lambda y: kernels.softmax_xent(mu, y), DomainError),
         (lambda y: kernels.gaussian_logit_nll(mu, sigma, y), DomainError),
         (lambda y: Dataset(ids=[f"i{k}" for k in range(n)], X=mu, y=y).y, DataFormatError),
+        # noise tags keep the labels' rule, and come back as bool
+        (lambda y: Dataset(ids=[f"i{k}" for k in range(n)], X=mu, y=np.zeros(n, np.int64),
+                           noise_tags=y).noise_tags, DataFormatError),
         (lambda y: brier(probs, y), DomainError),
         (lambda y: classification_report(probs, y), DomainError),
     )
@@ -419,7 +422,7 @@ def test_labels_of_any_dtype_are_checked_by_value(labels):
     bad = labels.dtype.kind not in "biuf" or not all(v in (0, 1) for v in labels.tolist())
     for call, error in callers:
         if bad:
-            with pytest.raises(error, match="labels must be 0 or 1"):
+            with pytest.raises(error, match="(labels|noise tags) must be 0 or 1"):
                 call(labels)
         else:
             assert bits(call(labels)) == bits(call(labels.astype(np.int64)))

@@ -65,6 +65,21 @@ class TestBrier:
         with pytest.raises(DimensionError, match=r"expected \(N, 2\) probabilities"):
             score([[0.1, 0.2, 0.7], [0.6, 0.3, 0.1]], [1, 0])
 
+    @pytest.mark.parametrize("probs", [[[np.nan, 0.5], [0.2, 0.8]],
+                                       [[3.0, -2.0], [0.2, 0.8]],
+                                       [[0.5, 0.5], [-1e-300, 1.0]]],
+                             ids=["nan", "outside", "below-zero"])
+    @pytest.mark.parametrize("score", [brier, classification_report])
+    def test_probabilities_outside_unit_interval_rejected(self, score, probs):
+        # unchecked, brier gave nan and 8.0 on the first two rows, and the
+        # report an F1 of 1.0 beside a nan Brier
+        with pytest.raises(DomainError, match=r"probabilities must lie in \[0, 1\]"):
+            score(probs, [0, 1])
+
+    @pytest.mark.parametrize("score", [brier, classification_report])
+    def test_probabilities_at_the_interval_ends_accepted(self, score):
+        score([[0.0, 1.0], [1.0, 0.0]], [1, 0])
+
     @pytest.mark.parametrize("labels", [
         [0, 1], [0.0, 1.0], [False, True], np.array([0, 1], dtype=np.uint8),
     ], ids=["int64", "float", "bool", "uint8"])

@@ -393,12 +393,22 @@ class TestPrediction:
 
 
 class TestMcDropout:
-    def test_zero_dropout_warns_and_repeats(self, small_splits):
-        model = fit_small("homo", splits=small_splits, dropout=0.0, max_epochs=10)
-        with pytest.warns(UserWarning):
-            samples = predict_mc_dropout(model, small_splits[2].X[:5], 4, make_rng(0))
-        for t in range(1, samples.shape[1]):
-            np.testing.assert_array_equal(samples[:, 0], samples[:, t])
+    def test_zero_dropout_passes_raise(self, small_splits, monkeypatch):
+        # at p = 0 every dropout pass is the same eval-mode pass, so their
+        # spread would be a vanilla model's; the error comes before any pass
+        model = fit_small("hetero", splits=small_splits, dropout=0.0, max_epochs=2)
+        X = small_splits[2].X[:5]
+        assert predict_samples(model, X)[1].shape == (5, 1, 2)  # eval mode needs no dropout
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(model, "raw_outputs", no_pass)
+        for call in (lambda: predict_samples(model, X, 4, make_rng(0)),
+                     lambda: hetero_raw_outputs(model, X, 4, make_rng(0)),
+                     lambda: predict_mc_dropout(model, X, 4, make_rng(0))):
+            with pytest.raises(ConfigError, match="dropout > 0"):
+                call()
 
     def test_samples_are_distributions(self, small_splits):
         model = fit_small("homo", splits=small_splits, max_epochs=10)
@@ -491,6 +501,12 @@ class TestEnsemble:
                 MlpModel(small_config(), seed=0),
                 MlpModel(small_config(hidden_width=8), seed=1),
             ])
+
+    def test_configs_compared_by_value(self):
+        # two config objects with equal fields are one config
+        ens = Ensemble(members=[MlpModel(small_config(dropout=0.5), seed=0),
+                                MlpModel(small_config(dropout=0.5), seed=1)])
+        assert len(ens) == 2
 
 
 class TestHeteroRawOutputs:

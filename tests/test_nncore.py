@@ -231,13 +231,13 @@ class TestAdam:
         # t=1, grad=1: m_hat=1, v_hat=1, step = lr / sqrt(1 + eps)
         assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
         param = np.zeros(1)
-        opt = AdamState(lr=1e-3)
+        opt = AdamState(1, lr=1e-3)
         opt.step(param, np.ones(1))
         assert param[0] == pytest.approx(-0.000999999995, abs=1e-15)
 
     def test_zero_gradient_keeps_parameters(self):
         param = np.full(4, 1.5)
-        opt = AdamState()
+        opt = AdamState(4)
         for _ in range(10):
             opt.step(param, np.zeros(4))
         np.testing.assert_array_equal(param, np.full(4, 1.5))
@@ -247,7 +247,7 @@ class TestAdam:
 
         def run():
             p = np.linspace(-1, 1, 8)
-            opt = AdamState()
+            opt = AdamState(8)
             for g in grads:
                 opt.step(p, g)
             return p
@@ -255,17 +255,20 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        opt = AdamState()
+        opt = AdamState(3)
         with pytest.raises(DimensionError):
             opt.step(np.zeros(3), np.zeros(4))
 
     def test_two_dimensional_vector_rejected(self):
-        opt = AdamState()
+        opt = AdamState(6)
         with pytest.raises(DimensionError):
             opt.step(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_state_bound_to_first_vector(self):
-        opt = AdamState()
+        # the moments are allocated for the vector the optimizer is built for
+        opt = AdamState(3)
+        np.testing.assert_array_equal(opt.m, np.zeros(3))
+        np.testing.assert_array_equal(opt.v, np.zeros(3))
         opt.step(np.zeros(3), np.ones(3))
         with pytest.raises(DimensionError):
             opt.step(np.zeros(4), np.ones(4))

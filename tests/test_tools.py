@@ -21,13 +21,13 @@ def test_smoke_digests_runs_every_command():
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     paths = [line.split("  ", 1)[1] for line in lines]
-    assert len(lines) == 40 and len(set(paths)) == 40
+    assert len(lines) == 43 and len(set(paths)) == 43
 
 
 def test_smoke_digests_names_a_command_that_writes_to_stderr(tmp_path, monkeypatch):
     smoke_digests = load_tool("smoke_digests")
     monkeypatch.setattr(smoke_digests, "COMMANDS",
-                        [("train/no-config", ["train", "--config", "{work}/none.cfg"])])
+                        [("train/no-config", ["train", "--config", "none.cfg"])])
     with pytest.raises(SystemExit) as exc:
         smoke_digests.digests(smoke_digests.REPO / "src", tmp_path)
     assert str(exc.value).startswith("error: train/no-config (uqcurate train --config")

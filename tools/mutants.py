@@ -248,6 +248,32 @@ CATALOGUE = (
     Mutant("metrics-accept-a-third-column", "src/uqcurate/metrics.py",
            "if probs.ndim != 2 or probs.shape[1] != N_CLASSES:", "if probs.ndim != 2:",
            ("tests/test_metrics.py::TestBrier::test_a_third_class_column_rejected",)),
+    # one row-block loop, in which a dropout pass is one block
+    Mutant("dropout-pass-in-row-blocks", MODELS,
+           "row_blocks(X.shape[0]) if rng is None else [slice(None)]", "row_blocks(X.shape[0])",
+           ("tests/test_models.py::TestRowBlocks::"
+            "test_dropout_passes_draw_each_layer_mask_over_all_rows",)),
+    # mc-dropout at p = 0 is a vanilla model's spread, refused before compute
+    Mutant("mc-dropout-at-zero-dropout-accepted", EXPERIMENTS,
+           'if "mc-dropout" in self.uq_methods and self.dropout == 0.0:',
+           'if "mc-dropout" in self.uq_methods and self.dropout < 0.0:',
+           ("tests/test_cli.py::TestFailBeforeCompute::test_mc_dropout_at_zero_dropout_exits_2",)),
+    # a Dataset checks its noise tags by value, and a shift keeps features in
+    # float range; the scores take probabilities in [0, 1], NaN not among them
+    Mutant("noise-tags-cast-before-check", "src/uqcurate/data.py",
+           "            self.noise_tags = np.asarray(self.noise_tags)\n",
+           "            self.noise_tags = np.asarray(self.noise_tags, dtype=bool)\n",
+           ("tests/test_kernels.py::test_labels_of_any_dtype_are_checked_by_value",
+            "tests/test_data.py::TestLoadCsv::test_noise_tags_checked_by_value")),
+    Mutant("shift-overflow-unchecked", "src/uqcurate/data.py",
+           "    if not np.isfinite(out.X).all():\n"
+           "        raise DomainError(f\"shift intensity {intensity} takes features past float "
+           "range\")\n", "",
+           ("tests/test_data.py::TestInjectShift::test_features_past_float_range_rejected",)),
+    Mutant("metrics-accept-nan-probabilities", "src/uqcurate/metrics.py",
+           "if not ((probs >= 0.0) & (probs <= 1.0)).all():",
+           "if ((probs < 0.0) | (probs > 1.0)).any():",
+           ("tests/test_metrics.py::TestBrier::test_probabilities_outside_unit_interval_rejected",)),
 )
 
 

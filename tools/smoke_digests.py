@@ -2,9 +2,11 @@
 
 Runs a fixed set of ``uqcurate`` commands on the packaged ``smoke`` profile,
 each in a fresh interpreter with ``UQCURATE_JOBS`` set to ``--jobs`` (default
-1), and prints one ``sha256  path`` line per result CSV, checkpoint and
-report JSON, sorted by path.  Run manifests are left out because they hold a
-timestamp.
+1) and a temporary work directory as its cwd, and prints one ``sha256  path``
+line per result CSV, checkpoint and report JSON, sorted by path.  Run
+manifests are left out because they hold a timestamp.  Every path a command
+names is relative to the work directory: the spec digest, and with it every
+file name, embeds the ``data`` path.
 
 The set is gen-data (the profile, and ``--seed 3``), shift (default,
 ``--uq mc-dropout``, ``--head homo --uq mc-dropout``, and ``--head homo`` with
@@ -13,12 +15,13 @@ member of the one ensemble fit per intensity),
 growth, compare (``--selector`` ehal, elah and random; ``--uq mc-dropout``;
 ``--uq mc-dropout --head homo``; ``uncertainty_source = sample``;
 ``repetitions = 2``, so that ``--jobs 2`` runs its repetitions in two worker
-processes; and ``--selector ehal`` on 8000 instances, whose 4800-row pool
-and 2800-row test partition are scored in row blocks) and train (default and
-``--uq mc-dropout``): 17 commands and 40 files.  The profile has one
-repetition, so only the two-repetition compare starts workers.  A command
-that fails or writes anything to stderr (a stray warning included) stops the
-run with exit code 1 and one message naming it.
+processes; ``--selector ehal`` on 8000 instances, whose 4800-row pool and
+2800-row test partition are scored in row blocks; and ``--data`` on the
+profile's generated CSV, whose ``noise_tag`` column gives the selected noisy
+fraction) and train (default and ``--uq mc-dropout``): 18 commands and 43
+files.  The profile has one repetition, so only the two-repetition compare
+starts workers.  A command that fails or writes anything to stderr (a stray
+warning included) stops the run with exit code 1 and one message naming it.
 
 To check which result files a change moves, run it on the change and on a
 checkout of the parent commit, then diff the two outputs::
@@ -51,25 +54,25 @@ REPO = Path(__file__).resolve().parent.parent
 
 PROFILE = ["--config", "profile:smoke"]
 
-# (output name, command line); the output name is the --out path under the
-# work directory
+# (output name, command line), run in this order from the work directory;
+# the output name is the --out path
 COMMANDS = [
     ("gen-data/profile.csv", ["gen-data", *PROFILE]),
     ("gen-data/seed3.csv", ["gen-data", *PROFILE, "--seed", "3"]),
     ("shift/default", ["shift", *PROFILE]),
     ("shift/mc-dropout", ["shift", *PROFILE, "--uq", "mc-dropout"]),
     ("shift/homo-mc-dropout", ["shift", *PROFILE, "--head", "homo", "--uq", "mc-dropout"]),
-    ("shift/homo-all-uq", ["shift", "--config", "{work}/smoke-all-uq.cfg", "--head", "homo"]),
+    ("shift/homo-all-uq", ["shift", "--config", "smoke-all-uq.cfg", "--head", "homo"]),
     ("growth/default", ["growth", *PROFILE]),
     ("compare/ehal", ["compare", *PROFILE, "--selector", "ehal"]),
     ("compare/elah", ["compare", *PROFILE, "--selector", "elah"]),
     ("compare/random", ["compare", *PROFILE, "--selector", "random"]),
     ("compare/mc-dropout", ["compare", *PROFILE, "--uq", "mc-dropout"]),
     ("compare/homo-mc-dropout", ["compare", *PROFILE, "--uq", "mc-dropout", "--head", "homo"]),
-    ("compare/source-sample", ["compare", "--config", "{work}/smoke-sample.cfg"]),
-    ("compare/two-reps", ["compare", "--config", "{work}/smoke-two-reps.cfg"]),
-    ("compare/large-pool", ["compare", "--config", "{work}/smoke-large-pool.cfg",
-                            "--selector", "ehal"]),
+    ("compare/source-sample", ["compare", "--config", "smoke-sample.cfg"]),
+    ("compare/two-reps", ["compare", "--config", "smoke-two-reps.cfg"]),
+    ("compare/large-pool", ["compare", "--config", "smoke-large-pool.cfg", "--selector", "ehal"]),
+    ("compare/csv-data", ["compare", *PROFILE, "--data", "gen-data/profile.csv"]),
     ("train/default", ["train", *PROFILE]),
     ("train/mc-dropout", ["train", *PROFILE, "--uq", "mc-dropout"]),
 ]
@@ -99,10 +102,10 @@ def digests(src: Path, work: Path, jobs: int = 1) -> list[str]:
     _write_profiles(src, work)
     env = dict(os.environ, PYTHONPATH=str(src), UQCURATE_JOBS=str(jobs))
     for out, args in COMMANDS:
-        argv = [a.format(work=work) for a in args] + ["--out", str(work / out)]
         (work / out).parent.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run([sys.executable, "-m", "uqcurate", *argv], env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run([sys.executable, "-m", "uqcurate", *args, "--out", out], cwd=work,
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True)
         if proc.returncode or proc.stderr:
             sys.exit(f"error: {out} (uqcurate {' '.join(args)}) exited {proc.returncode}, "
                      f"stderr:\n{proc.stderr}")
